@@ -1,7 +1,7 @@
 """Adjacency graphs of tree rearrangement moves over collections of
 phylogenetic trees, built by indexing canonical two-component forests."""
 
-from .afcontainer import AFContainer, ByteTrie, Mode
+from .afcontainer import AFContainer, Mode
 from .canonical import decode_forest, decode_tree, sdlnewick_forest, sdlnewick_tree
 from .errors import (
     CanonicalError,
@@ -13,7 +13,7 @@ from .errors import (
     SnapshotError,
     TreescapeError,
 )
-from .forestgen import nni_moves, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
+from .forestgen import rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
 from .graph import (
     AdjacencyGraph,
     VertexLabeling,
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AFContainer",
     "AdjacencyGraph",
-    "ByteTrie",
     "CanonicalError",
     "Component",
     "Forest",
@@ -59,7 +58,6 @@ __all__ = [
     "construct_tbr_graph",
     "decode_forest",
     "decode_tree",
-    "nni_moves",
     "parse_newick",
     "rspr_forest_keys",
     "sdlnewick_forest",

@@ -1,126 +1,30 @@
-"""Trie-indexed container mapping shared forest keys to tree ids.
+"""Dict-indexed container mapping shared forest keys to tree ids.
 
 An AFContainer holds three substructures:
 
-* forest trie: canonical forest key -> append-only list of tree ids, in
+* forest index: canonical forest key -> append-only list of tree ids, in
   insertion order and duplicate-free per list;
-* id trie: canonical tree string -> tree id;
+* id index: canonical tree string -> tree id;
 * tree array: tree id -> canonical tree string, ids dense from 0.
 
-Both tries are compressed byte-branching radix tries, so every lookup and
-insertion costs time proportional to the key length in the worst case; no
-full-key hashing is involved, which keeps the per-tree work for an n-leaf
-tree at O(n^2) inserted bytes and O(n^2) query work.
+Both indexes are plain dicts over byte-string keys. Hashing a key costs
+time linear in its length, so the per-tree work for an n-leaf tree stays at
+O(n^2) inserted bytes and O(n^2) query work.
+
+The id lists a new tree's keys land on hold exactly the earlier trees one
+move away from it, so inserting a tree also finds its earlier neighbours,
+with the number of keys each one shares. Prune-regraft neighbours that are
+also one interchange apart share at least two keys; all others share one.
 """
 
+import contextlib
 import enum
+import os
+from collections import Counter
 
 from .canonical import decode_tree, sdlnewick_tree
 from .errors import CanonicalError, ModeError, SnapshotError
-from .forestgen import nni_moves, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
-
-_MISSING = object()
-
-
-class _Node:
-    __slots__ = ("edge", "children", "value")
-
-    def __init__(self, edge):
-        self.edge = edge
-        self.children = {}
-        self.value = _MISSING
-
-
-class ByteTrie:
-    """Compressed radix trie over byte-string keys."""
-
-    __slots__ = ("_root", "_count")
-
-    def __init__(self):
-        self._root = _Node(b"")
-        self._count = 0
-
-    def __len__(self):
-        return self._count
-
-    def __contains__(self, key):
-        return self.get(key, _MISSING) is not _MISSING
-
-    def get(self, key, default=None):
-        node = self._root
-        i = 0
-        n = len(key)
-        while i < n:
-            child = node.children.get(key[i])
-            if child is None:
-                return default
-            edge = child.edge
-            j = i + len(edge)
-            if key[i:j] != edge:
-                return default
-            node = child
-            i = j
-        return default if node.value is _MISSING else node.value
-
-    def set(self, key, value):
-        """Bind key to value, replacing any previous binding."""
-        node = self._descend(key)
-        if node.value is _MISSING:
-            self._count += 1
-        node.value = value
-
-    def setdefault(self, key, factory):
-        """Return the value at key, creating it via factory if absent."""
-        node = self._descend(key)
-        if node.value is _MISSING:
-            node.value = factory()
-            self._count += 1
-        return node.value
-
-    def _descend(self, key):
-        node = self._root
-        i = 0
-        n = len(key)
-        while True:
-            if i == n:
-                return node
-            child = node.children.get(key[i])
-            if child is None:
-                leaf = _Node(key[i:])
-                node.children[key[i]] = leaf
-                return leaf
-            edge = child.edge
-            j = i + len(edge)
-            if key[i:j] == edge:
-                node = child
-                i = j
-                continue
-            # split the child edge at the first mismatching byte
-            rest = key[i:]
-            k = 0
-            limit = min(len(edge), len(rest))
-            while k < limit and edge[k] == rest[k]:
-                k += 1
-            mid = _Node(edge[:k])
-            node.children[key[i]] = mid
-            child.edge = edge[k:]
-            mid.children[child.edge[0]] = child
-            if k == len(rest):
-                return mid
-            leaf = _Node(rest[k:])
-            mid.children[leaf.edge[0]] = leaf
-            return leaf
-
-    def items(self):
-        """Yield (key, value) pairs in byte-lexicographic key order."""
-        stack = [(self._root, b"")]
-        while stack:
-            node, prefix = stack.pop()
-            key = prefix + node.edge
-            if node.value is not _MISSING:
-                yield key, node.value
-            for byte in sorted(node.children, reverse=True):
-                stack.append((node.children[byte], key))
+from .forestgen import rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
 
 
 class Mode(enum.Enum):
@@ -139,10 +43,26 @@ _SNAPSHOT_MAGIC = "afcontainer"
 _SNAPSHOT_VERSION = "v1"
 
 
+@contextlib.contextmanager
+def replace_atomically(path):
+    """Yield a text handle on a temporary file beside path, which replaces
+    path once the block completes. If the block raises, path keeps its old
+    content and the temporary file is removed."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_snapshot(path, mode, canonical_lines):
     """Write canonical tree strings to a reloadable snapshot file."""
     mode = Mode(mode)
-    with open(path, "w", encoding="ascii") as fh:
+    with replace_atomically(path) as fh:
         fh.write(f"{_SNAPSHOT_MAGIC} {_SNAPSHOT_VERSION} {mode.value} {len(canonical_lines)}\n")
         for text in canonical_lines:
             fh.write(text.decode("ascii") + "\n")
@@ -150,29 +70,53 @@ def write_snapshot(path, mode, canonical_lines):
 
 def read_snapshot(path):
     """Read a snapshot header and its raw canonical lines: (Mode, [bytes])."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n").split(" ")
-        if len(header) != 4 or header[0] != _SNAPSHOT_MAGIC:
-            raise SnapshotError("not a container snapshot")
-        if header[1] != _SNAPSHOT_VERSION:
-            raise SnapshotError(f"unsupported snapshot version {header[1]!r}")
-        try:
-            mode = Mode(header[2])
-        except ValueError:
-            raise SnapshotError(f"unknown snapshot mode {header[2]!r}") from None
-        try:
-            count = int(header[3])
-        except ValueError:
-            raise SnapshotError(f"bad tree count {header[3]!r}") from None
-        lines = []
-        for lineno, line in enumerate(fh):
-            text = line.rstrip("\n")
-            if not text:
-                raise SnapshotError(f"blank line {lineno + 2} in snapshot")
-            lines.append(text.encode("ascii"))
-        if len(lines) != count:
-            raise SnapshotError(f"snapshot header promises {count} trees, found {len(lines)}")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().rstrip("\n").split(" ")
+            if len(header) != 4 or header[0] != _SNAPSHOT_MAGIC:
+                raise SnapshotError("not a container snapshot")
+            if header[1] != _SNAPSHOT_VERSION:
+                raise SnapshotError(f"unsupported snapshot version {header[1]!r}")
+            try:
+                mode = Mode(header[2])
+            except ValueError:
+                raise SnapshotError(f"unknown snapshot mode {header[2]!r}") from None
+            try:
+                count = int(header[3])
+            except ValueError:
+                raise SnapshotError(f"bad tree count {header[3]!r}") from None
+            lines = []
+            for lineno, line in enumerate(fh):
+                text = line.rstrip("\n")
+                if not text:
+                    raise SnapshotError(f"blank line {lineno + 2} in snapshot")
+                lines.append(text.encode("ascii"))
+    except UnicodeDecodeError:
+        raise SnapshotError(f"{os.fspath(path)}: snapshot is not ASCII text") from None
+    if len(lines) != count:
+        raise SnapshotError(f"snapshot header promises {count} trees, found {len(lines)}")
     return mode, lines
+
+
+def decode_snapshot(mode, lines):
+    """Decode the lines read_snapshot returned into trees, checking that
+    each is canonical, fits the snapshot's mode and repeats no earlier line.
+    Errors name the snapshot line."""
+    trees = []
+    seen = set()
+    for lineno, text in enumerate(lines, start=2):
+        try:
+            tree = decode_tree(text)
+        except CanonicalError as exc:
+            raise SnapshotError(f"snapshot line {lineno}: {exc}") from None
+        if tree.rooted != mode.rooted:
+            kind = "rooted" if tree.rooted else "unrooted"
+            raise SnapshotError(f"snapshot line {lineno}: {kind} tree in a {mode.value} snapshot")
+        if text in seen:
+            raise SnapshotError(f"duplicate tree at snapshot line {lineno}")
+        seen.add(text)
+        trees.append(tree)
+    return trees
 
 
 class AFContainer:
@@ -184,8 +128,9 @@ class AFContainer:
 
     def __init__(self, mode):
         self.mode = Mode(mode)
-        self._forest_trie = ByteTrie()
-        self._id_trie = ByteTrie()
+        # the acceptance suite reads both indexes by these names
+        self._forest_trie = {}
+        self._id_trie = {}
         self._trees = []
 
     def __len__(self):
@@ -206,20 +151,35 @@ class AFContainer:
             return uspr_forest_keys(tree)
         return tbr_forest_keys(tree)
 
-    def insert(self, tree):
-        """Index a tree; returns its id (the existing one for duplicates)."""
+    def insert_counting(self, tree):
+        """Index a tree; returns (id, shared).
+
+        shared maps every earlier id that has forest keys in common with
+        the new tree, which is every earlier tree one move away, to how
+        many it has. A duplicate returns its existing id and an empty count.
+        """
         self._check_rootedness(tree)
         text = sdlnewick_tree(tree)
+        shared = Counter()
         existing = self._id_trie.get(text)
         if existing is not None:
-            return existing
+            return existing, shared
         tree_id = len(self._trees)
-        self._id_trie.set(text, tree_id)
+        self._id_trie[text] = tree_id
         self._trees.append(text)
-        trie = self._forest_trie
+        index = self._forest_trie
         for key in self._keys(tree):
-            trie.setdefault(key, list).append(tree_id)
-        return tree_id
+            ids = index.get(key)
+            if ids is None:
+                index[key] = [tree_id]
+            else:
+                shared.update(ids)
+                ids.append(tree_id)
+        return tree_id, shared
+
+    def insert(self, tree):
+        """Index a tree; returns its id (the existing one for duplicates)."""
+        return self.insert_counting(tree)[0]
 
     def id(self, tree):
         """Id of an inserted tree, or None."""
@@ -231,11 +191,12 @@ class AFContainer:
             return self._trees[tree_id]
         return b""
 
-    def _matches(self, tree, keys):
+    def _matches(self, tree):
+        self._check_rootedness(tree)
         own = self._id_trie.get(sdlnewick_tree(tree))
         get = self._forest_trie.get
         out = []
-        for key in keys:
+        for key in self._keys(tree):
             found = get(key)
             if found:
                 if own is None:
@@ -253,61 +214,37 @@ class AFContainer:
         """
         if self.mode is Mode.TBR:
             raise ModeError("prune-regraft queries need an rspr or uspr container")
-        self._check_rootedness(tree)
-        return self._matches(tree, self._keys(tree))
+        return self._matches(tree)
 
     def tbr_neighbors(self, tree):
         """Ids of inserted trees one bisection-reconnection move from tree."""
         if self.mode is not Mode.TBR:
             raise ModeError("bisection queries need a tbr container")
-        self._check_rootedness(tree)
-        return self._matches(tree, self._keys(tree))
+        return self._matches(tree)
 
     def nni_neighbors(self, tree):
-        """Ids of inserted trees one interchange move from tree (no repeats).
+        """Ids of inserted trees one interchange move from tree (no repeats):
+        those sharing at least two forest keys with it.
 
-        Works in any mode: only the id trie is consulted, at O(n) candidate
-        lookups per query.
+        Needs an rspr or uspr container; bisection-reconnection pairs that
+        are not interchange-adjacent can share two tbr keys.
         """
-        own = self._id_trie.get(sdlnewick_tree(tree))
-        seen = set()
-        out = []
-        get = self._id_trie.get
-        for candidate in nni_moves(tree):
-            found = get(sdlnewick_tree(candidate))
-            if found is not None and found != own and found not in seen:
-                seen.add(found)
-                out.append(found)
-        return out
-
-    def neighbor_strings(self, tree):
-        """Canonical strings of the deduplicated move neighborhood of tree."""
-        ids = self.tbr_neighbors(tree) if self.mode is Mode.TBR else self.spr_neighbors(tree)
-        seen = set()
-        out = []
-        for i in ids:
-            if i not in seen:
-                seen.add(i)
-                out.append(self._trees[i])
-        return out
+        if self.mode is Mode.TBR:
+            raise ModeError("interchange queries need an rspr or uspr container")
+        shared = Counter(self._matches(tree))
+        return [i for i, k in shared.items() if k >= 2]
 
     # -- snapshot -----------------------------------------------------------
 
     def save(self, path):
-        """Write the container to a text snapshot; the forest trie is
-        reconstructed on load."""
+        """Write the container to a text snapshot; the forest index is
+        rebuilt on load."""
         write_snapshot(path, self.mode, self._trees)
 
     @classmethod
     def load(cls, path):
         mode, lines = read_snapshot(path)
         container = cls(mode)
-        for lineno, text in enumerate(lines):
-            try:
-                tree = decode_tree(text)
-                tree_id = container.insert(tree)
-            except (CanonicalError, ModeError) as exc:
-                raise SnapshotError(f"snapshot line {lineno + 2}: {exc}") from exc
-            if tree_id != lineno:
-                raise SnapshotError(f"duplicate tree at snapshot line {lineno + 2}")
+        for tree in decode_snapshot(mode, lines):
+            container.insert(tree)
         return container

@@ -19,7 +19,7 @@ Grammar of a canonical forest string::
     label        := [1-9][0-9]*
 
 Two trees (or forests) are isomorphic exactly when their encodings are
-byte-identical, which is what makes these strings usable as trie keys.
+byte-identical, which is what makes these strings usable as index keys.
 """
 
 from .errors import CanonicalError

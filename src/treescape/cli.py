@@ -17,8 +17,14 @@ import re
 import sys
 import time
 
-from .afcontainer import AFContainer, Mode, read_snapshot, write_snapshot
-from .canonical import decode_tree
+from .afcontainer import (
+    AFContainer,
+    Mode,
+    decode_snapshot,
+    read_snapshot,
+    replace_atomically,
+    write_snapshot,
+)
 from .errors import (
     CanonicalError,
     LabelSetError,
@@ -48,32 +54,42 @@ def _container_mode(mode, rooted):
     return Mode.RSPR if rooted else Mode.USPR
 
 
+def _read_lines(path):
+    """Lines of a UTF-8 text file, or of stdin for -."""
+    try:
+        if path == "-":
+            return sys.stdin.read().splitlines()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise NewickError(f"{path}: not UTF-8 text") from None
+
+
 def _load_taxa(path):
     """Name-to-label map from a two-column file; labels must be distinct
     positive integers."""
     table = {}
     used = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t") if "\t" in line else line.split()
-            if len(parts) != 2:
-                raise NewickError(f"{path}:{lineno}: expected two columns")
-            name, value = parts
-            try:
-                label = int(value)
-            except ValueError:
-                raise NewickError(f"{path}:{lineno}: label {value!r} is not an integer") from None
-            if label <= 0:
-                raise NewickError(f"{path}:{lineno}: labels must be positive")
-            if name in table:
-                raise NewickError(f"{path}:{lineno}: taxon {name!r} repeated")
-            if label in used:
-                raise NewickError(f"{path}:{lineno}: label {label} repeated")
-            table[name] = label
-            used.add(label)
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t") if "\t" in line else line.split()
+        if len(parts) != 2:
+            raise NewickError(f"{path}:{lineno}: expected two columns")
+        name, value = parts
+        try:
+            label = int(value)
+        except ValueError:
+            raise NewickError(f"{path}:{lineno}: label {value!r} is not an integer") from None
+        if label <= 0:
+            raise NewickError(f"{path}:{lineno}: labels must be positive")
+        if name in table:
+            raise NewickError(f"{path}:{lineno}: taxon {name!r} repeated")
+        if label in used:
+            raise NewickError(f"{path}:{lineno}: label {label} repeated")
+        table[name] = label
+        used.add(label)
     return table
 
 
@@ -86,12 +102,7 @@ def _translate(line, taxa):
 def _read_trees(path, *, rooted, lenient, taxa):
     """Parse a newline-delimited tree file: list of (lineno, Tree)."""
     out = []
-    if path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -114,14 +125,14 @@ def _construct(mode, trees):
 
 
 def _write_tsv(path, mode, graph):
-    with open(path, "w", encoding="ascii") as fh:
+    with replace_atomically(path) as fh:
         fh.write(f"# treescape {mode} m={graph.n_vertices}\n")
         for u, v in graph.edges():
             fh.write(f"{u}\t{v}\n")
 
 
 def _write_dot(path, graph, labeling):
-    with open(path, "w", encoding="ascii") as fh:
+    with replace_atomically(path) as fh:
         fh.write("graph G {\n")
         for v in range(graph.n_vertices):
             fh.write(f'  v{v} [label="{labeling.canonical[v].decode("ascii")}"];\n')
@@ -132,7 +143,7 @@ def _write_dot(path, graph, labeling):
 
 def _write_vertices(out_path, linenos, labeling):
     path = os.path.splitext(out_path)[0] + ".vertices.tsv"
-    with open(path, "w", encoding="ascii") as fh:
+    with replace_atomically(path) as fh:
         fh.write("# vertex\tline\tcanonical\n")
         for v, first in enumerate(labeling.first_input):
             canonical = labeling.canonical[v].decode("ascii")
@@ -144,7 +155,6 @@ def _cmd_build(args):
         return _fail(4, "tbr graphs are only defined for unrooted trees")
     taxa = _load_taxa(args.taxa) if args.taxa else None
 
-    linenos = []
     trees = []
     if args.append:
         snap_mode, lines = read_snapshot(args.append)
@@ -154,9 +164,8 @@ def _cmd_build(args):
                 f"snapshot mode {snap_mode.value} does not fit "
                 f"{'rooted' if args.rooted else 'unrooted'} {args.mode}",
             )
-        for text in lines:
-            linenos.append(0)
-            trees.append(decode_tree(text))
+        trees = decode_snapshot(snap_mode, lines)
+    linenos = [0] * len(trees)
 
     parsed = _read_trees(args.input, rooted=args.rooted, lenient=args.lenient, taxa=taxa)
     if not parsed and not trees:
@@ -226,6 +235,10 @@ def _cmd_bench(args):
         return _fail(2, f"bad --sizes {args.sizes!r}")
     if not sizes or min(sizes) < 4:
         return _fail(2, "--sizes needs integers of at least 4")
+    if len(set(sizes)) != len(sizes):
+        return _fail(2, f"--sizes repeats a leaf count: {args.sizes!r}")
+    if args.m < 1:
+        return _fail(2, f"--m needs at least one tree per size, got {args.m}")
     rng = random.Random(args.seed)
     mode = _container_mode(args.mode, args.rooted)
     points = []

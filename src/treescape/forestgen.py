@@ -1,4 +1,4 @@
-"""Per-edge two-component forest keys, and the aunt-edge NNI move list.
+"""Per-edge two-component forest keys.
 
 Two trees on the same leaf set are one rearrangement apart exactly when
 they share a key: cut any edge of each tree, keep the attachment point of
@@ -9,7 +9,7 @@ only in which side of the cut keeps its root.
 
 from .canonical import sdlnewick_forest
 from .errors import ModeError
-from .tree import _orient, apply_spr, yield_forest
+from .tree import yield_forest
 
 
 def rspr_forest_keys(tree):
@@ -35,38 +35,3 @@ def tbr_forest_keys(tree):
     if tree.rooted:
         raise ModeError("bisection keys require an unrooted tree")
     return [sdlnewick_forest(yield_forest(tree, (edge,))) for edge in tree.edges()]
-
-
-def nni_moves(tree):
-    """Result trees of every aunt-edge nearest-neighbor interchange.
-
-    Each edge whose parent edge has a sibling yields one move: the subtree
-    below it is regrafted onto that sibling (aunt) edge. Rooted trees orient
-    from the root marker; unrooted trees orient from the internal node next
-    to the smallest leaf, whose trifurcation contributes two aunts per edge
-    below it. The list may repeat isomorphic results; callers deduplicate.
-    """
-    labels, adj = tree.labels, tree.neighbors
-    if tree.rooted:
-        top = tree.rho_index()
-    else:
-        if len(labels) < 4:
-            return []
-        small = min(
-            (i for i, lab in enumerate(labels) if lab is not None), key=labels.__getitem__
-        )
-        top = adj[small][0]
-    parents = _orient(adj, top)
-    out = []
-    for x in range(len(labels)):
-        if x == top:
-            continue
-        p = parents[x]
-        g = parents[p]
-        if g < 0:
-            continue
-        gp = parents[g]
-        for sibling in adj[g]:
-            if sibling != p and sibling != gp:
-                out.append(apply_spr(tree, (x, p), (g, sibling)))
-    return out

@@ -1,10 +1,11 @@
 """Adjacency graphs over tree collections, one vertex per distinct tree.
 
-Construction inserts every input tree into an AFContainer, then queries the
-move neighborhood of each distinct tree once. Each undirected edge {i, j}
-with j < i is discovered at least once while processing vertex i (neighbor
-lists over inserted trees are complete for inserted queries), so the graph
-stores it exactly once, in vertex i's pass.
+Construction makes one pass over the input. Each distinct tree becomes the
+next vertex i when it is inserted into an AFContainer, and the insert
+reports the earlier trees j < i sharing forest keys with it, so every edge
+{j, i} is stored exactly once, in vertex i's step. Prune-regraft and
+bisection graphs take every earlier tree sharing a key; the interchange
+graph takes those sharing two or more.
 """
 
 from dataclasses import dataclass
@@ -36,6 +37,12 @@ class AdjacencyGraph:
     @property
     def edge_count(self):
         return self._edge_count
+
+    def add_vertex(self):
+        """Append an isolated vertex; returns its id."""
+        self._adj.append([])
+        self._sym = None
+        return len(self._adj) - 1
 
     def append_edge(self, i, j):
         """Record edge {j, i} with j < i, skipping an immediate duplicate."""
@@ -76,9 +83,6 @@ class AdjacencyGraph:
                 lst.sort()
             self._sym = sym
         return list(self._sym[v])
-
-    def degree(self, v):
-        return len(self.neighbors(v))
 
     def validate(self):
         n = len(self._adj)
@@ -135,27 +139,24 @@ def _check_collection(trees, *, need_unrooted=False):
             raise LabelSetError("all trees must share one leaf label set")
 
 
-def _construct(trees, mode, query):
+def _construct(trees, mode, min_shared=1):
     container = AFContainer(mode)
+    graph = AdjacencyGraph()
     vertex_of_input = []
     first_input = []
-    reps = []
     for k, tree in enumerate(trees):
-        before = len(container)
-        vid = container.insert(tree)
+        vid, shared = container.insert_counting(tree)
         vertex_of_input.append(vid)
-        if len(container) > before:
+        if vid == graph.n_vertices:
+            graph.add_vertex()
             first_input.append(k)
-            reps.append(tree)
-    graph = AdjacencyGraph(len(reps))
-    for i, tree in enumerate(reps):
-        for j in query(container, tree):
-            if j < i:
-                graph.append_edge(i, j)
+            for j, count in shared.items():
+                if count >= min_shared:
+                    graph.append_edge(vid, j)
     labeling = VertexLabeling(
         vertex_of_input=vertex_of_input,
         first_input=first_input,
-        canonical=[container.sdlnewick_of(v) for v in range(len(reps))],
+        canonical=[container.sdlnewick_of(v) for v in range(graph.n_vertices)],
     )
     return graph, labeling
 
@@ -166,19 +167,20 @@ def construct_spr_graph(trees):
     trees = list(trees)
     _check_collection(trees)
     mode = Mode.RSPR if trees and trees[0].rooted else Mode.USPR
-    return _construct(trees, mode, lambda c, t: c.spr_neighbors(t))
+    return _construct(trees, mode)
 
 
 def construct_nni_graph(trees):
-    """Interchange adjacency graph over rooted or unrooted collections."""
+    """Interchange adjacency graph over rooted or unrooted collections: the
+    prune-regraft pairs that share at least two forest keys."""
     trees = list(trees)
     _check_collection(trees)
     mode = Mode.RSPR if trees and trees[0].rooted else Mode.USPR
-    return _construct(trees, mode, lambda c, t: c.nni_neighbors(t))
+    return _construct(trees, mode, min_shared=2)
 
 
 def construct_tbr_graph(trees):
     """Bisection-reconnection adjacency graph; unrooted collections only."""
     trees = list(trees)
     _check_collection(trees, need_unrooted=True)
-    return _construct(trees, Mode.TBR, lambda c, t: c.tbr_neighbors(t))
+    return _construct(trees, Mode.TBR)

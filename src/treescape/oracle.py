@@ -2,15 +2,16 @@
 
 Everything here is deliberately naive: neighborhoods come from exhaustively
 applying every candidate move and comparing canonical strings, and pairwise
-graphs cost O(m^2) string lookups. None of the indexing machinery is used,
-so agreement between this module and the container-driven builders is
-evidence for both.
+graphs cost O(m^2) string lookups. nni_moves lists interchange results
+directly, a cross-check on the shared-key count the interchange graph is
+built from. None of the indexing machinery is used, so agreement between
+this module and the container-driven builders is evidence for both.
 """
 
 from .canonical import sdlnewick_tree
 from .errors import MoveError, ModeError, TreescapeError
 from .graph import AdjacencyGraph
-from .tree import RHO, Tree, apply_spr, apply_tbr
+from .tree import RHO, Tree, _orient, apply_spr, apply_tbr
 
 MOVES = ("rspr", "uspr", "nni", "tbr")
 
@@ -110,6 +111,41 @@ def enumerate_neighbors(tree, move):
             raise ModeError("tbr neighborhoods are defined on unrooted trees")
         return _tbr_neighbors(tree)
     raise ValueError(f"unknown move {move!r}")
+
+
+def nni_moves(tree):
+    """Result trees of every aunt-edge nearest-neighbor interchange.
+
+    Each edge whose parent edge has a sibling yields one move: the subtree
+    below it is regrafted onto that sibling (aunt) edge. Rooted trees orient
+    from the root marker; unrooted trees orient from the internal node next
+    to the smallest leaf, whose trifurcation contributes two aunts per edge
+    below it. The list may repeat isomorphic results; callers deduplicate.
+    """
+    labels, adj = tree.labels, tree.neighbors
+    if tree.rooted:
+        top = tree.rho_index()
+    else:
+        if len(labels) < 4:
+            return []
+        small = min(
+            (i for i, lab in enumerate(labels) if lab is not None), key=labels.__getitem__
+        )
+        top = adj[small][0]
+    parents = _orient(adj, top)
+    out = []
+    for x in range(len(labels)):
+        if x == top:
+            continue
+        p = parents[x]
+        g = parents[p]
+        if g < 0:
+            continue
+        gp = parents[g]
+        for sibling in adj[g]:
+            if sibling != p and sibling != gp:
+                out.append(apply_spr(tree, (x, p), (g, sibling)))
+    return out
 
 
 def pairwise_graph(trees, move):

@@ -96,9 +96,6 @@ class Tree:
             self._par = _orient(self.neighbors, self.rho_index())
         return self._par
 
-    def copy(self):
-        return Tree(list(self.labels), [list(a) for a in self.neighbors], self.rooted)
-
     def to_newick(self):
         """Standard Newick text (no root marker), invertible by parse_newick.
 

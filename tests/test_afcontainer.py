@@ -1,12 +1,11 @@
-"""Container behavior: trie mechanics, insertion, neighbor queries,
-snapshots."""
+"""Container behavior: insertion, neighbor queries, snapshots."""
 
 import random
 from collections import Counter
 
 import pytest
 
-from treescape.afcontainer import AFContainer, ByteTrie, Mode, read_snapshot, write_snapshot
+from treescape.afcontainer import AFContainer, Mode, read_snapshot, write_snapshot
 from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.errors import ModeError, SnapshotError
 from treescape.oracle import enumerate_all_trees, enumerate_neighbors, random_tree
@@ -21,66 +20,6 @@ TRIANGLE = [
 
 def triangle_trees():
     return [parse_newick(s, rooted=True) for s in TRIANGLE]
-
-
-class TestByteTrie:
-    def test_set_get(self):
-        t = ByteTrie()
-        assert t.get(b"missing") is None
-        assert t.get(b"missing", -1) == -1
-        t.set(b"abc", 1)
-        t.set(b"abd", 2)
-        t.set(b"ab", 3)
-        t.set(b"abcdef", 4)
-        t.set(b"", 5)
-        assert [t.get(k) for k in (b"abc", b"abd", b"ab", b"abcdef", b"")] == [1, 2, 3, 4, 5]
-        assert t.get(b"abcd") is None
-        assert t.get(b"a") is None
-        assert len(t) == 5
-
-    def test_overwrite_keeps_count(self):
-        t = ByteTrie()
-        t.set(b"k", 1)
-        t.set(b"k", 2)
-        assert t.get(b"k") == 2
-        assert len(t) == 1
-
-    def test_contains(self):
-        t = ByteTrie()
-        t.set(b"xy", 0)
-        assert b"xy" in t
-        assert b"x" not in t
-
-    def test_setdefault(self):
-        t = ByteTrie()
-        lst = t.setdefault(b"key", list)
-        lst.append(7)
-        assert t.setdefault(b"key", list) == [7]
-        assert len(t) == 1
-
-    def test_items_sorted(self):
-        t = ByteTrie()
-        keys = [b"b", b"ba", b"a", b"ab", b"aa", b"abc", b""]
-        for i, k in enumerate(keys):
-            t.set(k, i)
-        assert [k for k, _ in t.items()] == sorted(keys)
-
-    def test_split_and_fuzz_against_dict(self):
-        rng = random.Random(13)
-        t = ByteTrie()
-        model = {}
-        alphabet = b"(),;pr0123456789 "
-        for _ in range(3000):
-            key = bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
-            if rng.random() < 0.7:
-                val = rng.randint(0, 99)
-                t.set(key, val)
-                model[key] = val
-            else:
-                assert t.get(key) == model.get(key)
-        assert len(t) == len(model)
-        assert dict(t.items()) == model
-        assert [k for k, _ in t.items()] == sorted(model)
 
 
 class TestInsert:
@@ -126,6 +65,18 @@ class TestInsert:
         assert c.sdlnewick_of(-1) == b""
         assert c.id(decode_tree(c.sdlnewick_of(i))) == i
 
+    def test_insert_counting_reports_shared_keys_of_earlier_trees(self):
+        c = AFContainer(Mode.RSPR)
+        t0, t1, t2 = triangle_trees()
+        assert c.insert_counting(t0) == (0, {})
+        first, shared = c.insert_counting(t1)
+        assert first == 1 and set(shared) == {0}
+        third, shared = c.insert_counting(t2)
+        assert third == 2 and set(shared) == {0, 1}
+        for i in shared:
+            assert shared[i] == Counter(c.spr_neighbors(t2))[i]
+        assert c.insert_counting(t1) == (1, {})
+
     def test_mode_coerces_from_string(self):
         assert AFContainer("tbr").mode is Mode.TBR
         assert Mode.RSPR.rooted and not Mode.USPR.rooted and not Mode.TBR.rooted
@@ -146,8 +97,6 @@ class TestNeighborQueries:
             c.insert(t)
         assert set(c.spr_neighbors(trees[0])) == {1, 2}
         assert set(c.spr_neighbors(trees[1])) == {0, 2}
-        strings = c.neighbor_strings(trees[0])
-        assert strings == [c.sdlnewick_of(1), c.sdlnewick_of(2)]
 
     def test_query_tree_need_not_be_inserted(self):
         c = AFContainer(Mode.RSPR)
@@ -181,6 +130,10 @@ class TestNeighborQueries:
                 want = {i for i in range(len(c)) if c.sdlnewick_of(i) in want_strings}
                 assert set(raw) == want
                 assert own not in raw
+                if mode is Mode.TBR:
+                    with pytest.raises(ModeError):
+                        c.nni_neighbors(t)
+                    continue
                 nni_want = enumerate_neighbors(t, "nni")
                 nni_ids = c.nni_neighbors(t)
                 assert len(nni_ids) == len(set(nni_ids))
@@ -245,13 +198,23 @@ class TestSnapshot:
             "afcontainer v1 rspr x\n",
             "afcontainer v1 rspr 2\n(r,1,2);\n",
             "afcontainer v1 rspr 1\n(r,1,2);\n\n",
+            "afcontainer v1 rspr 1\n(r,1,\u00e9);\n",
         ],
     )
     def test_bad_headers_and_counts(self, tmp_path, content):
         path = tmp_path / "bad.snap"
-        path.write_text(content)
+        path.write_text(content, encoding="utf-8")
         with pytest.raises(SnapshotError):
             AFContainer.load(path)
+
+    def test_failed_write_keeps_old_snapshot(self, tmp_path):
+        path = tmp_path / "c.snap"
+        write_snapshot(path, "rspr", [b"(r,1,2);"])
+        old = path.read_bytes()
+        with pytest.raises(AttributeError):
+            write_snapshot(path, "rspr", [b"(r,1,(2,3));", None])
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["c.snap"]
 
     def test_noncanonical_and_duplicate_lines(self, tmp_path):
         path = tmp_path / "bad.snap"

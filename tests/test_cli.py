@@ -108,6 +108,15 @@ class TestBuildErrors:
         assert run("build", str(tmp_path / "absent.nwk"), "--mode", "spr", "--rooted",
                    "--out", str(tmp_path / "g")) == 2
 
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_non_utf8_input(self, tmp_path, capsys, command):
+        inp = tmp_path / "t.nwk"
+        inp.write_bytes(b"\xff\xfe((1,2),3);\n")
+        extra = ["--out", str(tmp_path / "g.tsv")] if command == "build" else []
+        assert run(command, str(inp), "--mode", "spr", "--rooted", *extra) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {inp}: not UTF-8 text\n"
+
     def test_rootedness_is_required(self, tmp_path):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
         with pytest.raises(SystemExit):
@@ -195,6 +204,47 @@ class TestSnapshotFlow:
                    "--out", str(tmp_path / "g.tsv"), "--append", str(snap)) == 2
 
 
+    def test_failed_output_write_keeps_old_graph(self, tmp_path, monkeypatch):
+        inp = write(tmp_path, "t.nwk", TRIANGLE)
+        out = tmp_path / "g.tsv"
+        out.write_text("old graph\n")
+
+        def broken_edges(graph):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(AdjacencyGraph, "edges", broken_edges)
+        assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(out)) == 2
+        assert out.read_text() == "old graph\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "t.nwk"]
+
+
+class TestAppendSnapshotErrors:
+    def append(self, tmp_path, snapshot_text, *mode):
+        snap = tmp_path / "c.snap"
+        snap.write_bytes(snapshot_text)
+        empty = write(tmp_path, "e.nwk", "")
+        return run("build", empty, "--mode", *mode, "--out", str(tmp_path / "g.tsv"),
+                   "--append", str(snap))
+
+    def test_non_ascii_snapshot(self, tmp_path, capsys):
+        text = "afcontainer v1 rspr 1\n(r,1,\u00e9);\n".encode("utf-8")
+        assert self.append(tmp_path, text, "spr", "--rooted") == 2
+        assert "not ASCII" in capsys.readouterr().err
+
+    def test_rooted_tree_in_unrooted_snapshot(self, tmp_path, capsys):
+        assert self.append(tmp_path, b"afcontainer v1 uspr 1\n(r,1,2);\n", "spr", "--unrooted") == 2
+        assert "snapshot line 2: rooted tree" in capsys.readouterr().err
+
+    def test_repeated_tree(self, tmp_path, capsys):
+        text = b"afcontainer v1 rspr 3\n(r,1,(2,3));\n(r,(1,2),3);\n(r,1,(2,3));\n"
+        assert self.append(tmp_path, text, "spr", "--rooted") == 2
+        assert "duplicate tree at snapshot line 4" in capsys.readouterr().err
+
+    def test_noncanonical_line(self, tmp_path, capsys):
+        assert self.append(tmp_path, b"afcontainer v1 rspr 1\n(r,2,1);\n", "spr", "--rooted") == 2
+        assert "snapshot line 2" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_ok(self, tmp_path, capsys):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
@@ -259,6 +309,14 @@ class TestBench:
     def test_bad_sizes(self):
         assert run("bench", "--mode", "spr", "--rooted", "--sizes", "8,x") == 2
         assert run("bench", "--mode", "spr", "--rooted", "--sizes", "3") == 2
+        assert run("bench", "--mode", "spr", "--rooted", "--sizes", "8,8") == 2
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_degenerate_tree_count(self, capsys, m):
+        assert run("bench", "--mode", "spr", "--rooted", "--m", m, "--sizes", "8,16") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --m") and captured.err.count("\n") == 1
 
     def test_seed_reproducibility(self, capsys):
         run("bench", "--mode", "tbr", "--unrooted", "--m", "3", "--sizes", "8", "--seed", "1")

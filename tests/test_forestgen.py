@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from treescape.canonical import decode_forest, sdlnewick_tree
+from treescape.canonical import decode_forest
 from treescape.errors import ModeError
-from treescape.forestgen import nni_moves, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
+from treescape.forestgen import rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
 from treescape.oracle import enumerate_neighbors, random_tree
 from treescape.tree import parse_newick
 
@@ -63,41 +63,6 @@ class TestKeyShape:
             uspr_forest_keys(ROOTED5)
         with pytest.raises(ModeError):
             tbr_forest_keys(ROOTED5)
-
-
-class TestNniMoves:
-    def test_unrooted_count(self):
-        # 2 swaps per internal edge, n-3 internal edges
-        rng = random.Random(17)
-        for n in range(4, 10):
-            t = random_tree(n, rooted=False, rng=rng)
-            distinct = {sdlnewick_tree(m) for m in nni_moves(t)}
-            assert len(distinct) == 2 * (n - 3)
-
-    def test_rooted_count(self):
-        rng = random.Random(17)
-        for n in range(3, 10):
-            t = random_tree(n, rooted=True, rng=rng)
-            distinct = {sdlnewick_tree(m) for m in nni_moves(t)}
-            assert len(distinct) == 2 * (n - 2)
-
-    def test_matches_oracle_enumeration(self):
-        rng = random.Random(19)
-        for _ in range(15):
-            rooted = rng.random() < 0.5
-            t = random_tree(rng.randint(4, 8), rooted=rooted, rng=rng)
-            got = {sdlnewick_tree(m) for m in nni_moves(t)}
-            assert got == enumerate_neighbors(t, "nni")
-
-    def test_results_validate(self):
-        for t in (ROOTED5, UNROOTED5):
-            for m in nni_moves(t):
-                m.validate()
-                assert m.leaf_labels() == t.leaf_labels()
-
-    def test_tiny_trees_have_no_moves(self):
-        assert nni_moves(parse_newick("(1,2,3);", rooted=False)) == []
-        assert nni_moves(parse_newick("(1,2);", rooted=False)) == []
 
 
 class TestMoveHierarchy:

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from treescape.errors import GraphInvariantError, LabelSetError, ModeError
+from treescape.afcontainer import AFContainer, Mode
+from treescape.canonical import sdlnewick_tree
+from treescape.errors import GraphInvariantError, LabelSetError, ModeError, MoveError
 from treescape.graph import (
     AdjacencyGraph,
     construct_nni_graph,
     construct_spr_graph,
     construct_tbr_graph,
 )
-from treescape.oracle import enumerate_all_trees, random_tree
-from treescape.tree import parse_newick
+from treescape.oracle import enumerate_all_trees, nni_moves, random_tree
+from treescape.tree import apply_spr, apply_tbr, parse_newick
 
 
 class TestAppendEdge:
@@ -54,8 +56,13 @@ class TestAppendEdge:
         for u in range(4):
             for v in g.neighbors(u):
                 assert u in g.neighbors(v)
-        assert g.degree(0) == 2
         g.validate()
+
+    def test_add_vertex(self):
+        g = AdjacencyGraph()
+        assert g.add_vertex() == 0 and g.add_vertex() == 1
+        g.append_edge(1, 0)
+        assert g.n_vertices == 2 and g.neighbors(0) == [1]
 
     def test_equality(self):
         a, b = AdjacencyGraph(3), AdjacencyGraph(3)
@@ -173,3 +180,79 @@ class TestConstruction:
             for u in range(g.n_vertices):
                 for v in g.neighbors(u):
                     assert u in g.neighbors(v)
+
+
+def one_move(tree, rng, *, bisect=False):
+    """A random tree one prune-regraft (or bisection-reconnection) move
+    from tree; the identity move is possible."""
+    edges = tree.edges()
+    while True:
+        u, v = rng.choice(edges)
+        if tree.rooted and tree.parents()[u] != v:
+            u, v = v, u
+        try:
+            if bisect:
+                return apply_tbr(tree, (u, v), rng.choice(edges + [None]), rng.choice(edges + [None]))
+            return apply_spr(tree, (u, v), rng.choice(edges))
+        except MoveError:
+            continue
+
+
+def two_pass_graph(trees, mode):
+    """Insert every tree, then query each distinct one: the construction
+    the single-pass builders replace."""
+    container = AFContainer(mode)
+    reps = []
+    for tree in trees:
+        if container.insert(tree) == len(reps):
+            reps.append(tree)
+    query = container.tbr_neighbors if mode is Mode.TBR else container.spr_neighbors
+    graph = AdjacencyGraph(len(reps))
+    for i, tree in enumerate(reps):
+        for j in query(tree):
+            if j < i:
+                graph.append_edge(i, j)
+    return graph, [container.sdlnewick_of(v) for v in range(len(reps))]
+
+
+@pytest.mark.parametrize(
+    "mode,build",
+    [(Mode.RSPR, construct_spr_graph), (Mode.USPR, construct_spr_graph), (Mode.TBR, construct_tbr_graph)],
+)
+def test_single_pass_matches_two_pass(mode, build):
+    rng = random.Random(83)
+    for n in (9, 24, 64):
+        trees = [random_tree(n, rooted=mode.rooted, rng=rng) for _ in range(4)]
+        for k in range(9):
+            source = rng.choice(trees)
+            if k % 3 == 0:
+                trees.append(parse_newick(source.to_newick(), rooted=mode.rooted))
+            else:
+                trees.append(one_move(source, rng, bisect=k % 3 == 1 and mode is Mode.TBR))
+        rng.shuffle(trees)
+        graph, labeling = build(trees)
+        want, canonical = two_pass_graph(trees, mode)
+        assert labeling.canonical == canonical
+        assert graph == want
+        assert graph.edge_count > 0 and labeling.duplicates()
+
+
+def test_nni_count_rule_matches_nni_moves():
+    rng = random.Random(89)
+    for rooted in (True, False):
+        tree = random_tree(rng.randint(32, 64), rooted=rooted, rng=rng)
+        walk = [tree]
+        for _ in range(40):
+            tree = rng.choice(walk) if rng.random() < 0.2 else rng.choice(nni_moves(tree))
+            walk.append(tree)
+        graph, labeling = construct_nni_graph(walk)
+        index = {c: v for v, c in enumerate(labeling.canonical)}
+        want = AdjacencyGraph(len(index))
+        for i, k in enumerate(labeling.first_input):
+            found = {index.get(sdlnewick_tree(t)) for t in nni_moves(walk[k])}
+            for j in sorted(found - {None}):
+                if j < i:
+                    want.append_edge(i, j)
+        assert graph == want
+        assert graph.edge_count >= graph.n_vertices - 1
+        assert construct_spr_graph(walk)[0].edge_count > graph.edge_count

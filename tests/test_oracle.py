@@ -8,9 +8,14 @@ from treescape.oracle import (
     MOVES,
     enumerate_all_trees,
     enumerate_neighbors,
+    nni_moves,
     pairwise_graph,
     random_tree,
 )
+from treescape.tree import parse_newick
+
+ROOTED5 = parse_newick("((1,(2,3)),(4,5));", rooted=True)
+UNROOTED5 = parse_newick("((1,2),3,(4,5));", rooted=False)
 
 
 class TestEnumerateAllTrees:
@@ -134,3 +139,38 @@ class TestPairwiseGraph:
         g, canon = pairwise_graph([t, t, t], "uspr")
         assert g.n_vertices == 1
         assert canon == [sdlnewick_tree(t)]
+
+
+class TestNniMoves:
+    def test_unrooted_count(self):
+        # 2 swaps per internal edge, n-3 internal edges
+        rng = random.Random(17)
+        for n in range(4, 10):
+            t = random_tree(n, rooted=False, rng=rng)
+            distinct = {sdlnewick_tree(m) for m in nni_moves(t)}
+            assert len(distinct) == 2 * (n - 3)
+
+    def test_rooted_count(self):
+        rng = random.Random(17)
+        for n in range(3, 10):
+            t = random_tree(n, rooted=True, rng=rng)
+            distinct = {sdlnewick_tree(m) for m in nni_moves(t)}
+            assert len(distinct) == 2 * (n - 2)
+
+    def test_matches_oracle_enumeration(self):
+        rng = random.Random(19)
+        for _ in range(15):
+            rooted = rng.random() < 0.5
+            t = random_tree(rng.randint(4, 8), rooted=rooted, rng=rng)
+            got = {sdlnewick_tree(m) for m in nni_moves(t)}
+            assert got == enumerate_neighbors(t, "nni")
+
+    def test_results_validate(self):
+        for t in (ROOTED5, UNROOTED5):
+            for m in nni_moves(t):
+                m.validate()
+                assert m.leaf_labels() == t.leaf_labels()
+
+    def test_tiny_trees_have_no_moves(self):
+        assert nni_moves(parse_newick("(1,2,3);", rooted=False)) == []
+        assert nni_moves(parse_newick("(1,2);", rooted=False)) == []
