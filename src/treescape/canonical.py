@@ -64,7 +64,10 @@ def _emit(labels, adj, start, parent, mins, out):
             out.append("r" if lab == RHO else str(lab))
             continue
         kids = [w for w in adj[node] if w != par]
-        assert len(kids) == 2, "subtrees below the top level are binary"
+        if len(kids) != 2:
+            raise CanonicalError(
+                f"subtree node below the top level has {len(kids)} children, not two"
+            )
         kids.sort(key=mins.__getitem__)
         out.append("(")
         stack.append(")")

@@ -4,14 +4,16 @@ Everything here is deliberately naive: neighborhoods come from exhaustively
 applying every candidate move and comparing canonical strings, and pairwise
 graphs cost O(m^2) string lookups. nni_moves lists interchange results
 directly, a cross-check on the shared-key count the interchange graph is
-built from. None of the indexing machinery is used, so agreement between
+built from. reference_forest_keys cuts and re-encodes the whole tree for
+every key, the construction the spliced keys of forestgen must match byte
+for byte. None of the indexing machinery is used, so agreement between
 this module and the container-driven builders is evidence for both.
 """
 
-from .canonical import sdlnewick_tree
+from .canonical import sdlnewick_forest, sdlnewick_tree
 from .errors import MoveError, ModeError, TreescapeError
 from .graph import AdjacencyGraph
-from .tree import RHO, Tree, _orient, apply_spr, apply_tbr
+from .tree import RHO, Tree, _orient, apply_spr, apply_tbr, yield_forest
 
 MOVES = ("rspr", "uspr", "nni", "tbr")
 
@@ -146,6 +148,27 @@ def nni_moves(tree):
             if sibling != p and sibling != gp:
                 out.append(apply_spr(tree, (x, p), (g, sibling)))
     return out
+
+
+def reference_forest_keys(tree, move):
+    """Forest keys by cutting each edge out of a copy of the tree and
+    encoding the whole forest, in the order of rspr/uspr/tbr_forest_keys.
+
+    move is "rspr" (cut-off side rooted), "uspr" (either endpoint side
+    rooted, two keys per edge) or "tbr" (both cut endpoints suppressed).
+    """
+    if move not in ("rspr", "uspr", "tbr"):
+        raise ValueError(f"unknown move {move!r}")
+    if tree.rooted != (move == "rspr"):
+        raise ModeError(f"{move} keys need {'an unrooted' if tree.rooted else 'a rooted'} tree")
+    keys = []
+    for a, b in tree.edges():
+        if move == "uspr":
+            for kept in (a, b):
+                keys.append(sdlnewick_forest(yield_forest(tree, ((a, b),), keep_roots=(kept,))))
+        else:
+            keys.append(sdlnewick_forest(yield_forest(tree, ((a, b),))))
+    return keys
 
 
 def pairwise_graph(trees, move):

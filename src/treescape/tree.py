@@ -568,17 +568,20 @@ def yield_forest(tree, cut_edges, keep_roots=()):
         roots_here = [remap[v] for v in protected if v in remap]
         has_rho = tree.rooted and any(lab == RHO for lab in clabels)
         if has_rho:
-            assert not roots_here, "marker component cannot also hold a cut root"
+            if roots_here:
+                raise MoveError("the root-marker component cannot also hold a kept root")
             marker = RootMarker.ORIGINAL
             root = clabels.index(RHO)
         elif roots_here:
-            assert len(roots_here) == 1, "one kept root per component"
+            if len(roots_here) != 1:
+                raise MoveError("keep_roots names two nodes of one component")
             marker = RootMarker.COMPONENT
             root = roots_here[0]
         components.append(Component(clabels, cadj, marker, root))
 
     forest = Forest(components)
-    assert forest.leaf_labels() == tree.leaf_labels(), "forest must partition the leaf set"
+    if forest.leaf_labels() != tree.leaf_labels():
+        raise MoveError("the cut forest does not partition the tree's leaf set")
     return forest
 
 

@@ -1,11 +1,15 @@
 """Canonical byte-string encoding: pinned strings, uniqueness under
 re-presentation, and decode round trips."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treescape
 from treescape.canonical import decode_forest, decode_tree, sdlnewick_forest, sdlnewick_tree
 from treescape.errors import CanonicalError
 from treescape.oracle import random_tree
@@ -180,3 +184,26 @@ def test_components_sharing_smallest_label_rejected():
     b = Component([1, 3, None], [[2], [2], [0, 1]])
     with pytest.raises(CanonicalError):
         sdlnewick_forest(Forest([a, b]))
+
+
+def test_non_binary_subtree_rejected_under_optimisation():
+    # the check must survive python -O, where a bare assert would vanish and
+    # the encoder would silently drop leaf 4
+    code = (
+        "from treescape.canonical import sdlnewick_forest\n"
+        "from treescape.errors import CanonicalError\n"
+        "from treescape.tree import Component, Forest, RootMarker\n"
+        "pruned = Component([None, None, 2, 3, 4, 5],\n"
+        "                   [[1, 5], [0, 2, 3, 4], [1], [1], [1], [0]],\n"
+        "                   RootMarker.COMPONENT, 0)\n"
+        "try:\n"
+        "    print(sdlnewick_forest(Forest([Component([1], [[]]), pruned])))\n"
+        "except CanonicalError:\n"
+        "    print('CanonicalError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(treescape.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "CanonicalError"

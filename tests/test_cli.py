@@ -300,6 +300,7 @@ class TestBench:
         out = capsys.readouterr().out
         assert "n=8 m=6" in out and "n=16 m=6" in out
         assert "exponent=" in out
+        assert "query=" not in out  # one build pass per size, as build makes
 
     def test_single_size_has_no_exponent(self, capsys):
         assert run("bench", "--mode", "nni", "--unrooted", "--m", "4", "--sizes", "8") == 0

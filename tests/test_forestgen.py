@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from treescape.canonical import decode_forest
+from treescape.canonical import decode_forest, decode_tree
 from treescape.errors import ModeError
 from treescape.forestgen import rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
-from treescape.oracle import enumerate_neighbors, random_tree
-from treescape.tree import parse_newick
+from treescape.oracle import enumerate_neighbors, random_tree, reference_forest_keys
+from treescape.tree import MAX_LABEL, Tree, parse_newick
 
 
 ROOTED5 = parse_newick("((1,(2,3)),(4,5));", rooted=True)
@@ -80,3 +80,79 @@ class TestMoveHierarchy:
         for _ in range(10):
             t = random_tree(rng.randint(4, 7), rooted=True, rng=rng)
             assert enumerate_neighbors(t, "nni") <= enumerate_neighbors(t, "rspr")
+
+
+MOVES = [
+    ("rspr", rspr_forest_keys, True),
+    ("uspr", uspr_forest_keys, False),
+    ("tbr", tbr_forest_keys, False),
+]
+
+
+def leaf_labels(n, rng, sparse):
+    """n distinct labels in random order: 1..n, or large ones up to 2**64 - 1."""
+    if not sparse:
+        labels = list(range(1, n + 1))
+    else:
+        chosen = {MAX_LABEL}
+        while len(chosen) < n:
+            chosen.add(rng.randint(1, MAX_LABEL))
+        labels = sorted(chosen)
+    rng.shuffle(labels)
+    return labels
+
+
+def shaped_tree(shape, n, rooted, rng, sparse):
+    labels = leaf_labels(n, rng, sparse)
+    if shape == "random" and (rooted or n >= 3):
+        t = random_tree(n, rooted=rooted, rng=rng)
+        relabelled = [labels[lab - 1] if lab else lab for lab in t.labels]
+        return Tree(relabelled, t.neighbors, rooted)
+    if shape == "balanced":
+
+        def nested(xs):
+            if len(xs) == 1:
+                return str(xs[0])
+            half = len(xs) // 2
+            return f"({nested(xs[:half])},{nested(xs[half:])})"
+
+        text = nested(labels)
+    else:  # caterpillar: every cut parent lies on one long path
+        text = str(labels[0])
+        for lab in labels[1:]:
+            text = f"({text},{lab})"
+    return parse_newick(text + ";", rooted=rooted)
+
+
+class TestSplicedKeysMatchReference:
+    """Every key, in order, equals the cut-and-re-encode construction."""
+
+    @pytest.mark.parametrize("move, keys, rooted", MOVES)
+    def test_small_trees(self, move, keys, rooted):
+        rng = random.Random(move)
+        for n in range(2, 13):
+            for shape in ("random", "random", "random", "caterpillar", "balanced"):
+                for sparse in (False, True):
+                    t = shaped_tree(shape, n, rooted, rng, sparse)
+                    assert keys(t) == reference_forest_keys(t, move), t.to_newick()
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("shape", ["random", "caterpillar", "balanced"])
+    @pytest.mark.parametrize("move, keys, rooted", MOVES)
+    def test_large_trees(self, move, keys, rooted, shape, n):
+        rng = random.Random(n)
+        t = shaped_tree(shape, n, rooted, rng, sparse=shape != "random")
+        assert keys(t) == reference_forest_keys(t, move)
+
+    def test_single_leaf_tree_has_no_keys(self):
+        t = decode_tree(b"7;")
+        assert uspr_forest_keys(t) == reference_forest_keys(t, "uspr") == []
+        assert tbr_forest_keys(t) == reference_forest_keys(t, "tbr") == []
+
+    def test_reference_mode_checks(self):
+        with pytest.raises(ModeError):
+            reference_forest_keys(UNROOTED5, "rspr")
+        with pytest.raises(ModeError):
+            reference_forest_keys(ROOTED5, "tbr")
+        with pytest.raises(ValueError):
+            reference_forest_keys(ROOTED5, "nni")

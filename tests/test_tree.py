@@ -212,6 +212,13 @@ class TestYieldForest:
         with pytest.raises(MoveError):
             yield_forest(t, (e1, e2), keep_roots=(hub,))
 
+    def test_two_kept_roots_in_one_component_rejected(self):
+        t = parse_newick("(1,2,(3,(4,(5,6))));", rooted=False)
+        x1, x2 = t.neighbors[leaf_node(t, 3)][0], t.neighbors[leaf_node(t, 4)][0]
+        hub, x3 = t.neighbors[leaf_node(t, 1)][0], t.neighbors[leaf_node(t, 5)][0]
+        with pytest.raises(MoveError):
+            yield_forest(t, ((hub, x1), (x2, x3)), keep_roots=(x1, x2))
+
     def test_multicut_valid(self):
         t = parse_newick("((1,2),(3,4),(5,6));", rooted=False)
         a = child_edge_unrooted(t, {1, 2})
