@@ -11,6 +11,10 @@ Both indexes are plain dicts over byte-string keys. Hashing a key costs
 time linear in its length, so the per-tree work for an n-leaf tree stays at
 O(n^2) inserted bytes and O(n^2) query work.
 
+A tree is oriented once per insert (forestgen.Oriented): its canonical
+string comes from that table first, and only a tree the id index does not
+hold yet has its forest keys spliced from the same table.
+
 The id lists a new tree's keys land on hold exactly the earlier trees one
 move away from it, so inserting a tree also finds its earlier neighbours,
 with the number of keys each one shares. Prune-regraft neighbours that are
@@ -22,9 +26,9 @@ import enum
 import os
 from collections import Counter
 
-from .canonical import decode_tree, sdlnewick_tree
+from .canonical import decode_tree
 from .errors import CanonicalError, ModeError, SnapshotError
-from .forestgen import rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
+from .forestgen import Oriented, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
 
 
 class Mode(enum.Enum):
@@ -144,12 +148,12 @@ class AFContainer:
             kind = "rooted" if tree.rooted else "unrooted"
             raise ModeError(f"{kind} tree does not match container mode {self.mode.value}")
 
-    def _keys(self, tree):
+    def _keys(self, oriented):
         if self.mode is Mode.RSPR:
-            return rspr_forest_keys(tree)
+            return rspr_forest_keys(oriented)
         if self.mode is Mode.USPR:
-            return uspr_forest_keys(tree)
-        return tbr_forest_keys(tree)
+            return uspr_forest_keys(oriented)
+        return tbr_forest_keys(oriented)
 
     def insert_counting(self, tree):
         """Index a tree; returns (id, shared).
@@ -159,7 +163,8 @@ class AFContainer:
         many it has. A duplicate returns its existing id and an empty count.
         """
         self._check_rootedness(tree)
-        text = sdlnewick_tree(tree)
+        oriented = Oriented(tree)
+        text = oriented.canonical()
         shared = Counter()
         existing = self._id_trie.get(text)
         if existing is not None:
@@ -168,7 +173,7 @@ class AFContainer:
         self._id_trie[text] = tree_id
         self._trees.append(text)
         index = self._forest_trie
-        for key in self._keys(tree):
+        for key in self._keys(oriented):
             ids = index.get(key)
             if ids is None:
                 index[key] = [tree_id]
@@ -183,7 +188,7 @@ class AFContainer:
 
     def id(self, tree):
         """Id of an inserted tree, or None."""
-        return self._id_trie.get(sdlnewick_tree(tree))
+        return self._id_trie.get(Oriented(tree).canonical())
 
     def sdlnewick_of(self, tree_id):
         """Canonical string of the tree with this id; b"" if out of range."""
@@ -193,10 +198,11 @@ class AFContainer:
 
     def _matches(self, tree):
         self._check_rootedness(tree)
-        own = self._id_trie.get(sdlnewick_tree(tree))
+        oriented = Oriented(tree)
+        own = self._id_trie.get(oriented.canonical())
         get = self._forest_trie.get
         out = []
-        for key in self._keys(tree):
+        for key in self._keys(oriented):
             found = get(key)
             if found:
                 if own is None:

@@ -32,7 +32,6 @@ from .errors import (
     SnapshotError,
 )
 from .graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
-from .oracle import pairwise_graph, random_tree
 from .tree import parse_newick
 
 _TOKEN = re.compile(r"[(),;:\s]|[^(),;:\s]+")
@@ -124,10 +123,10 @@ def _construct(mode, trees):
 
 
 def _write_tsv(path, mode, graph):
+    lines = [f"# treescape {mode} m={graph.n_vertices}\n"]
+    lines += [f"{u}\t{v}\n" for u, v in graph.edges()]
     with replace_atomically(path) as fh:
-        fh.write(f"# treescape {mode} m={graph.n_vertices}\n")
-        for u, v in graph.edges():
-            fh.write(f"{u}\t{v}\n")
+        fh.write("".join(lines))
 
 
 def _write_dot(path, graph, labeling):
@@ -194,6 +193,8 @@ def _cmd_build(args):
 
 
 def _cmd_verify(args):
+    from .oracle import pairwise_graph
+
     if args.mode == "tbr" and args.rooted:
         return _fail(4, "tbr graphs are only defined for unrooted trees")
     taxa = _load_taxa(args.taxa) if args.taxa else None
@@ -226,6 +227,8 @@ def _cmd_verify(args):
 
 
 def _cmd_bench(args):
+    from .oracle import random_tree
+
     if args.mode == "tbr" and args.rooted:
         return _fail(4, "tbr graphs are only defined for unrooted trees")
     try:

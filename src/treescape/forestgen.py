@@ -8,8 +8,9 @@ only in which side of the cut keeps its root.
 
 Keys are spliced, not re-encoded. Each tree is oriented once from a top
 leaf (the root marker of a rooted tree, the smallest leaf of an unrooted
-one) into a table of per-node canonical spans and smallest labels, and
-every key is assembled from slices of that table:
+one) into an Oriented table of per-node canonical spans and smallest
+labels. The tree's own canonical string is the top leaf joined to the span
+of its neighbour, and every key is assembled from slices of the same table:
 
 * the side below a cut edge, kept rooted, is its span plus ``p``;
 * the side below a cut edge, unrooted, is rendered from its own smallest
@@ -24,7 +25,10 @@ every key is assembled from slices of that table:
 
 Each key therefore costs Python work proportional to the depth of its cut,
 plus copying its O(n) bytes. The cut-and-encode construction these keys
-are tested against byte for byte is ``oracle.reference_forest_keys``.
+are tested against byte for byte is ``oracle.reference_forest_keys``, and
+the tree string is tested against ``canonical.sdlnewick_tree``. An
+AFContainer orients a tree, looks its string up and passes the same table
+to the key generators only when the tree is new.
 """
 
 from .errors import ModeError
@@ -62,6 +66,42 @@ def _orient(tree, top):
         span[x] = f"({span[a]},{span[b]})"
         low[x] = low[a]
     return order, par, kids, span, low
+
+
+def _unrooted_top(tree):
+    """Index of the smallest leaf of an unrooted tree."""
+    labels = tree.labels
+    return min((i for i, lab in enumerate(labels) if lab is not None), key=labels.__getitem__)
+
+
+class Oriented:
+    """A tree oriented once from its top leaf (the root marker of a rooted
+    tree, the smallest leaf of an unrooted one), as _orient tabulates it;
+    token renders the top leaf."""
+
+    __slots__ = ("tree", "top", "token", "order", "par", "kids", "span", "low")
+
+    def __init__(self, tree):
+        if tree.rooted:
+            self.top, self.token = tree.rho_index(), "r"
+        else:
+            self.top = _unrooted_top(tree)
+            self.token = str(tree.labels[self.top])
+        self.tree = tree
+        self.order, self.par, self.kids, self.span, self.low = _orient(tree, self.top)
+
+    def canonical(self):
+        """The tree's canonical byte string, as canonical.sdlnewick_tree
+        gives it: the top leaf's neighbour seen from the top leaf."""
+        if len(self.order) == 1:
+            text = "(r)" if self.tree.rooted else self.token
+        else:
+            text = _splice(self.token, self.order[1], (), self.tree.labels, self.span, self.low)
+        return f"{text};".encode("ascii")
+
+
+def _oriented(tree):
+    return tree if type(tree) is Oriented else Oriented(tree)
 
 
 def _splice(token, core, hangs, labels, span, low):
@@ -130,19 +170,15 @@ def _rooted(node, labels, span):
     return f"{span}p" if labels[node] is None else f"({span})p"
 
 
-def _unrooted_top(tree):
-    """Index of the smallest leaf of an unrooted tree."""
-    labels = tree.labels
-    return min((i for i, lab in enumerate(labels) if lab is not None), key=labels.__getitem__)
-
-
 def rspr_forest_keys(tree):
-    """One key per edge of a rooted tree: cut it, root the cut-off side."""
+    """One key per edge of a rooted tree: cut it, root the cut-off side.
+    tree may also be given already Oriented."""
+    o = _oriented(tree)
+    tree = o.tree
     if not tree.rooted:
         raise ModeError("rooted-move keys require a rooted tree")
     labels = tree.labels
-    top = tree.rho_index()
-    _, par, kids, span, low = _orient(tree, top)
+    top, par, kids, span, low = o.top, o.par, o.kids, o.span, o.low
     keys = []
     for a, b in tree.edges():
         c = a if par[a] == b else b
@@ -156,15 +192,16 @@ def rspr_forest_keys(tree):
 
 
 def uspr_forest_keys(tree):
-    """Two keys per edge of an unrooted tree: either endpoint side rooted."""
+    """Two keys per edge of an unrooted tree: either endpoint side rooted.
+    tree may also be given already Oriented."""
+    o = _oriented(tree)
+    tree = o.tree
     if tree.rooted:
         raise ModeError("unrooted-move keys require an unrooted tree")
     labels = tree.labels
     if len(labels) < 2:
         return []
-    top = _unrooted_top(tree)
-    token = str(labels[top])
-    order, par, kids, span, low = _orient(tree, top)
+    top, token, order, par, kids, span, low = o.top, o.token, o.order, o.par, o.kids, o.span, o.low
     # up[x]: the side above x's parent edge, rooted at x's parent
     up = [""] * len(labels)
     up[order[1]] = token
@@ -185,13 +222,14 @@ def uspr_forest_keys(tree):
 
 
 def tbr_forest_keys(tree):
-    """One key per edge of an unrooted tree, both cut endpoints suppressed."""
+    """One key per edge of an unrooted tree, both cut endpoints suppressed.
+    tree may also be given already Oriented."""
+    o = _oriented(tree)
+    tree = o.tree
     if tree.rooted:
         raise ModeError("bisection keys require an unrooted tree")
     labels = tree.labels
-    top = _unrooted_top(tree)
-    token = str(labels[top])
-    _, par, kids, span, low = _orient(tree, top)
+    top, token, par, kids, span, low = o.top, o.token, o.par, o.kids, o.span, o.low
     keys = []
     for a, b in tree.edges():
         c = a if par[a] == b else b

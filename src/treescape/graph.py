@@ -8,8 +8,6 @@ bisection graphs take every earlier tree sharing a key; the interchange
 graph takes those sharing two or more.
 """
 
-from dataclasses import dataclass
-
 from .afcontainer import AFContainer, Mode
 from .errors import GraphInvariantError, LabelSetError, ModeError
 
@@ -106,7 +104,6 @@ class AdjacencyGraph:
         return f"<AdjacencyGraph n={self.n_vertices} edges={self._edge_count}>"
 
 
-@dataclass
 class VertexLabeling:
     """How input positions map onto graph vertices.
 
@@ -115,9 +112,12 @@ class VertexLabeling:
     canonical[v] is that tree's canonical byte string.
     """
 
-    vertex_of_input: list
-    first_input: list
-    canonical: list
+    __slots__ = ("vertex_of_input", "first_input", "canonical")
+
+    def __init__(self, vertex_of_input, first_input, canonical):
+        self.vertex_of_input = vertex_of_input
+        self.first_input = first_input
+        self.canonical = canonical
 
     def duplicates(self):
         """Input positions that repeat an earlier tree."""

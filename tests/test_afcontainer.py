@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from treescape import afcontainer, forestgen
 from treescape.afcontainer import AFContainer, Mode, read_snapshot, write_snapshot
 from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.errors import ModeError, SnapshotError
@@ -76,6 +77,46 @@ class TestInsert:
         for i in shared:
             assert shared[i] == Counter(c.spr_neighbors(t2))[i]
         assert c.insert_counting(t1) == (1, {})
+
+    def test_duplicate_insert_skips_key_generation(self, monkeypatch):
+        calls = []
+        real = afcontainer.rspr_forest_keys
+        monkeypatch.setattr(
+            afcontainer, "rspr_forest_keys", lambda tree: calls.append(1) or real(tree)
+        )
+        c = AFContainer(Mode.RSPR)
+        assert c.insert(parse_newick("((1,2),(3,4));", rooted=True)) == 0
+        assert c.insert(parse_newick("((4,3),(2,1));", rooted=True)) == 0
+        assert c.insert(parse_newick("((1,2),(3,4));", rooted=True)) == 0
+        assert len(calls) == 1
+
+    def test_each_insert_orients_the_tree_once(self, monkeypatch):
+        calls = []
+        real = forestgen.Oriented.__init__
+
+        def counting(self, tree):
+            calls.append(1)
+            real(self, tree)
+
+        monkeypatch.setattr(forestgen.Oriented, "__init__", counting)
+        for mode, rooted in (("rspr", True), ("uspr", False), ("tbr", False)):
+            c = AFContainer(mode)
+            rng = random.Random(mode)
+            for _ in range(5):
+                calls.clear()
+                c.insert(random_tree(9, rooted=rooted, rng=rng))
+                assert len(calls) == 1
+
+    def test_id_of_other_rootedness_is_none(self):
+        rooted = parse_newick("((1,2),(3,4));", rooted=True)
+        unrooted = parse_newick("(1,2,(3,4));", rooted=False)
+        c = AFContainer(Mode.RSPR)
+        c.insert(rooted)
+        assert c.id(unrooted) is None
+        for mode in (Mode.USPR, Mode.TBR):
+            c = AFContainer(mode)
+            c.insert(unrooted)
+            assert c.id(rooted) is None
 
     def test_mode_coerces_from_string(self):
         assert AFContainer("tbr").mode is Mode.TBR

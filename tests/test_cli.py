@@ -1,10 +1,14 @@
 """End-to-end command line behavior, driven in-process through main()."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
-from treescape import cli
+import treescape
+from treescape import cli, oracle
 from treescape.afcontainer import Mode, read_snapshot
 from treescape.graph import AdjacencyGraph
 
@@ -82,6 +86,27 @@ class TestBuild:
         out = tmp_path / "g.tsv"
         assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(out)) != 0
         assert run("build", inp, "--mode", "spr", "--rooted", "--lenient", "--out", str(out)) == 0
+
+
+def test_build_loads_neither_oracle_nor_dataclasses(tmp_path):
+    # a build compiles every module it imports, so the all-pairs oracle and
+    # dataclasses stay out of it
+    inp = write(tmp_path, "t.nwk", TRIANGLE)
+    code = (
+        "import sys\n"
+        "had_dataclasses = 'dataclasses' in sys.modules\n"
+        "from treescape import cli\n"
+        f"assert cli.main(['build', {inp!r}, '--mode', 'spr', '--rooted',\n"
+        f"                 '--out', {str(tmp_path / 'g.tsv')!r}]) == 0\n"
+        "print('treescape.oracle' in sys.modules,\n"
+        "      not had_dataclasses and 'dataclasses' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(treescape.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "False False"
 
 
 class TestBuildErrors:
@@ -266,7 +291,7 @@ class TestVerify:
 
     def test_injected_fault_is_caught(self, tmp_path, capsys, monkeypatch):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
-        real = cli.pairwise_graph
+        real = oracle.pairwise_graph
 
         def missing_one_edge(trees, move):
             g, canon = real(trees, move)
@@ -275,7 +300,7 @@ class TestVerify:
                 broken.append_edge(v, u)
             return broken, canon
 
-        monkeypatch.setattr(cli, "pairwise_graph", missing_one_edge)
+        monkeypatch.setattr(oracle, "pairwise_graph", missing_one_edge)
         assert run("verify", inp, "--mode", "spr", "--rooted") == 1
         captured = capsys.readouterr()
         assert "only fast: (1, 2)" in captured.err
@@ -283,8 +308,8 @@ class TestVerify:
 
     def test_vertex_set_fault(self, tmp_path, capsys, monkeypatch):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
-        real = cli.pairwise_graph
-        monkeypatch.setattr(cli, "pairwise_graph", lambda trees, move: (real(trees, move)[0], []))
+        real = oracle.pairwise_graph
+        monkeypatch.setattr(oracle, "pairwise_graph", lambda trees, move: (real(trees, move)[0], []))
         assert run("verify", inp, "--mode", "spr", "--rooted") == 1
         assert "vertex sets differ" in capsys.readouterr().err
 

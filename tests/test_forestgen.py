@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from treescape.canonical import decode_forest, decode_tree
+from treescape.afcontainer import AFContainer
+from treescape.canonical import decode_forest, decode_tree, sdlnewick_tree
 from treescape.errors import ModeError
-from treescape.forestgen import rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
+from treescape.forestgen import Oriented, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
 from treescape.oracle import enumerate_neighbors, random_tree, reference_forest_keys
-from treescape.tree import MAX_LABEL, Tree, parse_newick
+from treescape.tree import MAX_LABEL, RHO, Tree, parse_newick
 
 
 ROOTED5 = parse_newick("((1,(2,3)),(4,5));", rooted=True)
@@ -104,6 +105,10 @@ def leaf_labels(n, rng, sparse):
 
 def shaped_tree(shape, n, rooted, rng, sparse):
     labels = leaf_labels(n, rng, sparse)
+    if n == 1:  # a lone leaf, below the root marker when rooted
+        if rooted:
+            return Tree([RHO, labels[0]], [[1], [0]], True)
+        return Tree(labels, [[]], False)
     if shape == "random" and (rooted or n >= 3):
         t = random_tree(n, rooted=rooted, rng=rng)
         relabelled = [labels[lab - 1] if lab else lab for lab in t.labels]
@@ -156,3 +161,36 @@ class TestSplicedKeysMatchReference:
             reference_forest_keys(ROOTED5, "tbr")
         with pytest.raises(ValueError):
             reference_forest_keys(ROOTED5, "nni")
+
+
+class TestTreeStringFromKeyTable:
+    """The tree string read off the key table equals the canonical encoder
+    byte for byte, and is what the container stores in every mode."""
+
+    @staticmethod
+    def check(move, t):
+        expected = sdlnewick_tree(t)
+        assert Oriented(t).canonical() == expected, t.labels
+        c = AFContainer(move)
+        assert c.sdlnewick_of(c.insert(t)) == expected
+        assert c.id(t) == 0
+
+    @pytest.mark.parametrize("move, rooted", [(move, rooted) for move, _, rooted in MOVES])
+    def test_small_trees(self, move, rooted):
+        rng = random.Random(move)
+        for n in range(1, 13):
+            for shape in ("random", "random", "random", "caterpillar", "balanced"):
+                for sparse in (False, True):
+                    self.check(move, shaped_tree(shape, n, rooted, rng, sparse))
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("shape", ["random", "caterpillar", "balanced"])
+    @pytest.mark.parametrize("move, rooted", [(move, rooted) for move, _, rooted in MOVES])
+    def test_large_trees(self, move, rooted, shape, n):
+        rng = random.Random(n)
+        for sparse in (False, True):
+            self.check(move, shaped_tree(shape, n, rooted, rng, sparse))
+
+    def test_root_marker_alone(self):
+        t = Tree([RHO], [[]], True)
+        assert Oriented(t).canonical() == sdlnewick_tree(t) == b"(r);"
