@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -348,3 +349,182 @@ class TestApplyTbr:
 def test_rho_constant_and_markers():
     assert RHO == 0
     assert {m.value for m in RootMarker} == {"original", "component"}
+
+
+# Every malformed input the parser is pinned on, with the exact message
+# (column included): (text, rooted, lenient, message).
+PARSE_ERRORS = [
+    ('1;', False, False, 'a single leaf is not a valid tree'),
+    ('(1);', False, False, 'internal nodes need at least two children (column 3)'),
+    ('(1,2,3,4);', False, False, 'unrooted input must have a trifurcating root, found 4 children'),
+    ('(1,1);', False, False, 'duplicate leaf label 1'),
+    ('(0,1);', False, False, 'label 0 is reserved (column 2)'),
+    ('(01,2);', False, False, 'labels must not have leading zeros (column 2)'),
+    ('(1,2', False, False, 'unexpected end of input (column 5)'),
+    ('(1,2);x', False, False, "trailing characters after ';' (column 7)"),
+    ('(1,2)(3,4);', False, False, "unexpected character '(' (column 6)"),
+    (',1;', False, False, "expected '(' or a leaf label, found ',' (column 1)"),
+    ('(1,2));', False, False, "unbalanced ')' (column 6)"),
+    ('((1,2);', False, False, "unbalanced '(' before ';' (column 7)"),
+    ('(1,(2));', False, False, 'internal nodes need at least two children (column 6)'),
+    ('(1,2,3);(4,5,6);', False, False, "trailing characters after ';' (column 9)"),
+    ('', False, False, 'unexpected end of input (column 1)'),
+    ('(1,2,(3,4));', True, False, 'rooted input must have a bifurcating root, found 3 children'),
+    ('((1,2),(3,4);', True, False, "unbalanced '(' before ';' (column 13)"),
+    ('(1:0.5,2:1.5);', False, False, 'branch lengths are not supported (use lenient mode) (column 3)'),
+    ('((1,2)anc,3,4);', False, False, 'internal node labels are not supported (use lenient mode) (column 7)'),
+    ('(1,18446744073709551616);', False, False, 'label 18446744073709551616 exceeds the 64-bit limit (column 4)'),
+    ('((1 :0.5,2),3,4);', False, True, "unexpected character ':' (column 5)"),
+    ('((1,2) :0.5,3,4);', False, True, "unexpected character ':' (column 8)"),
+    ('((1,2)anc :0.5,3,4);', False, True, "unexpected character ':' (column 11)"),
+    ('((1: 0.5,2),3,4);', False, True, "expected a branch length after ':' (column 5)"),
+    ('((1,2) anc,3,4);', False, True, "unexpected character 'a' (column 8)"),
+    ('((1,2)3 4,5,6);', False, True, "unexpected character '4' (column 9)"),
+    ('((1:,2),3,4);', False, True, "expected a branch length after ':' (column 5)"),
+    ('((1,2)x:,3,4);', False, True, "expected a branch length after ':' (column 9)"),
+    ('((1,2),3,4)::1;', False, True, "expected a branch length after ':' (column 13)"),
+    ('((1:1:2,2),3,4);', False, True, "unexpected character ':' (column 6)"),
+    ('((1a,2),3,4);', False, True, "unexpected character 'a' (column 4)"),
+    ('((1,2):1x,3,4);', False, True, "unexpected character 'x' (column 9)"),
+    ('((1,2)x:1(3,4),5);', False, True, "unexpected character '(' (column 10)"),
+    ('((1,2)x;', True, False, 'internal node labels are not supported (use lenient mode) (column 7)'),
+    ('(1,2)x;', True, False, 'internal node labels are not supported (use lenient mode) (column 6)'),
+    ('(1a,2);', False, False, "unexpected character 'a' (column 3)"),
+    ('(1,2); x', False, False, "trailing characters after ';' (column 8)"),
+    ('(1,(2,3,4),5);', False, False, 'non-binary internal node with 3 children'),
+    ('((1,2,3),(4,5));', True, False, 'non-binary internal node with 3 children'),
+    ('(,1);', False, False, "expected '(' or a leaf label, found ',' (column 2)"),
+    ('(1;', False, False, "unbalanced '(' before ';' (column 3)"),
+    ('((1,2),3,4);;', False, False, "trailing characters after ';' (column 13)"),
+    ('(1,\x0c2);', False, False, "expected '(' or a leaf label, found '\\x0c' (column 4)"),
+    ('(1,2)\x0c;', False, False, 'internal node labels are not supported (use lenient mode) (column 6)'),
+    ('(1,2):1;', True, False, 'branch lengths are not supported (use lenient mode) (column 6)'),
+    ('(1,2)3;', False, False, 'internal node labels are not supported (use lenient mode) (column 6)'),
+    ('(1,2,3,(4,5));', False, False, 'unrooted input must have a trifurcating root, found 4 children'),
+    ('(1,2)', False, False, 'unexpected end of input (column 6)'),
+    ('(1,2);;', False, False, "trailing characters after ';' (column 7)"),
+    ('(1,(2,3)) ;\n(1,2);', True, False, "trailing characters after ';' (column 13)"),
+    ('(1,2)a b;', False, True, "unexpected character 'b' (column 8)"),
+    ('(0a,2);', False, False, 'label 0 is reserved (column 2)'),
+    ('(1,(1,2)x);', False, True, 'duplicate leaf label 1'),
+    ('((1,2)(3,4));', True, False, "unexpected character '(' (column 7)"),
+    ('(1,2,3)', True, False, 'unexpected end of input (column 8)'),
+    ('(1,2, ;', False, False, "expected '(' or a leaf label, found ';' (column 7)"),
+    ('(1,(1,2,3),4);', False, False, 'duplicate leaf label 1'),
+    ('(1,2,(3,4,5),6);', False, False, 'non-binary internal node with 3 children'),
+    ('((1,(2,3,4,5)),(6,7,8));', True, False, 'non-binary internal node with 4 children'),
+    ('(:1,2);', False, True, "expected '(' or a leaf label, found ':' (column 2)"),
+    ('((1,2)x(3,4),5);', False, True, "unexpected character '(' (column 8)"),
+    ('(1,(2,3)x y,4);', False, True, "unexpected character 'y' (column 11)"),
+]
+
+# Inputs the parser accepts, with the canonical tree they must give.
+PARSE_ACCEPTED = [
+    ('(1, 2 )\t;', True, False, b'(r,1,2);'),
+    ('((1:1e-3,2:2.5E+10)x:1,3,4);', False, True, b'(1,2,(3,4));'),
+    ('((1:1e-3,2),3,4)r00t:7;', False, True, b'(1,2,(3,4));'),
+    ('((1,2)a1b:3,3,4);', False, True, b'(1,2,(3,4));'),
+    ('((1,2)0:3,3,4);', False, True, b'(1,2,(3,4));'),
+    ('(1,18446744073709551615);', False, False, b'(1,18446744073709551615);'),
+    ('( (1,2) , (3,4) ) ;', True, False, b'(r,(1,2),(3,4));'),
+    ('(1,2);\t', True, False, b'(r,1,2);'),
+    ('((1,2):0.5,3):-1;', True, True, b'(r,(1,2),3);'),
+    ('  (1,2);', False, False, b'(1,2);'),
+]
+
+
+class TestParsePinned:
+    @pytest.mark.parametrize("text,rooted,lenient,message", PARSE_ERRORS)
+    def test_error_message(self, text, rooted, lenient, message):
+        with pytest.raises(NewickError) as info:
+            parse_newick(text, rooted=rooted, lenient=lenient)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,rooted,lenient,canonical", PARSE_ACCEPTED)
+    def test_accepted(self, text, rooted, lenient, canonical):
+        assert sdlnewick_tree(parse_newick(text, rooted=rooted, lenient=lenient)) == canonical
+
+
+def tree_from_nested(nested, rooted):
+    """Tree arrays built straight from nested tuples, without the parser; an
+    unrooted tree's degree-two top node is suppressed."""
+    labels, adj = [], []
+
+    def node(x):
+        idx = len(labels)
+        labels.append(x if isinstance(x, int) else None)
+        adj.append([])
+        if not isinstance(x, int):
+            for child in x:
+                c = node(child)
+                adj[idx].append(c)
+                adj[c].append(idx)
+        return idx
+
+    node(nested)
+    if rooted:
+        labels.append(RHO)
+        adj[0].append(len(adj))
+        adj.append([0])
+    elif len(adj[0]) == 2:  # the top node is 0: join its two children, drop it
+        a, b = adj[0]
+        adj[a][adj[a].index(0)] = b
+        adj[b][adj[b].index(0)] = a
+        labels = labels[1:]
+        adj = [[w - 1 for w in nbrs] for nbrs in adj[1:]]
+    return Tree(labels, adj, rooted)
+
+
+def shaped(shape, n, rooted, rng):
+    if shape == "random" and (rooted or n >= 3):
+        return random_tree(n, rooted=rooted, rng=rng)
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    if shape == "balanced":
+
+        def nested(xs):
+            if len(xs) == 1:
+                return xs[0]
+            half = len(xs) // 2
+            return (nested(xs[:half]), nested(xs[half:]))
+
+        return tree_from_nested(nested(labels), rooted)
+    nest = labels[0]
+    for lab in labels[1:]:
+        nest = (nest, lab)
+    return tree_from_nested(nest, rooted)
+
+
+_NEWICK_TOKEN = re.compile(r"[(),;]|[0-9]+")
+
+
+def decorate(newick, rng, lenient):
+    """The same tree with random whitespace between tokens and, in lenient
+    mode, random branch lengths and internal labels. Decorations stick to
+    their leaf or ')' and whitespace never splits them, as the grammar asks."""
+    out = []
+    for tok in _NEWICK_TOKEN.findall(newick):
+        if rng.random() < 0.3:
+            out.append(rng.choice([" ", "\t", "  ", " \t "]))
+        out.append(tok)
+        if not lenient:
+            continue
+        if tok == ")" and rng.random() < 0.4:
+            out.append(rng.choice(["anc", "x1", "7", "0", "n_2.b", "%"]))
+        if (tok == ")" or tok[0].isdigit()) and rng.random() < 0.5:
+            out.append(":" + rng.choice(["0.5", "1e-3", "2.5E+10", "3", ".25", "-1", "1e5"]))
+    if rng.random() < 0.5:
+        out.append(" ")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("rooted", [True, False])
+@pytest.mark.parametrize("shape", ["random", "caterpillar", "balanced"])
+def test_parse_roundtrip_with_whitespace_and_decorations(shape, rooted, lenient):
+    rng = random.Random(f"{shape}-{rooted}-{lenient}")
+    for n in list(range(2, 13)) + [31, 64, 128, 256]:
+        t = shaped(shape, n, rooted, rng)
+        text = decorate(t.to_newick(), rng, lenient)
+        parsed = parse_newick(text, rooted=rooted, lenient=lenient)
+        assert sdlnewick_tree(parsed) == sdlnewick_tree(t), text
