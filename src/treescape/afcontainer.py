@@ -165,22 +165,22 @@ class AFContainer:
         self._check_rootedness(tree)
         oriented = Oriented(tree)
         text = oriented.canonical()
-        shared = Counter()
         existing = self._id_trie.get(text)
         if existing is not None:
-            return existing, shared
+            return existing, Counter()
         tree_id = len(self._trees)
         self._id_trie[text] = tree_id
         self._trees.append(text)
         index = self._forest_trie
+        hits = []
         for key in self._keys(oriented):
             ids = index.get(key)
             if ids is None:
                 index[key] = [tree_id]
             else:
-                shared.update(ids)
+                hits += ids
                 ids.append(tree_id)
-        return tree_id, shared
+        return tree_id, Counter(hits)
 
     def insert(self, tree):
         """Index a tree; returns its id (the existing one for duplicates)."""

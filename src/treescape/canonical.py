@@ -163,13 +163,15 @@ def _as_text(data):
             return data.decode("ascii")
         except UnicodeDecodeError:
             raise CanonicalError("canonical strings are ASCII") from None
+    if not data.isascii():
+        raise CanonicalError("canonical strings are ASCII")
     return data
 
 
 def _read_label(s, i):
     j = i
     n = len(s)
-    while j < n and s[j].isdigit():
+    while j < n and "0" <= s[j] <= "9":
         j += 1
     run = s[i:j]
     if not run:

@@ -124,7 +124,9 @@ def _construct(mode, trees):
 
 def _write_tsv(path, mode, graph):
     lines = [f"# treescape {mode} m={graph.n_vertices}\n"]
-    lines += [f"{u}\t{v}\n" for u, v in graph.edges()]
+    for j, bucket in enumerate(graph.buckets()):
+        if bucket:
+            lines.append(f"{j}\t" + f"\n{j}\t".join(map(str, bucket)) + "\n")
     with replace_atomically(path) as fh:
         fh.write("".join(lines))
 

@@ -36,11 +36,20 @@ class AdjacencyGraph:
     def edge_count(self):
         return self._edge_count
 
-    def add_vertex(self):
-        """Append an isolated vertex; returns its id."""
-        self._adj.append([])
+    def add_vertex(self, earlier=()):
+        """Append vertex v and an edge to each earlier vertex listed, which
+        must be distinct ids below v; returns v."""
+        adj = self._adj
+        v = len(adj)
+        if earlier:
+            if min(earlier) < 0 or max(earlier) >= v or len(set(earlier)) != len(earlier):
+                raise GraphInvariantError(f"vertex {v}: earlier ids out of range or repeated")
+            for j in earlier:
+                adj[j].append(v)
+            self._edge_count += len(earlier)
+        adj.append([])
         self._sym = None
-        return len(self._adj) - 1
+        return v
 
     def append_edge(self, i, j):
         """Record edge {j, i} with j < i, skipping an immediate duplicate."""
@@ -60,6 +69,11 @@ class AdjacencyGraph:
         bucket.append(i)
         self._edge_count += 1
         self._sym = None
+
+    def buckets(self):
+        """Per vertex j in order, the ascending list of its neighbours above
+        j; treat the lists as read-only."""
+        return iter(self._adj)
 
     def edges(self):
         """All edges as (smaller, larger) pairs in lexicographic order."""
@@ -148,11 +162,8 @@ def _construct(trees, mode, min_shared=1):
         vid, shared = container.insert_counting(tree)
         vertex_of_input.append(vid)
         if vid == graph.n_vertices:
-            graph.add_vertex()
             first_input.append(k)
-            for j, count in shared.items():
-                if count >= min_shared:
-                    graph.append_edge(vid, j)
+            graph.add_vertex([j for j, count in shared.items() if count >= min_shared])
     labeling = VertexLabeling(
         vertex_of_input=vertex_of_input,
         first_input=first_input,

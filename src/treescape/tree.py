@@ -13,6 +13,7 @@ for the root marker and is never accepted from input.
 """
 
 import enum
+import re
 from collections import deque
 
 from .errors import MoveError, NewickError
@@ -309,174 +310,145 @@ def _compact(labels, adj, removed):
 # ---------------------------------------------------------------------------
 # Newick parsing
 
-_LABEL_DELIMS = set("(),;:") | set(" \t\r\n")
-_FLOAT_CHARS = set("0123456789.+-eE")
+# One token per bracket or separator, per run of ASCII digits, per run of
+# whitespace, per ':' with the number after it, and per run of any other
+# characters up to a delimiter, so that the tokens tile the line and an
+# error's column is the length of the tokens before it.
+_TOKEN = re.compile(r"[(),;]|[0-9]+|[ \t\r\n]+|:[0-9.+eE-]*|[^(),;:0-9 \t\r\n]+")
+_SPACE = " \t\r\n"
 
 
-def _read_label(s, i):
-    j = i
-    n = len(s)
-    while j < n and s[j].isdigit():
-        j += 1
-    run = s[i:j]
-    if run == "0":
-        raise NewickError("label 0 is reserved", pos=i)
-    if run[0] == "0":
-        raise NewickError("labels must not have leading zeros", pos=i)
-    value = int(run)
-    if value > MAX_LABEL:
-        raise NewickError(f"label {run} exceeds the 64-bit limit", pos=i)
-    return value, j
-
-
-def _skip_ws(s, i):
-    n = len(s)
-    while i < n and s[i] in " \t\r\n":
-        i += 1
-    return i
-
-
-def _skip_suffix(s, i, after_close, lenient):
-    """Consume an internal-node label and/or a :length annotation."""
-    n = len(s)
-    if after_close and i < n and s[i] not in _LABEL_DELIMS:
-        if not lenient:
-            raise NewickError("internal node labels are not supported (use lenient mode)", pos=i)
-        while i < n and s[i] not in _LABEL_DELIMS:
-            i += 1
-    if i < n and s[i] == ":":
-        if not lenient:
-            raise NewickError("branch lengths are not supported (use lenient mode)", pos=i)
-        i += 1
-        j = i
-        while j < n and s[j] in _FLOAT_CHARS:
-            j += 1
-        if j == i:
-            raise NewickError("expected a branch length after ':'", pos=i)
-        i = j
-    return i
+def _error(message, toks, k, shift=0):
+    return NewickError(message, pos=sum(map(len, toks[:k])) + shift)
 
 
 def parse_newick(text, *, rooted, lenient=False):
     """Parse one standard Newick tree with positive-integer leaf labels.
 
-    Rooted mode expects the usual degree-2 Newick root and attaches the root
+    Leaf labels are runs of ASCII digits without a leading zero. Rooted
+    mode expects the usual degree-2 Newick root and attaches the root
     marker to it. Unrooted mode expects a trifurcating root; a degree-2 root
     is tolerated and suppressed. Multifurcations beyond that are rejected.
     In strict mode (default) branch lengths and internal-node labels are
-    errors; lenient mode strips them. Raises NewickError with a column on
-    any malformed input.
+    errors; lenient mode strips them. Either must follow its leaf or ')'
+    without whitespace. Raises NewickError with a column on any malformed
+    input.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
             raise NewickError(f"non-ASCII input: {exc}") from None
-    s = text
+    toks = _TOKEN.findall(text)
     labels = []
-    adj = []
-    nkids = []
+    adj = []  # node 0 is the root; each other node lists its parent first
     stack = []
-    root = None
-    i = _skip_ws(s, 0)
-    expect_item = True
-    done = False
-
-    def attach(idx):
-        nonlocal root
-        if stack:
-            top = stack[-1]
-            _link(adj, top, idx)
-            nkids[top] += 1
-        elif root is None:
-            root = idx
-        else:
-            raise NewickError("multiple top-level subtrees", pos=i)
-
-    while not done:
-        i = _skip_ws(s, i)
-        if i >= len(s):
-            raise NewickError("unexpected end of input", pos=len(s))
-        c = s[i]
-        if expect_item:
-            if c == "(":
+    expect = True  # a subtree comes next
+    after = 0  # what the last token lets follow it at once: 1 a length, 2 a label or a length
+    for k, tok in enumerate(toks):
+        if expect:
+            if tok == "(":
                 idx = len(labels)
                 labels.append(None)
-                adj.append([])
-                nkids.append(0)
-                attach(idx)
-                stack.append(idx)
-                i += 1
-            elif c.isdigit():
-                lab, j = _read_label(s, i)
-                idx = len(labels)
-                labels.append(lab)
-                adj.append([])
-                nkids.append(0)
-                attach(idx)
-                i = _skip_suffix(s, j, False, lenient)
-                expect_item = False
-            else:
-                raise NewickError(f"expected '(' or a leaf label, found {c!r}", pos=i)
-        else:
-            if c == ",":
-                if not stack:
-                    raise NewickError("',' outside parentheses", pos=i)
-                i += 1
-                expect_item = True
-            elif c == ")":
-                if not stack:
-                    raise NewickError("unbalanced ')'", pos=i)
-                node = stack.pop()
-                if nkids[node] < 2:
-                    raise NewickError("internal nodes need at least two children", pos=i)
-                i = _skip_suffix(s, i + 1, True, lenient)
-            elif c == ";":
                 if stack:
-                    raise NewickError("unbalanced '(' before ';'", pos=i)
-                i = _skip_ws(s, i + 1)
-                if i != len(s):
-                    raise NewickError("trailing characters after ';'", pos=i)
-                done = True
+                    top = stack[-1]
+                    adj[top].append(idx)
+                    adj.append([top])
+                else:
+                    adj.append([])
+                stack.append(idx)
+            elif "0" <= tok < ":":  # a run of ASCII digits
+                if tok < "1" or len(tok) > 19:
+                    if tok == "0":
+                        raise _error("label 0 is reserved", toks, k)
+                    if tok < "1":
+                        raise _error("labels must not have leading zeros", toks, k)
+                    if len(tok) > 20 or int(tok) > MAX_LABEL:
+                        raise _error(f"label {tok} exceeds the 64-bit limit", toks, k)
+                idx = len(labels)
+                labels.append(int(tok))
+                if stack:
+                    top = stack[-1]
+                    adj[top].append(idx)
+                    adj.append([top])
+                else:
+                    adj.append([])
+                expect = False
+                after = 1
+            elif tok[0] not in _SPACE:
+                raise _error(f"expected '(' or a leaf label, found {tok[0]!r}", toks, k)
+        elif tok == ",":
+            if not stack:
+                raise _error("',' outside parentheses", toks, k)
+            expect = True
+        elif tok == ")":
+            if not stack:
+                raise _error("unbalanced ')'", toks, k)
+            node = stack.pop()
+            if len(adj[node]) < (3 if stack else 2):
+                raise _error("internal nodes need at least two children", toks, k)
+            after = 2
+        elif tok == ";":
+            if stack:
+                raise _error("unbalanced '(' before ';'", toks, k)
+            k += 1
+            if k < len(toks) and toks[k][0] in _SPACE:
+                k += 1
+            if k < len(toks):
+                raise _error("trailing characters after ';'", toks, k)
+            break
+        else:
+            c = tok[0]
+            if c in _SPACE:
+                after = 0
+            elif c == ":" and after:
+                if not lenient:
+                    raise _error("branch lengths are not supported (use lenient mode)", toks, k)
+                if len(tok) == 1:
+                    raise _error("expected a branch length after ':'", toks, k, 1)
+                after = 0
+            elif after == 2 and c != "(":
+                if not lenient:
+                    raise _error(
+                        "internal node labels are not supported (use lenient mode)", toks, k
+                    )
             else:
-                raise NewickError(f"unexpected character {c!r}", pos=i)
+                raise _error(f"unexpected character {c!r}", toks, k)
+    else:
+        raise NewickError("unexpected end of input", pos=len(text))
 
-    if root is None:
-        raise NewickError("empty input")
-    if labels[root] is not None:
+    if labels[0] is not None:
         raise NewickError("a single leaf is not a valid tree")
-
-    seen = set()
-    for lab in labels:
-        if lab is not None:
-            if lab in seen:
+    internal = labels.count(None)
+    if len(set(labels)) != len(labels) - internal + 1:
+        seen = set()
+        for lab in labels:
+            if lab in seen and lab is not None:
                 raise NewickError(f"duplicate leaf label {lab}")
             seen.add(lab)
+    kids = len(adj[0])
+    # with every other internal node holding two or more children, they all
+    # hold exactly two when the internal nodes number leaves + 1 - kids
+    if internal != len(labels) - internal + 1 - kids:
+        for idx in range(1, len(labels)):
+            if labels[idx] is None and len(adj[idx]) != 3:
+                raise NewickError(f"non-binary internal node with {len(adj[idx]) - 1} children")
 
-    for idx in range(len(labels)):
-        if labels[idx] is None and idx != root and nkids[idx] != 2:
-            raise NewickError(f"non-binary internal node with {nkids[idx]} children")
-
-    removed = [False] * len(labels)
     if rooted:
-        if nkids[root] != 2:
-            raise NewickError(
-                f"rooted input must have a bifurcating root, found {nkids[root]} children"
-            )
-        rho = len(labels)
+        if kids != 2:
+            raise NewickError(f"rooted input must have a bifurcating root, found {kids} children")
+        adj[0].append(len(labels))
         labels.append(RHO)
-        adj.append([])
-        _link(adj, rho, root)
-        removed.append(False)
-    else:
-        if nkids[root] == 2:
-            _splice_degree2(labels, adj, root, removed)
-        elif nkids[root] != 3:
-            raise NewickError(
-                f"unrooted input must have a trifurcating root, found {nkids[root]} children"
-            )
-    new_labels, new_adj = _compact(labels, adj, removed)
-    return Tree(new_labels, new_adj, rooted)
+        adj.append([0])
+    elif kids == 2:
+        removed = [False] * len(labels)
+        _splice_degree2(labels, adj, 0, removed)
+        labels, adj = _compact(labels, adj, removed)
+    elif kids != 3:
+        raise NewickError(
+            f"unrooted input must have a trifurcating root, found {kids} children"
+        )
+    return Tree(labels, adj, rooted)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,12 @@ class TestDecode:
         with pytest.raises(CanonicalError):
             decode_forest("(2,1,(3,4));", strict=True)
 
+    @pytest.mark.parametrize("text", ["(r,(1,2),\u00b2);", "(r,(1,2),\u0663);", "(1,2,\u0660);"])
+    @pytest.mark.parametrize("decode", [decode_tree, decode_forest])
+    def test_non_ascii_digits_rejected(self, decode, text):
+        with pytest.raises(CanonicalError):
+            decode(text)
+
     def test_error_carries_column(self):
         with pytest.raises(CanonicalError, match="column"):
             decode_forest("(1,2,(3,x));")

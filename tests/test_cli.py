@@ -142,6 +142,16 @@ class TestBuildErrors:
         err = capsys.readouterr().err
         assert err == f"error: {inp}: not UTF-8 text\n"
 
+    @pytest.mark.parametrize("label", ["\u00b2", "\u0663", "\u06603"])
+    def test_non_ascii_digit_label(self, tmp_path, capsys, label):
+        inp = tmp_path / "t.nwk"
+        inp.write_text(f"((1,2),{label});\n", encoding="utf-8")
+        assert run("build", str(inp), "--mode", "spr", "--rooted",
+                   "--out", str(tmp_path / "g.tsv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {inp}:1: ") and "(column 8)" in err
+        assert err.count("\n") == 1
+
     def test_rootedness_is_required(self, tmp_path):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
         with pytest.raises(SystemExit):
@@ -234,10 +244,10 @@ class TestSnapshotFlow:
         out = tmp_path / "g.tsv"
         out.write_text("old graph\n")
 
-        def broken_edges(graph):
+        def broken_buckets(graph):
             raise OSError("disk full")
 
-        monkeypatch.setattr(AdjacencyGraph, "edges", broken_edges)
+        monkeypatch.setattr(AdjacencyGraph, "buckets", broken_buckets)
         assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(out)) == 2
         assert out.read_text() == "old graph\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "t.nwk"]

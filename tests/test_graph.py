@@ -73,6 +73,29 @@ class TestAppendEdge:
         assert a != AdjacencyGraph(4)
 
 
+class TestAddVertex:
+    @pytest.mark.parametrize("earlier", [[-1], [0, 3], [3], [1, 0, 1]])
+    def test_bad_earlier_ids_rejected(self, earlier):
+        g = AdjacencyGraph(3)
+        g.append_edge(2, 0)
+        with pytest.raises(GraphInvariantError):
+            g.add_vertex(earlier)
+        assert g.n_vertices == 3 and g.edges() == [(0, 2)] and g.edge_count == 1
+
+    def test_matches_append_edge(self):
+        rng = random.Random(5)
+        bulk, single = AdjacencyGraph(), AdjacencyGraph()
+        for v in range(60):
+            earlier = rng.sample(range(v), rng.randint(0, min(v, 8)))
+            assert bulk.add_vertex(earlier) == v
+            single.add_vertex()
+            for j in sorted(earlier):
+                single.append_edge(v, j)
+        assert bulk == single and bulk.edge_count == single.edge_count
+        assert bulk.neighbors(7) == single.neighbors(7)
+        bulk.validate()
+
+
 class TestConstruction:
     def test_single_tree(self):
         g, lab = construct_spr_graph([parse_newick("((1,2),(3,4));", rooted=True)])

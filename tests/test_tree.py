@@ -116,6 +116,11 @@ class TestParse:
         assert t.leaf_labels() == {1, 2, 3, 4}
         assert sdlnewick_tree(t) == sdlnewick_tree(parse_newick("((1,2),3,4);", rooted=False))
 
+    @pytest.mark.parametrize("text", ["((1,2),\u00b2);", "((1,2),\u0663);", "((1,2),\u06603);"])
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(NewickError, match=r"found '.' \(column 8\)$"):
+            parse_newick(text, rooted=True)
+
     def test_huge_label_rejected(self):
         parse_newick(f"(1,{2**64 - 1});", rooted=False)
         with pytest.raises(NewickError):
