@@ -348,15 +348,7 @@ def parse_newick(text, *, rooted, lenient=False):
     for k, tok in enumerate(toks):
         if expect:
             if tok == "(":
-                idx = len(labels)
-                labels.append(None)
-                if stack:
-                    top = stack[-1]
-                    adj[top].append(idx)
-                    adj.append([top])
-                else:
-                    adj.append([])
-                stack.append(idx)
+                lab = None
             elif "0" <= tok < ":":  # a run of ASCII digits
                 if tok < "1" or len(tok) > 19:
                     if tok == "0":
@@ -365,18 +357,24 @@ def parse_newick(text, *, rooted, lenient=False):
                         raise _error("labels must not have leading zeros", toks, k)
                     if len(tok) > 20 or int(tok) > MAX_LABEL:
                         raise _error(f"label {tok} exceeds the 64-bit limit", toks, k)
-                idx = len(labels)
-                labels.append(int(tok))
-                if stack:
-                    top = stack[-1]
-                    adj[top].append(idx)
-                    adj.append([top])
-                else:
-                    adj.append([])
+                lab = int(tok)
+            elif tok[0] in _SPACE:
+                continue
+            else:
+                raise _error(f"expected '(' or a leaf label, found {tok[0]!r}", toks, k)
+            idx = len(labels)
+            labels.append(lab)
+            if stack:
+                top = stack[-1]
+                adj[top].append(idx)
+                adj.append([top])
+            else:
+                adj.append([])
+            if lab is None:
+                stack.append(idx)
+            else:
                 expect = False
                 after = 1
-            elif tok[0] not in _SPACE:
-                raise _error(f"expected '(' or a leaf label, found {tok[0]!r}", toks, k)
         elif tok == ",":
             if not stack:
                 raise _error("',' outside parentheses", toks, k)
