@@ -178,7 +178,7 @@ def _read_label(s, i):
         raise CanonicalError(f"expected a label (column {i + 1})")
     if run[0] == "0":
         raise CanonicalError(f"bad label {run!r}: zero or leading zero (column {i + 1})")
-    value = int(run)
+    value = int(run[:21])  # 21 digits already exceed the limit; int() refuses very long runs
     if value > MAX_LABEL:
         raise CanonicalError(f"label {run} exceeds the 64-bit limit (column {i + 1})")
     return value, j

@@ -130,6 +130,10 @@ class TestDecode:
         with pytest.raises(CanonicalError):
             decode(text)
 
+    def test_label_too_long_for_int_rejected(self):
+        with pytest.raises(CanonicalError, match="exceeds the 64-bit limit"):
+            decode_tree(f"(1,2,{'9' * 5000});")
+
     def test_error_carries_column(self):
         with pytest.raises(CanonicalError, match="column"):
             decode_forest("(1,2,(3,x));")

@@ -125,6 +125,8 @@ class TestParse:
         parse_newick(f"(1,{2**64 - 1});", rooted=False)
         with pytest.raises(NewickError):
             parse_newick(f"(1,{2**64});", rooted=False)
+        with pytest.raises(NewickError, match="exceeds the 64-bit limit"):
+            parse_newick(f"(1,2,{'9' * 5000});", rooted=False)
 
 
 class TestTree:
