@@ -1,69 +1,57 @@
 """Adjacency graphs of tree rearrangement moves over collections of
-phylogenetic trees, built by indexing canonical two-component forests."""
+phylogenetic trees, built by indexing canonical two-component forests.
 
-from .afcontainer import AFContainer, Mode
-from .canonical import decode_forest, decode_tree, sdlnewick_forest, sdlnewick_tree
-from .errors import (
-    CanonicalError,
-    GraphInvariantError,
-    LabelSetError,
-    ModeError,
-    MoveError,
-    NewickError,
-    SnapshotError,
-    TreescapeError,
-)
-from .forestgen import rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
-from .graph import (
-    AdjacencyGraph,
-    VertexLabeling,
-    construct_nni_graph,
-    construct_spr_graph,
-    construct_tbr_graph,
-)
-from .tree import (
-    Component,
-    Forest,
-    RootMarker,
-    Tree,
-    apply_spr,
-    apply_tbr,
-    parse_newick,
-    yield_forest,
-)
+The public names below are imported from their home modules on first use
+(PEP 562), so importing the package, or one module of it, loads only the
+modules that are needed: a build never loads the reference modules
+``canonical`` and ``oracle``.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AFContainer",
-    "AdjacencyGraph",
-    "CanonicalError",
-    "Component",
-    "Forest",
-    "GraphInvariantError",
-    "LabelSetError",
-    "Mode",
-    "ModeError",
-    "MoveError",
-    "NewickError",
-    "RootMarker",
-    "SnapshotError",
-    "Tree",
-    "TreescapeError",
-    "VertexLabeling",
-    "apply_spr",
-    "apply_tbr",
-    "construct_nni_graph",
-    "construct_spr_graph",
-    "construct_tbr_graph",
-    "decode_forest",
-    "decode_tree",
-    "parse_newick",
-    "rspr_forest_keys",
-    "sdlnewick_forest",
-    "sdlnewick_tree",
-    "tbr_forest_keys",
-    "uspr_forest_keys",
-    "yield_forest",
-    "__version__",
-]
+_EXPORTS = {
+    "afcontainer": ("AFContainer", "Mode"),
+    "canonical": (
+        "Component",
+        "Forest",
+        "RootMarker",
+        "decode_forest",
+        "decode_tree",
+        "sdlnewick_forest",
+        "sdlnewick_tree",
+    ),
+    "errors": (
+        "CanonicalError",
+        "GraphInvariantError",
+        "LabelSetError",
+        "ModeError",
+        "MoveError",
+        "NewickError",
+        "SnapshotError",
+        "TreescapeError",
+    ),
+    "forestgen": ("rspr_forest_keys", "tbr_forest_keys", "uspr_forest_keys"),
+    "graph": (
+        "AdjacencyGraph",
+        "VertexLabeling",
+        "construct_nni_graph",
+        "construct_spr_graph",
+        "construct_tbr_graph",
+    ),
+    "oracle": ("apply_spr", "apply_tbr", "yield_forest"),
+    "tree": ("Tree", "parse_newick"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -19,6 +19,11 @@ The id lists a new tree's keys land on hold exactly the earlier trees one
 move away from it, so inserting a tree also finds its earlier neighbours,
 with the number of keys each one shares. Prune-regraft neighbours that are
 also one interchange apart share at least two keys; all others share one.
+
+A snapshot stores one canonical tree string per line. It is read back
+with the input parser, tree.parse_newick, and each line must equal the
+Oriented re-encoding of its tree, so loading needs no second parser or
+encoder.
 """
 
 import contextlib
@@ -26,9 +31,9 @@ import enum
 import os
 from collections import Counter
 
-from .canonical import decode_tree
-from .errors import CanonicalError, ModeError, SnapshotError
+from .errors import ModeError, NewickError, SnapshotError
 from .forestgen import Oriented, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
+from .tree import parse_newick
 
 
 class Mode(enum.Enum):
@@ -104,18 +109,27 @@ def read_snapshot(path):
 
 def decode_snapshot(mode, lines):
     """Decode the lines read_snapshot returned into trees, checking that
-    each is canonical, fits the snapshot's mode and repeats no earlier line.
-    Errors name the snapshot line."""
+    each fits the snapshot's mode, is canonical and repeats no earlier line.
+    Errors name the snapshot line.
+
+    A line is read with the input parser, after dropping the ``r,`` that
+    opens a rooted line, and must equal its tree's canonical string byte
+    for byte. A one-leaf line such as ``1;`` is rejected: parse_newick
+    refuses it, and a build never writes it.
+    """
     trees = []
     seen = set()
     for lineno, text in enumerate(lines, start=2):
-        try:
-            tree = decode_tree(text)
-        except CanonicalError as exc:
-            raise SnapshotError(f"snapshot line {lineno}: {exc}") from None
-        if tree.rooted != mode.rooted:
-            kind = "rooted" if tree.rooted else "unrooted"
+        rooted = text.startswith(b"(r,")
+        if rooted != mode.rooted:
+            kind = "rooted" if rooted else "unrooted"
             raise SnapshotError(f"snapshot line {lineno}: {kind} tree in a {mode.value} snapshot")
+        try:
+            tree = parse_newick(b"(" + text[3:] if rooted else text, rooted=rooted)
+        except NewickError:
+            tree = None
+        if tree is None or Oriented(tree).canonical() != text:
+            raise SnapshotError(f"snapshot line {lineno}: not a canonical {mode.value} tree")
         if text in seen:
             raise SnapshotError(f"duplicate tree at snapshot line {lineno}")
         seen.add(text)

@@ -1,4 +1,4 @@
-"""Canonical byte-string encoding for trees and forests, plus decoding.
+"""Reference canonical encoding for trees and forests, plus decoding.
 
 The format is a smallest-descendant-label Newick: children are ordered by
 the smallest leaf label in their subtree, unrooted components are rooted at
@@ -20,12 +20,91 @@ Grammar of a canonical forest string::
 
 Two trees (or forests) are isomorphic exactly when their encodings are
 byte-identical, which is what makes these strings usable as index keys.
+
+This module is the reference for that format: the forest model
+(``Component``, ``Forest``, ``RootMarker``), a whole-forest encoder and a
+grammar-walking decoder. Builds do not import it. They read every key and
+tree string off ``forestgen.Oriented`` and read snapshots with
+``tree.parse_newick``; the tests compare both against the functions here.
 """
 
+import enum
+
 from .errors import CanonicalError
-from .tree import MAX_LABEL, RHO, Component, Forest, RootMarker, Tree
+from .tree import MAX_LABEL, RHO, Tree
 
 _BIG = float("inf")
+
+
+class RootMarker(enum.Enum):
+    """How a forest component is rooted.
+
+    ORIGINAL marks the component holding the input tree's root-marker leaf;
+    COMPONENT marks a component kept rooted at the node that attached it to
+    the rest of the tree before cutting. Unrooted components carry no marker.
+    """
+
+    ORIGINAL = "original"
+    COMPONENT = "component"
+
+
+class Component:
+    """One tree of a forest, in the same array layout as Tree.
+
+    ``marker`` is a RootMarker or None; ``root`` is the marked node index
+    (the RHO leaf for ORIGINAL, the kept attachment node for COMPONENT).
+    """
+
+    __slots__ = ("labels", "neighbors", "marker", "root")
+
+    def __init__(self, labels, neighbors, marker=None, root=None):
+        self.labels = labels
+        self.neighbors = neighbors
+        self.marker = marker
+        self.root = root
+
+    def __repr__(self):
+        tag = self.marker.value if self.marker else "unrooted"
+        return f"<Component {tag} labels={sorted(self.leaf_labels())}>"
+
+    def leaf_labels(self):
+        return {lab for lab in self.labels if lab is not None and lab != RHO}
+
+
+class Forest:
+    """An ordered collection of components produced by cutting a tree."""
+
+    __slots__ = ("components",)
+
+    def __init__(self, components):
+        self.components = list(components)
+
+    def __len__(self):
+        return len(self.components)
+
+    def __iter__(self):
+        return iter(self.components)
+
+    def leaf_labels(self):
+        out = set()
+        for comp in self.components:
+            out |= comp.leaf_labels()
+        return out
+
+    def validate(self):
+        originals = 0
+        seen = set()
+        for comp in self.components:
+            if comp.marker is RootMarker.ORIGINAL:
+                originals += 1
+            labs = comp.leaf_labels()
+            if labs & seen:
+                raise ValueError("components share leaf labels")
+            seen |= labs
+            if not labs and len(comp.labels) > 1:
+                raise ValueError("unlabelled multi-node component")
+        if originals > 1:
+            raise ValueError("more than one original-root component")
 
 
 def _min_labels(labels, adj, start, start_parent):

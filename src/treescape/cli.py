@@ -10,9 +10,7 @@ many trees for the quadratic check).
 """
 
 import argparse
-import math
 import os
-import random
 import re
 import sys
 import time
@@ -32,9 +30,10 @@ from .errors import (
     SnapshotError,
 )
 from .graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
-from .tree import parse_newick
+from .tree import MAX_LABEL, parse_newick
 
 _TOKEN = re.compile(r"[(),;:\s]|[^(),;:\s]+")
+_LABEL = re.compile(r"[1-9][0-9]*")
 
 
 def _fail(code, message):
@@ -65,7 +64,8 @@ def _read_lines(path):
 
 def _load_taxa(path):
     """Name-to-label map from a two-column file; labels must be distinct
-    positive integers."""
+    and follow the Newick label rule: ASCII digits, no leading zero, at
+    most 2**64 - 1."""
     table = {}
     used = set()
     for lineno, raw in enumerate(_read_lines(path), start=1):
@@ -76,12 +76,11 @@ def _load_taxa(path):
         if len(parts) != 2:
             raise NewickError(f"{path}:{lineno}: expected two columns")
         name, value = parts
-        try:
-            label = int(value)
-        except ValueError:
-            raise NewickError(f"{path}:{lineno}: label {value!r} is not an integer") from None
-        if label <= 0:
-            raise NewickError(f"{path}:{lineno}: labels must be positive")
+        if not _LABEL.fullmatch(value):
+            raise NewickError(f"{path}:{lineno}: label {value!r} is not a Newick leaf label")
+        if len(value) > 20 or int(value) > MAX_LABEL:
+            raise NewickError(f"{path}:{lineno}: label {value} exceeds the 64-bit limit")
+        label = int(value)
         if name in table:
             raise NewickError(f"{path}:{lineno}: taxon {name!r} repeated")
         if label in used:
@@ -229,6 +228,9 @@ def _cmd_verify(args):
 
 
 def _cmd_bench(args):
+    import math
+    import random
+
     from .oracle import random_tree
 
     if args.mode == "tbr" and args.rooted:

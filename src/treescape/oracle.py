@@ -2,18 +2,275 @@
 
 Everything here is deliberately naive: neighborhoods come from exhaustively
 applying every candidate move and comparing canonical strings, and pairwise
-graphs cost O(m^2) string lookups. nni_moves lists interchange results
-directly, a cross-check on the shared-key count the interchange graph is
-built from. reference_forest_keys cuts and re-encodes the whole tree for
-every key, the construction the spliced keys of forestgen must match byte
-for byte. None of the indexing machinery is used, so agreement between
-this module and the container-driven builders is evidence for both.
+graphs cost O(m^2) string lookups. The move surgery itself lives here too:
+yield_forest cuts edges out of a tree into a canonical.Forest, and
+apply_spr and apply_tbr rebuild the tree after one move. nni_moves lists
+interchange results directly, a cross-check on the shared-key count the
+interchange graph is built from. reference_forest_keys cuts and re-encodes
+the whole tree for every key, the construction the spliced keys of
+forestgen must match byte for byte. None of the indexing machinery is used,
+so agreement between this module and the container-driven builders is
+evidence for both. Builds never import this module.
 """
 
-from .canonical import sdlnewick_forest, sdlnewick_tree
+from collections import deque
+
+from .canonical import Component, Forest, RootMarker, sdlnewick_forest, sdlnewick_tree
 from .errors import MoveError, ModeError, TreescapeError
 from .graph import AdjacencyGraph
-from .tree import RHO, Tree, _orient, apply_spr, apply_tbr, yield_forest
+from .tree import RHO, Tree, _compact, _splice_degree2
+
+# ---------------------------------------------------------------------------
+# forest cutting and rearrangement surgery
+
+
+def _orient(adj, start):
+    """Parent array of the tree rooted at start; parent[start] = -1."""
+    par = [-2] * len(adj)
+    par[start] = -1
+    work = deque([start])
+    while work:
+        u = work.popleft()
+        for w in adj[u]:
+            if par[w] == -2:
+                par[w] = u
+                work.append(w)
+    return par
+
+
+def parents(tree):
+    """Parent of each node of a rooted tree, oriented toward the root
+    marker; the root marker's entry is -1."""
+    if not tree.rooted:
+        raise ValueError("parents() requires a rooted tree")
+    return _orient(tree.neighbors, tree.rho_index())
+
+
+def _side_nodes(adj, u, v):
+    """Nodes reachable from u without crossing the edge (u, v)."""
+    side = {u}
+    work = [u]
+    while work:
+        x = work.pop()
+        for w in adj[x]:
+            if w not in side and not (x == u and w == v):
+                side.add(w)
+                work.append(w)
+    return side
+
+
+def _require_edge(tree, a, b, what):
+    if a == b or not (0 <= a < len(tree.labels)) or b not in tree.neighbors[a]:
+        raise MoveError(f"{what} ({a}, {b}) is not an edge of the tree")
+
+
+def _unlink(adj, a, b):
+    adj[a].remove(b)
+    adj[b].remove(a)
+
+
+def _link(adj, a, b):
+    adj[a].append(b)
+    adj[b].append(a)
+
+
+def yield_forest(tree, cut_edges, keep_roots=()):
+    """Cut the given edges out of the tree and return the resulting forest.
+
+    In a rooted tree each cut component is automatically rooted at the node
+    whose parent edge was cut (kept as a degree-2 COMPONENT root, or the leaf
+    itself), and the marker-leaf component carries the ORIGINAL marker. In an
+    unrooted tree, ``keep_roots`` lists cut-edge endpoints to retain as
+    COMPONENT roots; every other unlabelled node of degree below three is
+    suppressed. With no cut edges the forest is the whole tree.
+    """
+    labels = tree.labels
+    n = len(labels)
+    cuts = []
+    seen_cuts = set()
+    for a, b in cut_edges:
+        _require_edge(tree, a, b, "cut edge")
+        key = (a, b) if a < b else (b, a)
+        if key in seen_cuts:
+            raise MoveError(f"duplicate cut edge {key}")
+        seen_cuts.add(key)
+        cuts.append(key)
+
+    protected = set()
+    if tree.rooted:
+        if keep_roots:
+            raise MoveError("keep_roots applies to unrooted trees only")
+        par = parents(tree)
+        for a, b in cuts:
+            protected.add(a if par[a] == b else b)
+    else:
+        for k in keep_roots:
+            if not any(k == a or k == b for a, b in cuts):
+                raise MoveError(f"keep_roots node {k} is not a cut-edge endpoint")
+            protected.add(k)
+
+    adj = [list(nbrs) for nbrs in tree.neighbors]
+    for a, b in cuts:
+        _unlink(adj, a, b)
+
+    removed = [False] * n
+    work = deque(
+        v for v in range(n) if labels[v] is None and v not in protected and len(adj[v]) < 3
+    )
+    while work:
+        v = work.popleft()
+        if removed[v] or labels[v] is not None or v in protected:
+            continue
+        deg = len(adj[v])
+        if deg == 2:
+            _splice_degree2(labels, adj, v, removed)
+        elif deg <= 1:
+            for u in adj[v]:
+                adj[u].remove(v)
+                if labels[u] is None and u not in protected and len(adj[u]) < 3:
+                    work.append(u)
+            adj[v] = []
+            removed[v] = True
+
+    for v in protected:
+        if labels[v] is None and len(adj[v]) < 2:
+            raise MoveError("cut combination leaves a kept component root below degree two")
+
+    components = []
+    assigned = [False] * n
+    for start in range(n):
+        if removed[start] or assigned[start]:
+            continue
+        nodes = [start]
+        assigned[start] = True
+        work2 = [start]
+        while work2:
+            for w in adj[work2.pop()]:
+                if not assigned[w]:
+                    assigned[w] = True
+                    nodes.append(w)
+                    work2.append(w)
+        nodes.sort()
+        remap = {old: new for new, old in enumerate(nodes)}
+        clabels = [labels[old] for old in nodes]
+        cadj = [[remap[w] for w in adj[old]] for old in nodes]
+        marker = None
+        root = None
+        roots_here = [remap[v] for v in protected if v in remap]
+        has_rho = tree.rooted and any(lab == RHO for lab in clabels)
+        if has_rho:
+            if roots_here:
+                raise MoveError("the root-marker component cannot also hold a kept root")
+            marker = RootMarker.ORIGINAL
+            root = clabels.index(RHO)
+        elif roots_here:
+            if len(roots_here) != 1:
+                raise MoveError("keep_roots names two nodes of one component")
+            marker = RootMarker.COMPONENT
+            root = roots_here[0]
+        components.append(Component(clabels, cadj, marker, root))
+
+    forest = Forest(components)
+    if forest.leaf_labels() != tree.leaf_labels():
+        raise MoveError("the cut forest does not partition the tree's leaf set")
+    return forest
+
+
+def apply_spr(tree, prune, regraft):
+    """One subtree-prune-regraft move; returns the resulting tree.
+
+    ``prune = (u, v)`` cuts that edge and moves the u-side subtree, keeping u
+    as its attachment point; in a rooted tree v must be the parent of u.
+    ``regraft = (x, y)`` is the edge of the stationary side that gets
+    subdivided to receive the subtree. Regrafting next to the original
+    attachment recreates the input tree; that identity move is legal.
+    """
+    u, v = prune
+    _require_edge(tree, u, v, "prune edge")
+    x, y = regraft
+    _require_edge(tree, x, y, "regraft edge")
+    if {u, v} == {x, y}:
+        raise MoveError("regraft edge equals the pruned edge")
+    uside = _side_nodes(tree.neighbors, u, v)
+    if tree.rooted and tree.rho_index() in uside:
+        raise MoveError("prune edge must be (child, parent) in a rooted tree")
+    if x in uside or y in uside:
+        raise MoveError("regraft edge lies on the pruned side")
+
+    labels = list(tree.labels)
+    adj = [list(nbrs) for nbrs in tree.neighbors]
+    _unlink(adj, u, v)
+    w = len(labels)
+    labels.append(None)
+    adj.append([])
+    _unlink(adj, x, y)
+    _link(adj, w, x)
+    _link(adj, w, y)
+    _link(adj, w, u)
+    removed = [False] * len(labels)
+    _splice_degree2(labels, adj, v, removed)
+    new_labels, new_adj = _compact(labels, adj, removed)
+    out = Tree(new_labels, new_adj, tree.rooted)
+    return out
+
+
+def apply_tbr(tree, bisect, reattach_u=None, reattach_v=None):
+    """One tree-bisection-reconnection move on an unrooted tree.
+
+    ``bisect = (u, v)`` is the edge removed. ``reattach_u``/``reattach_v``
+    name the edge subdivided on each side to carry the reconnecting edge;
+    pass None exactly when that side is a single leaf (there is nothing to
+    subdivide). Returns the resulting tree.
+    """
+    if tree.rooted:
+        raise MoveError("tree-bisection-reconnection applies to unrooted trees")
+    u, v = bisect
+    _require_edge(tree, u, v, "bisection edge")
+    uside = _side_nodes(tree.neighbors, u, v)
+
+    def check_side(reattach, side, name):
+        if reattach is None:
+            if len(side) > 1:
+                raise MoveError(f"{name} reattachment edge required on a multi-node side")
+            return
+        a, b = reattach
+        _require_edge(tree, a, b, f"{name} reattachment edge")
+        if a not in side or b not in side:
+            raise MoveError(f"{name} reattachment edge is not inside that side")
+
+    vside = set(range(len(tree.labels))) - uside
+    check_side(reattach_u, uside, "u-side")
+    check_side(reattach_v, vside, "v-side")
+
+    labels = list(tree.labels)
+    adj = [list(nbrs) for nbrs in tree.neighbors]
+    _unlink(adj, u, v)
+
+    def attach_point(reattach, endpoint):
+        if reattach is None:
+            return endpoint
+        a, b = reattach
+        w = len(labels)
+        labels.append(None)
+        adj.append([])
+        _unlink(adj, a, b)
+        _link(adj, w, a)
+        _link(adj, w, b)
+        return w
+
+    up = attach_point(reattach_u, u)
+    vp = attach_point(reattach_v, v)
+    _link(adj, up, vp)
+    removed = [False] * len(labels)
+    _splice_degree2(labels, adj, u, removed)
+    _splice_degree2(labels, adj, v, removed)
+    new_labels, new_adj = _compact(labels, adj, removed)
+    return Tree(new_labels, new_adj, False)
+
+
+# ---------------------------------------------------------------------------
+# neighborhoods by exhaustive moves
+
 
 MOVES = ("rspr", "uspr", "nni", "tbr")
 
@@ -21,7 +278,7 @@ MOVES = ("rspr", "uspr", "nni", "tbr")
 def _oriented_prunes(tree):
     """Prune pairs (moving endpoint, fixed endpoint) for each edge."""
     if tree.rooted:
-        par = tree.parents()
+        par = parents(tree)
         return [(a, b) if par[a] == b else (b, a) for a, b in tree.edges()]
     prunes = []
     for a, b in tree.edges():
@@ -48,19 +305,6 @@ def _spr_like(tree, prunes, regraft_ok):
     return out
 
 
-def _half(adj, u, v):
-    """Nodes on u's side of edge (u, v)."""
-    side = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y != v and y not in side:
-                side.add(y)
-                stack.append(y)
-    return side
-
-
 def _tbr_neighbors(tree):
     self_c = sdlnewick_tree(tree)
     adj = tree.neighbors
@@ -68,7 +312,7 @@ def _tbr_neighbors(tree):
     out = set()
     for bisect in edges:
         u, v = bisect
-        u_side = _half(adj, u, v)
+        u_side = _side_nodes(adj, u, v)
         u_edges = [e for e in edges if e[0] in u_side and e[1] in u_side]
         v_edges = [e for e in edges if e[0] not in u_side and e[1] not in u_side]
         for ru in u_edges or [None]:
@@ -134,16 +378,16 @@ def nni_moves(tree):
             (i for i, lab in enumerate(labels) if lab is not None), key=labels.__getitem__
         )
         top = adj[small][0]
-    parents = _orient(adj, top)
+    par = _orient(adj, top)
     out = []
     for x in range(len(labels)):
         if x == top:
             continue
-        p = parents[x]
-        g = parents[p]
+        p = par[x]
+        g = par[p]
         if g < 0:
             continue
-        gp = parents[g]
+        gp = par[g]
         for sibling in adj[g]:
             if sibling != p and sibling != gp:
                 out.append(apply_spr(tree, (x, p), (g, sibling)))

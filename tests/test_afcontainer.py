@@ -1,14 +1,22 @@
 """Container behavior: insertion, neighbor queries, snapshots."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
+from test_forestgen import shaped_tree
 
 from treescape import afcontainer, forestgen
-from treescape.afcontainer import AFContainer, Mode, read_snapshot, write_snapshot
+from treescape.afcontainer import (
+    AFContainer,
+    Mode,
+    decode_snapshot,
+    read_snapshot,
+    write_snapshot,
+)
 from treescape.canonical import decode_tree, sdlnewick_tree
-from treescape.errors import ModeError, SnapshotError
+from treescape.errors import CanonicalError, ModeError, SnapshotError
 from treescape.oracle import enumerate_all_trees, enumerate_neighbors, random_tree
 from treescape.tree import parse_newick
 
@@ -268,6 +276,124 @@ class TestSnapshot:
         path.write_text("afcontainer v1 rspr 1\n(1,2,(3,4));\n")
         with pytest.raises(SnapshotError):
             AFContainer.load(path)
+
+
+    @pytest.mark.parametrize(
+        "mode, line, message",
+        [
+            (Mode.RSPR, b"(r,2,1);", "not a canonical rspr tree"),
+            (Mode.RSPR, b"(r,1,2,3);", "not a canonical rspr tree"),
+            (Mode.USPR, b"(1,2,(4,3));", "not a canonical uspr tree"),
+            (Mode.TBR, b"(1, 2,(3,4));", "not a canonical tbr tree"),
+            (Mode.USPR, b"(r,1,2);", "rooted tree in a uspr snapshot"),
+            (Mode.RSPR, b"(1,2,(3,4));", "unrooted tree in a rspr snapshot"),
+        ],
+    )
+    def test_decode_messages(self, mode, line, message):
+        with pytest.raises(SnapshotError) as err:
+            decode_snapshot(mode, [line])
+        assert str(err.value) == f"snapshot line 2: {message}"
+
+    def test_one_leaf_line_is_refused(self):
+        # the reference decoder reads "1;" as a lone leaf, but the input
+        # parser refuses a single leaf and a build never writes one
+        assert decode_tree(b"1;").n_leaves == 1
+        with pytest.raises(SnapshotError, match=r"^snapshot line 2: not a canonical uspr tree$"):
+            decode_snapshot(Mode.USPR, [b"1;"])
+
+
+def _children(s, open_at):
+    """Offsets of the top-level commas and of the closing bracket of the
+    bracket opened at s[open_at]."""
+    depth = 0
+    cuts = []
+    for i in range(open_at + 1, len(s)):
+        if s[i] == "(":
+            depth += 1
+        elif s[i] == ")":
+            if not depth:
+                return cuts, i
+            depth -= 1
+        elif s[i] == "," and not depth:
+            cuts.append(i)
+    raise ValueError("unbalanced")
+
+
+def mutated_lines(line, tree, rng):
+    """Near misses of a canonical tree line, as ASCII strings."""
+    s = line.decode("ascii")
+    labels = list(re.finditer(r"[0-9]+", s))
+    closes = [i + 1 for i, c in enumerate(s) if c == ")"]
+    out = []
+    # swapped children of a random internal node
+    at = rng.choice([i for i, c in enumerate(s) if c == "("])
+    cuts, end = _children(s, at)
+    first, second = s[at + 1 : cuts[0]], s[cuts[0] + 1 : cuts[1] if len(cuts) > 1 else end]
+    out.append(s[: at + 1] + second + "," + first + s[cuts[0] + 1 + len(second) :])
+    # whitespace, a branch length, a p suffix
+    k = rng.randrange(1, len(s))
+    out.append(s[:k] + rng.choice(" \t") + s[k:])
+    k = rng.choice(labels).end()
+    out.append(s[:k] + ":0.5" + s[k:])
+    k = rng.choice(closes)
+    out.append(s[:k] + "p" + s[k:])
+    # the reserved label and one past the 64-bit limit
+    m = rng.choice(labels)
+    for bad in ("0", str(2**64)):
+        out.append(s[: m.start()] + bad + s[m.end() :])
+    # two-component forest strings of the same tree
+    keys = forestgen.rspr_forest_keys(tree) if tree.rooted else forestgen.uspr_forest_keys(tree)
+    if not tree.rooted:
+        keys += forestgen.tbr_forest_keys(tree)
+    out += [key.decode("ascii") for key in rng.sample(keys, min(3, len(keys)))]
+    # a misplaced root marker
+    if s.startswith("(r,"):
+        out.append("(" + s[3:-2] + ",r);")
+        out.append(s[3:])
+    else:
+        out.append("(r," + s[1:])
+        out.append("(r," + s)
+    inner = [i for i, c in enumerate(s) if c == "(" and i]
+    if inner:
+        k = rng.choice(inner) + 1
+        out.append(s[:k] + "r," + s[k:])
+    return out
+
+
+def reference_decode(mode, line):
+    """The tree canonical.decode_tree reads from line, if it has the
+    snapshot's rootedness; else None."""
+    try:
+        tree = decode_tree(line)
+    except CanonicalError:
+        return None
+    return tree if tree.rooted == mode.rooted else None
+
+
+@pytest.mark.parametrize("shape", ["random", "caterpillar", "balanced"])
+@pytest.mark.parametrize("rooted", [True, False])
+def test_snapshot_decoder_agrees_with_reference(shape, rooted):
+    rng = random.Random(f"{shape}{rooted}")
+    verdicts = Counter()
+    for n in [*range(2, 13), 64]:
+        for sparse in (False, True):
+            tree = shaped_tree(shape, n, rooted, rng, sparse)
+            line = sdlnewick_tree(tree)
+            candidates = [line] + [m.encode("ascii") for m in mutated_lines(line, tree, rng)]
+            for text in candidates:
+                for mode in (Mode.RSPR, Mode.USPR, Mode.TBR):
+                    want = reference_decode(mode, text)
+                    try:
+                        [got] = decode_snapshot(mode, [text])
+                    except SnapshotError:
+                        got = None
+                    assert (got is None) == (want is None), (mode, text)
+                    verdicts[got is not None] += 1
+                    if got is not None:
+                        assert got.rooted == mode.rooted
+                        assert forestgen.Oriented(got).canonical() == text
+                        assert sdlnewick_tree(want) == text
+    assert verdicts[True] and verdicts[False] > 10 * verdicts[True]
 
 
 def test_space_stays_near_quadratic():

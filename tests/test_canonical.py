@@ -10,10 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treescape
-from treescape.canonical import decode_forest, decode_tree, sdlnewick_forest, sdlnewick_tree
+from treescape.canonical import (
+    Component,
+    Forest,
+    decode_forest,
+    decode_tree,
+    sdlnewick_forest,
+    sdlnewick_tree,
+)
 from treescape.errors import CanonicalError
-from treescape.oracle import random_tree
-from treescape.tree import Tree, parse_newick, yield_forest
+from treescape.oracle import parents, random_tree, yield_forest
+from treescape.tree import Tree, parse_newick
 
 
 def shuffled_presentation(tree, rng):
@@ -50,7 +57,7 @@ class TestPinnedStrings:
 
     def test_component_ordering_in_forest(self):
         t = parse_newick("((1,(2,3)),(4,5));", rooted=True)
-        par = t.parents()
+        par = parents(t)
         edge45 = next(
             (a, b) if par[a] == b else (b, a)
             for a, b in t.edges()
@@ -188,8 +195,6 @@ class TestUniqueness:
 
 
 def test_components_sharing_smallest_label_rejected():
-    from treescape.tree import Component, Forest
-
     a = Component([1, 2, None], [[2], [2], [0, 1]])
     b = Component([1, 3, None], [[2], [2], [0, 1]])
     with pytest.raises(CanonicalError):
@@ -200,9 +205,8 @@ def test_non_binary_subtree_rejected_under_optimisation():
     # the check must survive python -O, where a bare assert would vanish and
     # the encoder would silently drop leaf 4
     code = (
-        "from treescape.canonical import sdlnewick_forest\n"
+        "from treescape.canonical import Component, Forest, RootMarker, sdlnewick_forest\n"
         "from treescape.errors import CanonicalError\n"
-        "from treescape.tree import Component, Forest, RootMarker\n"
         "pruned = Component([None, None, 2, 3, 4, 5],\n"
         "                   [[1, 5], [0, 2, 3, 4], [1], [1], [1], [0]],\n"
         "                   RootMarker.COMPONENT, 0)\n"

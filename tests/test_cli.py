@@ -88,25 +88,56 @@ class TestBuild:
         assert run("build", inp, "--mode", "spr", "--rooted", "--lenient", "--out", str(out)) == 0
 
 
-def test_build_loads_neither_oracle_nor_dataclasses(tmp_path):
-    # a build compiles every module it imports, so the all-pairs oracle and
-    # dataclasses stay out of it
-    inp = write(tmp_path, "t.nwk", TRIANGLE)
-    code = (
-        "import sys\n"
-        "had_dataclasses = 'dataclasses' in sys.modules\n"
-        "from treescape import cli\n"
-        f"assert cli.main(['build', {inp!r}, '--mode', 'spr', '--rooted',\n"
-        f"                 '--out', {str(tmp_path / 'g.tsv')!r}]) == 0\n"
-        "print('treescape.oracle' in sys.modules,\n"
-        "      not had_dataclasses and 'dataclasses' in sys.modules)\n"
-    )
+def fresh_interpreter(code):
+    """stdout of code run in a new interpreter that imports this treescape."""
     src = os.path.dirname(os.path.dirname(treescape.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines()[-1] == "False False"
+    return out.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("append", [False, True])
+def test_build_loads_neither_reference_modules_nor_dataclasses(tmp_path, append):
+    # a build compiles every module it imports, so the reference encoder and
+    # decoder, the all-pairs oracle and dataclasses stay out of it, also
+    # when it reads a snapshot
+    inp = write(tmp_path, "t.nwk", TRIANGLE)
+    snap = str(tmp_path / "c.snap")
+    build = ["build", inp, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g.tsv")]
+    if append:
+        assert run(*build, "--snapshot", snap) == 0
+        build += ["--append", snap]
+    code = (
+        "import sys\n"
+        "had_dataclasses = 'dataclasses' in sys.modules\n"
+        "from treescape import cli\n"
+        f"assert cli.main({build!r}) == 0\n"
+        "print('treescape.canonical' in sys.modules, 'treescape.oracle' in sys.modules,\n"
+        "      not had_dataclasses and 'dataclasses' in sys.modules)\n"
+    )
+    assert fresh_interpreter(code) == "False False False"
+
+
+def test_package_names_resolve_lazily():
+    code = (
+        "import sys\n"
+        "import treescape\n"
+        "print(sorted(m for m in sys.modules if m.startswith('treescape.')))\n"
+    )
+    assert fresh_interpreter(code) == "[]"
+    for name in treescape.__all__:
+        value = getattr(treescape, name)
+        if name != "__version__":
+            assert value is getattr(sys.modules[value.__module__], name)
+    from treescape import AFContainer, decode_tree, yield_forest
+
+    assert yield_forest is oracle.yield_forest
+    assert decode_tree.__module__ == "treescape.canonical"
+    assert AFContainer.__module__ == "treescape.afcontainer"
+    with pytest.raises(AttributeError):
+        treescape.no_such_name
 
 
 class TestBuildErrors:
@@ -181,6 +212,17 @@ class TestTaxa:
         taxa = write(tmp_path, "m.tsv", content)
         assert run("build", inp, "--mode", "spr", "--unrooted", "--taxa", taxa,
                    "--out", str(tmp_path / "g.tsv")) == 2
+
+    # each of these int() reads as a label the Newick parser would refuse
+    @pytest.mark.parametrize("label", ["1_0", "\u0663", "05", "+7", str(2**64)])
+    def test_labels_follow_the_newick_rule(self, tmp_path, capsys, label):
+        inp = write(tmp_path, "t.nwk", "(ape,bee,(cat,dog));\n")
+        taxa = tmp_path / "m.tsv"
+        taxa.write_text(f"ape\t{label}\nbee\t1\ncat\t2\ndog\t4\n", encoding="utf-8")
+        assert run("build", inp, "--mode", "spr", "--unrooted", "--taxa", str(taxa),
+                   "--out", str(tmp_path / "g.tsv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {taxa}:1: label ") and err.count("\n") == 1
 
     def test_untranslated_name_fails_parse(self, tmp_path):
         inp = write(tmp_path, "t.nwk", "(ape,bee,(cat,dog));\n")

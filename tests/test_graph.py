@@ -11,8 +11,15 @@ from treescape.graph import (
     construct_spr_graph,
     construct_tbr_graph,
 )
-from treescape.oracle import enumerate_all_trees, nni_moves, random_tree
-from treescape.tree import apply_spr, apply_tbr, parse_newick
+from treescape.oracle import (
+    apply_spr,
+    apply_tbr,
+    enumerate_all_trees,
+    nni_moves,
+    parents,
+    random_tree,
+)
+from treescape.tree import parse_newick
 
 
 class TestAppendEdge:
@@ -211,7 +218,7 @@ def one_move(tree, rng, *, bisect=False):
     edges = tree.edges()
     while True:
         u, v = rng.choice(edges)
-        if tree.rooted and tree.parents()[u] != v:
+        if tree.rooted and parents(tree)[u] != v:
             u, v = v, u
         try:
             if bisect:

@@ -4,17 +4,9 @@ import re
 import pytest
 
 from treescape.errors import MoveError, NewickError
-from treescape.canonical import sdlnewick_forest, sdlnewick_tree
-from treescape.oracle import random_tree
-from treescape.tree import (
-    RHO,
-    RootMarker,
-    Tree,
-    apply_spr,
-    apply_tbr,
-    parse_newick,
-    yield_forest,
-)
+from treescape.canonical import RootMarker, sdlnewick_forest, sdlnewick_tree
+from treescape.oracle import apply_spr, apply_tbr, parents, random_tree, yield_forest
+from treescape.tree import RHO, Tree, parse_newick
 
 
 def leaf_node(tree, label):
@@ -23,7 +15,7 @@ def leaf_node(tree, label):
 
 def child_edge(tree, labels_below):
     """Edge (child, parent) whose child side carries exactly labels_below."""
-    par = tree.parents()
+    par = parents(tree)
     adj = tree.neighbors
     for a, b in tree.edges():
         c, p = (a, b) if par[a] == b else (b, a)
@@ -132,7 +124,7 @@ class TestParse:
 class TestTree:
     def test_parents_orientation(self):
         t = parse_newick("((1,2),(3,4));", rooted=True)
-        par = t.parents()
+        par = parents(t)
         rho = t.rho_index()
         assert par[rho] == -1
         assert par[t.root_index()] == rho
@@ -301,7 +293,7 @@ class TestApplySpr:
             rooted = rng.random() < 0.5
             t = random_tree(rng.randint(4, 9), rooted=rooted, rng=rng)
             edges = t.edges()
-            par = t.parents() if rooted else None
+            par = parents(t) if rooted else None
             a, b = edges[rng.randrange(len(edges))]
             prune = ((a, b) if par[a] == b else (b, a)) if rooted else (a, b)
             regraft = edges[rng.randrange(len(edges))]
