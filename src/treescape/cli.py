@@ -96,6 +96,19 @@ def _translate(line, taxa):
     )
 
 
+def _untranslated_pos(line, taxa, pos):
+    """The offset in line of offset pos in _translate(line, taxa); an offset
+    inside a swapped-in label maps to the start of its taxon name."""
+    at = 0
+    for tok in _TOKEN.findall(line):
+        width = len(str(taxa[tok])) if tok in taxa else len(tok)
+        if pos < width:
+            return at if tok in taxa else at + pos
+        pos -= width
+        at += len(tok)
+    return at + pos
+
+
 def _read_trees(path, *, rooted, lenient, taxa):
     """Parse a newline-delimited tree file: list of (lineno, Tree)."""
     out = []
@@ -103,11 +116,12 @@ def _read_trees(path, *, rooted, lenient, taxa):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if taxa:
-            line = _translate(line, taxa)
+        text = _translate(line, taxa) if taxa else line
         try:
-            tree = parse_newick(line, rooted=rooted, lenient=lenient)
+            tree = parse_newick(text, rooted=rooted, lenient=lenient)
         except NewickError as exc:
+            if taxa and exc.pos is not None:
+                exc = NewickError(exc.reason, pos=_untranslated_pos(line, taxa, exc.pos))
             raise NewickError(f"{path}:{lineno}: {exc}") from None
         out.append((lineno, tree))
     return out
@@ -150,8 +164,6 @@ def _write_vertices(out_path, linenos, labeling):
 
 
 def _cmd_build(args):
-    if args.mode == "tbr" and args.rooted:
-        return _fail(4, "tbr graphs are only defined for unrooted trees")
     taxa = _load_taxa(args.taxa) if args.taxa else None
 
     trees = []
@@ -196,8 +208,6 @@ def _cmd_build(args):
 def _cmd_verify(args):
     from .oracle import pairwise_graph
 
-    if args.mode == "tbr" and args.rooted:
-        return _fail(4, "tbr graphs are only defined for unrooted trees")
     taxa = _load_taxa(args.taxa) if args.taxa else None
     parsed = _read_trees(args.input, rooted=args.rooted, lenient=args.lenient, taxa=taxa)
     if len(parsed) > args.max_m:
@@ -233,8 +243,6 @@ def _cmd_bench(args):
 
     from .oracle import random_tree
 
-    if args.mode == "tbr" and args.rooted:
-        return _fail(4, "tbr graphs are only defined for unrooted trees")
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
@@ -338,6 +346,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.mode == "tbr" and args.rooted:
+        return _fail(4, "tbr graphs are only defined for unrooted trees")
     try:
         return args.run(args)
     except (NewickError, CanonicalError, SnapshotError) as exc:

@@ -9,14 +9,12 @@ class NewickError(TreescapeError):
     """Malformed or unsupported Newick input.
 
     ``pos`` is the 0-based character offset into the parsed text; the
-    rendered message reports it as a 1-based column.
+    rendered message reports it as a 1-based column after ``reason``.
     """
 
     def __init__(self, message, pos=None):
-        self.pos = pos
-        if pos is not None:
-            message = f"{message} (column {pos + 1})"
-        super().__init__(message)
+        self.reason, self.pos = message, pos
+        super().__init__(message if pos is None else f"{message} (column {pos + 1})")
 
 
 class CanonicalError(TreescapeError):

@@ -23,12 +23,16 @@ of its neighbour, and every key is assembled from slices of the same table:
 * the side above, kept rooted at the cut parent, is that node's span seen
   from the cut child, computed for all nodes in one top-down pass.
 
-Each key therefore costs Python work proportional to the depth of its cut,
-plus copying its O(n) bytes. The cut-and-encode construction these keys
-are tested against byte for byte is ``oracle.reference_forest_keys``, and
-the tree string is tested against ``canonical.sdlnewick_tree``. An
-AFContainer orients a tree, looks its string up and passes the same table
-to the key generators only when the tree is new.
+Each generator cuts the parent edge of every node below the top leaf, in
+the table's top-down order: key k cuts that of order[k + 1] (for uSPR,
+keys 2k and 2k + 1, the child side rooted and then the parent side);
+neither the index nor the graph depends on the order. Each key costs
+Python work proportional to the depth of its cut, plus copying its O(n)
+bytes. The cut-and-encode construction these keys are tested against byte
+for byte is ``oracle.reference_forest_keys``, and the tree string is
+tested against ``canonical.sdlnewick_tree``. An AFContainer orients a
+tree, looks its string up and passes the same table to the key generators
+only when the tree is new.
 """
 
 from .errors import ModeError
@@ -178,16 +182,11 @@ def rspr_forest_keys(tree):
     if not tree.rooted:
         raise ModeError("rooted-move keys require a rooted tree")
     labels = tree.labels
-    top, par, kids, span, low = o.top, o.par, o.kids, o.span, o.low
+    top, order, par, kids, span, low = o.top, o.order, o.par, o.kids, o.span, o.low
     keys = []
-    for a, b in tree.edges():
-        c = a if par[a] == b else b
-        pruned = _rooted(c, labels, span[c])
-        if par[c] == top:
-            keys.append(f"(r) {pruned};".encode("ascii"))
-        else:
-            rest = _upper(c, top, "r", par, kids, labels, span, low)
-            keys.append(f"{rest} {pruned};".encode("ascii"))
+    for c in order[1:]:
+        rest = "(r)" if par[c] == top else _upper(c, top, "r", par, kids, labels, span, low)
+        keys.append(f"{rest} {_rooted(c, labels, span[c])};".encode("ascii"))
     return keys
 
 
@@ -199,25 +198,21 @@ def uspr_forest_keys(tree):
     if tree.rooted:
         raise ModeError("unrooted-move keys require an unrooted tree")
     labels = tree.labels
-    if len(labels) < 2:
-        return []
     top, token, order, par, kids, span, low = o.top, o.token, o.order, o.par, o.kids, o.span, o.low
-    # up[x]: the side above x's parent edge, rooted at x's parent
-    up = [""] * len(labels)
-    up[order[1]] = token
+    # up[x]: the side above x's parent edge, rooted at x's parent; the top
+    # leaf alone for the top's neighbour
+    up = [token] * len(labels)
     for x in order[2:]:
         p = par[x]
         k0, k1 = kids[p]
         up[x] = f"({up[p]},{span[k1 if k0 == x else k0]})"
     keys = []
-    for a, b in tree.edges():
-        c = a if par[a] == b else b
+    for c in order[1:]:
         p = par[c]
         above = token if p == top else _upper(c, top, token, par, kids, labels, span, low)
         below = _lower(c, kids, labels, span, low)
-        keep_c = f"{above} {_rooted(c, labels, span[c])};".encode("ascii")
-        keep_p = f"{_rooted(p, labels, up[c])} {below};".encode("ascii")
-        keys += (keep_c, keep_p) if c == a else (keep_p, keep_c)
+        keys.append(f"{above} {_rooted(c, labels, span[c])};".encode("ascii"))
+        keys.append(f"{_rooted(p, labels, up[c])} {below};".encode("ascii"))
     return keys
 
 
@@ -229,10 +224,9 @@ def tbr_forest_keys(tree):
     if tree.rooted:
         raise ModeError("bisection keys require an unrooted tree")
     labels = tree.labels
-    top, token, par, kids, span, low = o.top, o.token, o.par, o.kids, o.span, o.low
+    top, token, order, par, kids, span, low = o.top, o.token, o.order, o.par, o.kids, o.span, o.low
     keys = []
-    for a, b in tree.edges():
-        c = a if par[a] == b else b
+    for c in order[1:]:
         above = token if par[c] == top else _upper(c, top, token, par, kids, labels, span, low)
         keys.append(f"{above} {_lower(c, kids, labels, span, low)};".encode("ascii"))
     return keys

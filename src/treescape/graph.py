@@ -16,17 +16,14 @@ class AdjacencyGraph:
     """Undirected graph on vertices 0..n-1 with half-open adjacency storage.
 
     Bucket j holds the neighbors of j that are larger than j, in ascending
-    order. Edges are appended during a sweep of vertices in increasing order,
-    so each bucket only ever grows at the tail; a repeated append of the
-    current sweep vertex is a no-op and an out-of-order append is an error.
+    order. Vertices are added in increasing order, each with its edges to
+    earlier vertices, so every bucket only ever grows at the tail.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_sym")
+    __slots__ = ("_adj",)
 
     def __init__(self, n_vertices=0):
         self._adj = [[] for _ in range(n_vertices)]
-        self._edge_count = 0
-        self._sym = None
 
     @property
     def n_vertices(self):
@@ -34,7 +31,7 @@ class AdjacencyGraph:
 
     @property
     def edge_count(self):
-        return self._edge_count
+        return sum(map(len, self._adj))
 
     def add_vertex(self, earlier=()):
         """Append vertex v and an edge to each earlier vertex listed, which
@@ -46,29 +43,8 @@ class AdjacencyGraph:
                 raise GraphInvariantError(f"vertex {v}: earlier ids out of range or repeated")
             for j in earlier:
                 adj[j].append(v)
-            self._edge_count += len(earlier)
         adj.append([])
-        self._sym = None
         return v
-
-    def append_edge(self, i, j):
-        """Record edge {j, i} with j < i, skipping an immediate duplicate."""
-        if i == j:
-            raise GraphInvariantError(f"self loop at vertex {i}")
-        if not 0 <= j < i < len(self._adj):
-            raise GraphInvariantError(f"edge ({i}, {j}) out of range or order")
-        bucket = self._adj[j]
-        if bucket:
-            tail = bucket[-1]
-            if tail == i:
-                return
-            if tail > i:
-                raise GraphInvariantError(
-                    f"appending {i} to vertex {j} after {tail} breaks the sweep order"
-                )
-        bucket.append(i)
-        self._edge_count += 1
-        self._sym = None
 
     def buckets(self):
         """Per vertex j in order, the ascending list of its neighbours above
@@ -77,37 +53,19 @@ class AdjacencyGraph:
 
     def edges(self):
         """All edges as (smaller, larger) pairs in lexicographic order."""
-        out = []
-        for j, bucket in enumerate(self._adj):
-            for i in bucket:
-                out.append((j, i))
-        return out
+        return [(j, i) for j, bucket in enumerate(self._adj) for i in bucket]
 
     def neighbors(self, v):
         """Sorted neighbor list of v (both directions)."""
-        if self._sym is None:
-            sym = [[] for _ in self._adj]
-            for j, bucket in enumerate(self._adj):
-                for i in bucket:
-                    sym[j].append(i)
-                    sym[i].append(j)
-            for lst in sym:
-                lst.sort()
-            self._sym = sym
-        return list(self._sym[v])
+        below = [j for j, bucket in enumerate(self._adj[:v]) if v in bucket]
+        return below + self._adj[v]
 
     def validate(self):
         n = len(self._adj)
-        total = 0
         for j, bucket in enumerate(self._adj):
-            prev = j
-            for i in bucket:
-                if i <= prev or i >= n:
-                    raise GraphInvariantError(f"bucket {j} is not strictly ascending")
-                prev = i
-            total += len(bucket)
-        if total != self._edge_count:
-            raise GraphInvariantError("edge count out of sync")
+            bounded = [j, *bucket, n]
+            if any(a >= b for a, b in zip(bounded, bounded[1:])):
+                raise GraphInvariantError(f"bucket {j} is not strictly ascending")
 
     def __eq__(self, other):
         if not isinstance(other, AdjacencyGraph):
@@ -115,7 +73,7 @@ class AdjacencyGraph:
         return self._adj == other._adj
 
     def __repr__(self):
-        return f"<AdjacencyGraph n={self.n_vertices} edges={self._edge_count}>"
+        return f"<AdjacencyGraph n={self.n_vertices} edges={self.edge_count}>"
 
 
 class VertexLabeling:

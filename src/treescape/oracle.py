@@ -395,11 +395,12 @@ def nni_moves(tree):
 
 
 def reference_forest_keys(tree, move):
-    """Forest keys by cutting each edge out of a copy of the tree and
-    encoding the whole forest, in the order of rspr/uspr/tbr_forest_keys.
+    """Forest keys by cutting each edge (a, b) of tree.edges(), in order,
+    out of a copy of the tree and encoding the whole forest.
 
-    move is "rspr" (cut-off side rooted), "uspr" (either endpoint side
-    rooted, two keys per edge) or "tbr" (both cut endpoints suppressed).
+    move is "rspr" (cut-off side rooted), "uspr" (two keys per edge: a's
+    side rooted at a, then b's at b) or "tbr" (both cut endpoints
+    suppressed).
     """
     if move not in ("rspr", "uspr", "tbr"):
         raise ValueError(f"unknown move {move!r}")
@@ -430,12 +431,10 @@ def pairwise_graph(trees, move):
             index[c] = len(reps)
             reps.append(tree)
             canon.append(c)
-    graph = AdjacencyGraph(len(reps))
+    graph = AdjacencyGraph()
     for i, tree in enumerate(reps):
         nbrs = enumerate_neighbors(tree, move)
-        for j in range(i):
-            if canon[j] in nbrs:
-                graph.append_edge(i, j)
+        graph.add_vertex([j for j in range(i) if canon[j] in nbrs])
     return graph, canon
 
 

@@ -107,50 +107,6 @@ class Tree:
         out.append(";")
         return "".join(out)
 
-    def validate(self):
-        """Check structural invariants; raises ValueError on violation."""
-        labels, adj = self.labels, self.neighbors
-        n = len(labels)
-        if n == 0:
-            raise ValueError("empty tree")
-        for u, nbrs in enumerate(adj):
-            if len(set(nbrs)) != len(nbrs) or u in nbrs:
-                raise ValueError(f"node {u}: bad adjacency {nbrs}")
-            for v in nbrs:
-                if u not in adj[v]:
-                    raise ValueError(f"asymmetric edge ({u}, {v})")
-            deg = len(nbrs)
-            want = (1, 3) if n > 1 else (0,)
-            if deg not in want:
-                raise ValueError(f"node {u} has degree {deg}")
-            if labels[u] is not None and deg > 1:
-                raise ValueError(f"labelled node {u} is not a leaf")
-        seen = set()
-        for lab in labels:
-            if lab is None:
-                continue
-            if lab in seen:
-                raise ValueError(f"duplicate label {lab}")
-            seen.add(lab)
-        markers = [i for i, lab in enumerate(labels) if lab == RHO]
-        if self.rooted:
-            if len(markers) != 1:
-                raise ValueError("rooted tree must have exactly one root marker")
-            if not adj[markers[0]] or labels[adj[markers[0]][0]] is not None:
-                raise ValueError("root marker must attach to an internal node")
-        elif markers:
-            raise ValueError("unrooted tree carries a root marker")
-        # connectivity
-        reach = {0}
-        work = [0]
-        while work:
-            for w in adj[work.pop()]:
-                if w not in reach:
-                    reach.add(w)
-                    work.append(w)
-        if len(reach) != n:
-            raise ValueError("tree is not connected")
-
 
 # ---------------------------------------------------------------------------
 # degree-2 suppression, shared with the surgery in oracle.py

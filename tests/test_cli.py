@@ -224,6 +224,22 @@ class TestTaxa:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {taxa}:1: label ") and err.count("\n") == 1
 
+    # columns count characters of the line as written, not as translated
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("(Homo,Pan,(Gorilla,Pongo)) x;", "unexpected character 'x' (column 28)"),
+            ("(Homo,Pan,(Gorilla,Pongo)", "unexpected end of input (column 26)"),
+            ("(Homo,Pan,(Gorilla,Pong));", "expected '(' or a leaf label, found 'P' (column 20)"),
+        ],
+    )
+    def test_parse_error_column_is_in_the_written_line(self, tmp_path, capsys, line, message):
+        inp = write(tmp_path, "t.nwk", line + "\n")
+        taxa = write(tmp_path, "m.tsv", "Homo\t1\nPan\t2\nGorilla\t3\nPongo\t4\n")
+        assert run("build", inp, "--mode", "spr", "--unrooted", "--taxa", taxa,
+                   "--out", str(tmp_path / "g.tsv")) == 2
+        assert capsys.readouterr().err == f"error: {inp}:1: {message}\n"
+
     def test_untranslated_name_fails_parse(self, tmp_path):
         inp = write(tmp_path, "t.nwk", "(ape,bee,(cat,dog));\n")
         taxa = write(tmp_path, "m.tsv", "ape\t1\nbee\t2\ncat\t3\n")
@@ -347,9 +363,10 @@ class TestVerify:
 
         def missing_one_edge(trees, move):
             g, canon = real(trees, move)
-            broken = AdjacencyGraph(g.n_vertices)
-            for u, v in g.edges()[:-1]:
-                broken.append_edge(v, u)
+            kept = g.edges()[:-1]
+            broken = AdjacencyGraph()
+            for v in range(g.n_vertices):
+                broken.add_vertex([u for u, w in kept if w == v])
             return broken, canon
 
         monkeypatch.setattr(oracle, "pairwise_graph", missing_one_edge)
@@ -383,6 +400,12 @@ class TestBench:
         assert run("bench", "--mode", "nni", "--unrooted", "--m", "4", "--sizes", "8") == 0
         out = capsys.readouterr().out
         assert "exponent=" not in out
+
+    def test_tbr_rooted_conflict(self, capsys):
+        assert run("bench", "--mode", "tbr", "--rooted", "--m", "3", "--sizes", "8") == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tbr graphs are only defined for unrooted trees\n"
 
     def test_bad_sizes(self):
         assert run("bench", "--mode", "spr", "--rooted", "--sizes", "8,x") == 2

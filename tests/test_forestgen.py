@@ -129,8 +129,37 @@ def shaped_tree(shape, n, rooted, rng, sparse):
     return parse_newick(text + ";", rooted=rooted)
 
 
+def check_keys_per_edge(move, keys, t):
+    """Pair each key with the edge it cuts and compare it with the reference
+    key for that edge: key k cuts the parent edge of Oriented(t).order[k + 1]
+    (for uSPR keys 2k and 2k + 1, keeping the child side rooted and then the
+    parent side)."""
+    o = Oriented(t)
+    got = keys(t)
+    assert keys(o) == got
+    ref = reference_forest_keys(t, move)
+    want = {}
+    for e, (a, b) in enumerate(t.edges()):
+        if move == "uspr":
+            want[(a, b), a], want[(a, b), b] = ref[2 * e], ref[2 * e + 1]
+        else:
+            want[(a, b), None] = ref[e]
+    per = 2 if move == "uspr" else 1
+    assert len(got) == len(want)
+    cut = set()
+    for k, key in enumerate(got):
+        c = o.order[k // per + 1]
+        p = o.par[c]
+        edge = (min(c, p), max(c, p))
+        kept = (c if k % 2 == 0 else p) if move == "uspr" else None
+        assert key == want[edge, kept], (t.to_newick(), edge, kept)
+        cut.add(edge)
+    assert cut == set(t.edges())
+
+
 class TestSplicedKeysMatchReference:
-    """Every key, in order, equals the cut-and-re-encode construction."""
+    """Every key equals the cut-and-re-encode construction for the edge it
+    cuts."""
 
     @pytest.mark.parametrize("move, keys, rooted", MOVES)
     def test_small_trees(self, move, keys, rooted):
@@ -138,16 +167,14 @@ class TestSplicedKeysMatchReference:
         for n in range(2, 13):
             for shape in ("random", "random", "random", "caterpillar", "balanced"):
                 for sparse in (False, True):
-                    t = shaped_tree(shape, n, rooted, rng, sparse)
-                    assert keys(t) == reference_forest_keys(t, move), t.to_newick()
+                    check_keys_per_edge(move, keys, shaped_tree(shape, n, rooted, rng, sparse))
 
     @pytest.mark.parametrize("n", [64, 128, 256])
     @pytest.mark.parametrize("shape", ["random", "caterpillar", "balanced"])
     @pytest.mark.parametrize("move, keys, rooted", MOVES)
     def test_large_trees(self, move, keys, rooted, shape, n):
         rng = random.Random(n)
-        t = shaped_tree(shape, n, rooted, rng, sparse=shape != "random")
-        assert keys(t) == reference_forest_keys(t, move)
+        check_keys_per_edge(move, keys, shaped_tree(shape, n, rooted, rng, sparse=shape != "random"))
 
     def test_single_leaf_tree_has_no_keys(self):
         t = decode_tree(b"7;")

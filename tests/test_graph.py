@@ -22,85 +22,78 @@ from treescape.oracle import (
 from treescape.tree import parse_newick
 
 
-class TestAppendEdge:
-    def test_repeat_append_is_noop(self):
-        g = AdjacencyGraph(5)
-        g.append_edge(3, 1)
-        g.append_edge(3, 1)
+class TestAdjacencyGraph:
+    def test_edge_to_one_earlier_vertex(self):
+        g = AdjacencyGraph(3)
+        assert g.add_vertex([1]) == 3
         assert g.neighbors(1) == [3]
         assert g.edge_count == 1
 
     def test_sorted_without_sorting(self):
-        g = AdjacencyGraph(6)
-        for i in (1, 2, 5):
-            g.append_edge(i, 0)
+        g = AdjacencyGraph(1)
+        for i in range(1, 6):
+            g.add_vertex([0] if i in (1, 2, 5) else [])
         assert g.neighbors(0) == [1, 2, 5]
         assert g.edges() == [(0, 1), (0, 2), (0, 5)]
 
-    def test_out_of_order_append_is_an_error(self):
-        g = AdjacencyGraph(6)
-        g.append_edge(5, 0)
+    def test_later_vertex_is_an_error(self):
+        g = AdjacencyGraph(5)
+        g.add_vertex([0])
         with pytest.raises(GraphInvariantError):
-            g.append_edge(2, 0)
+            g.add_vertex([7])
 
     def test_self_loop_rejected(self):
-        g = AdjacencyGraph(3)
+        g = AdjacencyGraph(1)
         with pytest.raises(GraphInvariantError):
-            g.append_edge(1, 1)
+            g.add_vertex([1])
 
-    def test_range_and_order_enforced(self):
+    def test_range_enforced(self):
         g = AdjacencyGraph(3)
         with pytest.raises(GraphInvariantError):
-            g.append_edge(1, 2)  # j must be the smaller endpoint
+            g.add_vertex([-1])
         with pytest.raises(GraphInvariantError):
-            g.append_edge(3, 0)  # out of range
+            g.add_vertex([4])  # out of range
 
     def test_neighbors_symmetric_and_validate(self):
-        g = AdjacencyGraph(4)
-        g.append_edge(1, 0)
-        g.append_edge(2, 0)
-        g.append_edge(3, 2)
+        g = AdjacencyGraph(1)
+        g.add_vertex([0])
+        g.add_vertex([0])
+        g.add_vertex([2])
         for u in range(4):
             for v in g.neighbors(u):
                 assert u in g.neighbors(v)
         g.validate()
 
+    @pytest.mark.parametrize("bucket", [[2, 1], [0], [3], [1, 1]])
+    def test_validate_rejects_a_broken_bucket(self, bucket):
+        g = AdjacencyGraph(3)
+        g._adj[0] = bucket
+        with pytest.raises(GraphInvariantError):
+            g.validate()
+
     def test_add_vertex(self):
         g = AdjacencyGraph()
-        assert g.add_vertex() == 0 and g.add_vertex() == 1
-        g.append_edge(1, 0)
+        assert g.add_vertex() == 0 and g.add_vertex([0]) == 1
         assert g.n_vertices == 2 and g.neighbors(0) == [1]
 
     def test_equality(self):
-        a, b = AdjacencyGraph(3), AdjacencyGraph(3)
-        a.append_edge(1, 0)
+        a, b, c = AdjacencyGraph(1), AdjacencyGraph(1), AdjacencyGraph(1)
+        a.add_vertex([0])
+        b.add_vertex()
         assert a != b
-        b.append_edge(1, 0)
-        assert a == b
+        c.add_vertex([0])
+        assert a == c
         assert a != AdjacencyGraph(4)
 
 
 class TestAddVertex:
     @pytest.mark.parametrize("earlier", [[-1], [0, 3], [3], [1, 0, 1]])
     def test_bad_earlier_ids_rejected(self, earlier):
-        g = AdjacencyGraph(3)
-        g.append_edge(2, 0)
+        g = AdjacencyGraph(2)
+        g.add_vertex([0])
         with pytest.raises(GraphInvariantError):
             g.add_vertex(earlier)
         assert g.n_vertices == 3 and g.edges() == [(0, 2)] and g.edge_count == 1
-
-    def test_matches_append_edge(self):
-        rng = random.Random(5)
-        bulk, single = AdjacencyGraph(), AdjacencyGraph()
-        for v in range(60):
-            earlier = rng.sample(range(v), rng.randint(0, min(v, 8)))
-            assert bulk.add_vertex(earlier) == v
-            single.add_vertex()
-            for j in sorted(earlier):
-                single.append_edge(v, j)
-        assert bulk == single and bulk.edge_count == single.edge_count
-        assert bulk.neighbors(7) == single.neighbors(7)
-        bulk.validate()
 
 
 class TestConstruction:
@@ -237,11 +230,9 @@ def two_pass_graph(trees, mode):
         if container.insert(tree) == len(reps):
             reps.append(tree)
     query = container.tbr_neighbors if mode is Mode.TBR else container.spr_neighbors
-    graph = AdjacencyGraph(len(reps))
+    graph = AdjacencyGraph()
     for i, tree in enumerate(reps):
-        for j in query(tree):
-            if j < i:
-                graph.append_edge(i, j)
+        graph.add_vertex(sorted({j for j in query(tree) if j < i}))
     return graph, [container.sdlnewick_of(v) for v in range(len(reps))]
 
 
@@ -277,12 +268,10 @@ def test_nni_count_rule_matches_nni_moves():
             walk.append(tree)
         graph, labeling = construct_nni_graph(walk)
         index = {c: v for v, c in enumerate(labeling.canonical)}
-        want = AdjacencyGraph(len(index))
+        want = AdjacencyGraph()
         for i, k in enumerate(labeling.first_input):
             found = {index.get(sdlnewick_tree(t)) for t in nni_moves(walk[k])}
-            for j in sorted(found - {None}):
-                if j < i:
-                    want.append_edge(i, j)
+            want.add_vertex(sorted(j for j in found - {None} if j < i))
         assert graph == want
         assert graph.edge_count >= graph.n_vertices - 1
         assert construct_spr_graph(walk)[0].edge_count > graph.edge_count

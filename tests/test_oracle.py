@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from treescape.canonical import sdlnewick_tree
+from treescape.canonical import sdlnewick_tree, validate_tree
 from treescape.errors import ModeError
 from treescape.oracle import (
     MOVES,
@@ -40,7 +40,7 @@ class TestEnumerateAllTrees:
 
     def test_trees_are_valid(self):
         for t in enumerate_all_trees(5, rooted=True):
-            t.validate()
+            validate_tree(t)
             assert t.leaf_labels() == {1, 2, 3, 4, 5}
 
     def test_too_small(self):
@@ -62,7 +62,7 @@ class TestRandomTree:
             rooted = rng.random() < 0.5
             n = rng.randint(4, 20)
             t = random_tree(n, rooted=rooted, rng=rng)
-            t.validate()
+            validate_tree(t)
             assert t.leaf_labels() == set(range(1, n + 1))
             assert t.rooted == rooted
 
@@ -168,7 +168,7 @@ class TestNniMoves:
     def test_results_validate(self):
         for t in (ROOTED5, UNROOTED5):
             for m in nni_moves(t):
-                m.validate()
+                validate_tree(m)
                 assert m.leaf_labels() == t.leaf_labels()
 
     def test_tiny_trees_have_no_moves(self):

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from treescape.errors import MoveError, NewickError
-from treescape.canonical import RootMarker, sdlnewick_forest, sdlnewick_tree
+from treescape.canonical import RootMarker, sdlnewick_forest, sdlnewick_tree, validate_tree
 from treescape.oracle import apply_spr, apply_tbr, parents, random_tree, yield_forest
 from treescape.tree import RHO, Tree, parse_newick
 
@@ -143,15 +143,15 @@ class TestTree:
 
     def test_validate_rejects_broken_structures(self):
         with pytest.raises(ValueError):
-            Tree([1, 2], [[1], []], False).validate()  # asymmetric adjacency
+            validate_tree(Tree([1, 2], [[1], []], False))  # asymmetric adjacency
         with pytest.raises(ValueError):
-            Tree([1, 2, None], [[2], [2], [0, 1]], False).validate()  # degree-2 internal
+            validate_tree(Tree([1, 2, None], [[2], [2], [0, 1]], False))  # degree-2 internal
         with pytest.raises(ValueError):
-            Tree([1, 1], [[1], [0]], False).validate()  # duplicate labels
+            validate_tree(Tree([1, 1], [[1], [0]], False))  # duplicate labels
         with pytest.raises(ValueError):
-            Tree([1, 2], [[1], [0]], True).validate()  # rooted without rho
+            validate_tree(Tree([1, 2], [[1], [0]], True))  # rooted without rho
         ok = parse_newick("(1,2,(3,4));", rooted=False)
-        ok.validate()
+        validate_tree(ok)
 
 
 class TestYieldForest:
@@ -251,7 +251,7 @@ class TestApplySpr:
         four, one = leaf_node(t, 4), leaf_node(t, 1)
         res = apply_spr(t, (four, t.neighbors[four][0]), (one, t.neighbors[one][0]))
         assert sdlnewick_tree(res) == b"(1,(2,3),4);"
-        res.validate()
+        validate_tree(res)
 
     def test_identity_move(self):
         t = parse_newick("(1,2,(3,4));", rooted=False)
@@ -301,7 +301,7 @@ class TestApplySpr:
                 res = apply_spr(t, prune, regraft)
             except MoveError:
                 continue
-            res.validate()
+            validate_tree(res)
             assert res.leaf_labels() == t.leaf_labels()
             assert res.rooted == t.rooted
 
@@ -318,7 +318,7 @@ class TestApplyTbr:
         bisect = (one, t.neighbors[one][0])
         other = child_edge_unrooted(t, {3})
         res = apply_tbr(t, bisect, None, other)
-        res.validate()
+        validate_tree(res)
         assert res.leaf_labels() == {1, 2, 3, 4}
         with pytest.raises(MoveError):
             apply_tbr(t, bisect, other, other)  # edge given for the single-node side
@@ -341,7 +341,7 @@ class TestApplyTbr:
         u, v = child_edge_unrooted(t, {1, 2})
         # reconnecting at the old attachment points reproduces the tree
         res = apply_tbr(t, (u, v), (leaf_node(t, 1), u), child_edge_unrooted(t, {4, 5}))
-        res.validate()
+        validate_tree(res)
         assert sdlnewick_tree(res) == sdlnewick_tree(t)
 
 
