@@ -1,0 +1,70 @@
+"""The paper's characterisation, checked on balls around random trees.
+
+Two trees share a forest key exactly when they are one move apart, and
+interchange neighbours share at least two (arXiv:1606.08893). The vertex
+set is a random tree T, every tree one move from T by the exhaustive
+oracle, and a few trees two moves from T; the graph built through the key
+index must give T, and a few sampled neighbours of T, exactly their oracle
+neighbourhood within that set. The pairwise oracle of the other tests stops
+at n = 8; these balls reach n = 24.
+"""
+
+import random
+
+import pytest
+
+from treescape.canonical import decode_tree, sdlnewick_tree
+from treescape.graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
+from treescape.oracle import enumerate_neighbors, random_tree
+
+BUILDERS = {
+    "rspr": (construct_spr_graph, True),
+    "uspr": (construct_spr_graph, False),
+    "nni": (construct_nni_graph, False),
+    "tbr": (construct_tbr_graph, False),
+}
+
+# closed-form degrees on unrooted trees (Allen & Steel 2001)
+DEGREE = {
+    "uspr": lambda n: 2 * (n - 3) * (2 * n - 7),
+    "nni": lambda n: 2 * (n - 3),
+}
+
+
+def graph_neighbourhoods(move, trees):
+    """Build the graph of move over trees; returns {canonical: set of
+    canonical neighbours}."""
+    graph, labeling = BUILDERS[move][0](trees)
+    canon = labeling.canonical
+    return {canon[v]: {canon[u] for u in graph.neighbors(v)} for v in range(graph.n_vertices)}
+
+
+@pytest.mark.parametrize(
+    "move, n",
+    [("rspr", 16), ("uspr", 16), ("nni", 16), ("tbr", 16), ("uspr", 24)],
+)
+def test_ball_neighbourhoods_match_oracle(move, n):
+    rng = random.Random(f"{move}-{n}")
+    rooted = BUILDERS[move][1]
+    t = random_tree(n, rooted=rooted, rng=rng)
+    home = sdlnewick_tree(t)
+    near = enumerate_neighbors(t, move)
+    if move in DEGREE:
+        assert len(near) == DEGREE[move](n)
+
+    sampled = rng.sample(sorted(near), 3)
+    ring = {}  # sampled neighbour -> its oracle neighbourhood
+    far = set()
+    for s in sampled:
+        ring[s] = enumerate_neighbors(decode_tree(s), move)
+        outside = sorted(ring[s] - near - {home})
+        far.update(rng.sample(outside, 2))
+    assert far and not far & near and home not in far
+
+    vertices = [home, *near, *far]
+    rng.shuffle(vertices)
+    got = graph_neighbourhoods(move, [decode_tree(c) for c in vertices])
+    assert len(got) == len(vertices)
+    assert got[home] == near
+    for s, around in ring.items():
+        assert got[s] == around & set(vertices)
