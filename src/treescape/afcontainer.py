@@ -11,9 +11,10 @@ Both indexes are plain dicts over byte-string keys. Hashing a key costs
 time linear in its length, so the per-tree work for an n-leaf tree stays at
 O(n^2) inserted bytes and O(n^2) query work.
 
-A tree is oriented once per insert (forestgen.Oriented): its canonical
-string comes from that table first, and only a tree the id index does not
-hold yet has its forest keys spliced from the same table.
+A tree is oriented once (forestgen.Oriented): its canonical string comes
+from that table first, and only a tree the id index does not hold yet has
+its forest keys spliced from the same table. A tree that arrives already
+Oriented, as snapshot trees do, is not oriented again.
 
 The id lists a new tree's keys land on hold exactly the earlier trees one
 move away from it, so inserting a tree also finds its earlier neighbours,
@@ -23,7 +24,7 @@ also one interchange apart share at least two keys; all others share one.
 A snapshot stores one canonical tree string per line. It is read back
 with the input parser, tree.parse_newick, and each line must equal the
 Oriented re-encoding of its tree, so loading needs no second parser or
-encoder.
+encoder, and the decoded trees are those Oriented tables.
 """
 
 import contextlib
@@ -32,7 +33,7 @@ import os
 from collections import Counter
 
 from .errors import ModeError, NewickError, SnapshotError
-from .forestgen import Oriented, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
+from .forestgen import Oriented, orient, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
 from .tree import parse_newick
 
 
@@ -108,9 +109,9 @@ def read_snapshot(path):
 
 
 def decode_snapshot(mode, lines):
-    """Decode the lines read_snapshot returned into trees, checking that
-    each fits the snapshot's mode, is canonical and repeats no earlier line.
-    Errors name the snapshot line.
+    """Decode the lines read_snapshot returned into Oriented trees,
+    checking that each fits the snapshot's mode, is canonical and repeats
+    no earlier line. Errors name the snapshot line.
 
     A line is read with the input parser, after dropping the ``r,`` that
     opens a rooted line, and must equal its tree's canonical string byte
@@ -125,10 +126,10 @@ def decode_snapshot(mode, lines):
             kind = "rooted" if rooted else "unrooted"
             raise SnapshotError(f"snapshot line {lineno}: {kind} tree in a {mode.value} snapshot")
         try:
-            tree = parse_newick(b"(" + text[3:] if rooted else text, rooted=rooted)
+            tree = Oriented(parse_newick(b"(" + text[3:] if rooted else text, rooted=rooted))
         except NewickError:
             tree = None
-        if tree is None or Oriented(tree).canonical() != text:
+        if tree is None or tree.canonical() != text:
             raise SnapshotError(f"snapshot line {lineno}: not a canonical {mode.value} tree")
         if text in seen:
             raise SnapshotError(f"duplicate tree at snapshot line {lineno}")
@@ -175,9 +176,10 @@ class AFContainer:
         shared maps every earlier id that has forest keys in common with
         the new tree, which is every earlier tree one move away, to how
         many it has. A duplicate returns its existing id and an empty count.
+        tree may also be given already Oriented.
         """
         self._check_rootedness(tree)
-        oriented = Oriented(tree)
+        oriented = orient(tree)
         text = oriented.canonical()
         existing = self._id_trie.get(text)
         if existing is not None:
@@ -202,7 +204,7 @@ class AFContainer:
 
     def id(self, tree):
         """Id of an inserted tree, or None."""
-        return self._id_trie.get(Oriented(tree).canonical())
+        return self._id_trie.get(orient(tree).canonical())
 
     def sdlnewick_of(self, tree_id):
         """Canonical string of the tree with this id; b"" if out of range."""
@@ -212,7 +214,7 @@ class AFContainer:
 
     def _matches(self, tree):
         self._check_rootedness(tree)
-        oriented = Oriented(tree)
+        oriented = orient(tree)
         own = self._id_trie.get(oriented.canonical())
         get = self._forest_trie.get
         out = []

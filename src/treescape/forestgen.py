@@ -8,225 +8,295 @@ only in which side of the cut keeps its root.
 
 Keys are spliced, not re-encoded. Each tree is oriented once from a top
 leaf (the root marker of a rooted tree, the smallest leaf of an unrooted
-one) into an Oriented table of per-node canonical spans and smallest
-labels. The tree's own canonical string is the top leaf joined to the span
-of its neighbour, and every key is assembled from slices of the same table:
+one) into an Oriented table: the tree's canonical text, rendered once, with
+the position of every node's span in it, plus label-ordered children and
+smallest labels. Every key is assembled from slices of that text:
 
 * the side below a cut edge, kept rooted, is its span plus ``p``;
 * the side below a cut edge, unrooted, is rendered from its own smallest
   leaf, which is reached by following first children down;
-* the side above a cut edge, which holds the top leaf and is the first
-  component of every key, loses the cut subtree and suppresses the cut
-  parent, so child order changes only on the path from that parent up to
-  the top and is rebuilt there from the cached spans of the subtrees that
-  hang off the path;
+* the side above a cut edge holds the top leaf and is the first component
+  of every key. It is the tree text with one span replaced. The cut parent
+  is suppressed, so its span becomes its other child's, and child order
+  can change only at the ancestors whose smallest leaf lies under the cut:
+  those reached from the cut parent through first children. Of these,
+  only the ones whose second child now holds a smaller label than the
+  rebuilt piece swap their children. A jump table links each ancestor to
+  the next that would, so only the swapping ancestors are rebuilt, each
+  wrapping the piece in its second child and the unchanged text between,
+  and the piece is sliced into the text in place of the last one's span;
 * the side above, kept rooted at the cut parent, is that node's span seen
-  from the cut child, computed for all nodes in one top-down pass.
+  from the cut child, computed top-down from the parent's.
 
-Each generator cuts the parent edge of every node below the top leaf, in
-the table's top-down order: key k cuts that of order[k + 1] (for uSPR,
-keys 2k and 2k + 1, the child side rooted and then the parent side);
-neither the index nor the graph depends on the order. Each key costs
-Python work proportional to the depth of its cut, plus copying its O(n)
-bytes. The cut-and-encode construction these keys are tested against byte
-for byte is ``oracle.reference_forest_keys``, and the tree string is
-tested against ``canonical.sdlnewick_tree``. An AFContainer orients a
-tree, looks its string up and passes the same table to the key generators
-only when the tree is new.
+A prune-regraft key is shared by exactly the trees that regraft its rooted
+component onto an edge of the other component, its host. A host with
+k >= 2 leaves has 2k - 3 edges and a lone leaf one place to attach, so a
+key whose host has at most two leaves belongs to its own tree alone and
+can never give an edge. The prune-regraft generators skip those cuts: in
+rSPR and in uSPR with the child side rooted, the cut of the top leaf's
+neighbour (the host is the top leaf alone) and the cuts of that
+neighbour's children whose sibling is a leaf; in uSPR with the parent side
+rooted, the cuts of leaves and cherries. A bisection key is shared by (2a - 3)(2b - 3) trees
+for sides of a and b leaves, which is one only for n <= 4, so the
+bisection generator skips nothing.
+
+Each generator walks the parent edge of every node below the top leaf, in
+the table's top-down order, and emits the keys of each cut that is not
+skipped (for uSPR the child side rooted, then the parent side); neither
+the index nor the graph depends on the order. A key costs Python steps
+for each swapping ancestor (and, for an unrooted lower side, for each node
+on the path down to its smallest leaf) plus copying its O(n) bytes. The
+cut-and-encode construction these keys are tested against byte for byte
+is ``oracle.reference_forest_keys``, and the tree string is tested against
+``canonical.sdlnewick_tree``. An AFContainer orients a tree, looks its
+string up and passes the same table to the key generators only when the
+tree is new.
 """
 
 from .errors import ModeError
+from .tree import Tree
 
 
-def _orient(tree, top):
-    """Orient the tree from leaf top; returns (order, par, kids, span, low).
-
-    order lists nodes top-down; kids[x] holds x's two children ordered by
-    smallest leaf label, span[x] is the canonical text of x's subtree and
-    low[x] its smallest leaf label.
-    """
-    labels, adj = tree.labels, tree.neighbors
-    n = len(labels)
-    par = [-1] * n
-    order = [top]
-    for x in order:
-        for w in adj[x]:
-            if w != par[x]:
-                par[w] = x
-                order.append(w)
-    kids = [None] * n
-    span = [""] * n
-    low = [0] * n
-    for x in reversed(order):
-        lab = labels[x]
-        if lab is not None:
-            span[x] = str(lab)
-            low[x] = lab
-            continue
-        a, b = [w for w in adj[x] if w != par[x]]
-        if low[b] < low[a]:
-            a, b = b, a
-        kids[x] = (a, b)
-        span[x] = f"({span[a]},{span[b]})"
-        low[x] = low[a]
-    return order, par, kids, span, low
-
-
-def _unrooted_top(tree):
-    """Index of the smallest leaf of an unrooted tree."""
-    labels = tree.labels
-    return min((i for i, lab in enumerate(labels) if lab is not None), key=labels.__getitem__)
-
-
-class Oriented:
+class Oriented(Tree):
     """A tree oriented once from its top leaf (the root marker of a rooted
-    tree, the smallest leaf of an unrooted one), as _orient tabulates it;
-    token renders the top leaf."""
+    tree, the smallest leaf of an unrooted one); it shares the labels and
+    adjacency of the tree it was made from.
 
-    __slots__ = ("tree", "top", "token", "order", "par", "kids", "span", "low")
+    order lists nodes top-down from top, with each internal node's two
+    children side by side: order[k] and order[k + 1] are siblings for
+    every even k >= 2. par[x] is x's parent, kids[x] holds an internal
+    node's children ordered by smallest leaf label and low[x] is the
+    smallest label under x. text is the canonical tree string without its
+    ``;``; token renders the top leaf. Every node x below the top's
+    neighbour has its span, the canonical text of its subtree, at
+    text[start[x]:stop[x]]. For an internal node x, jump[x] is the nearest
+    ancestor reached through first children only whose second child's
+    smallest label is below that of x's second child, or -1.
+    """
+
+    __slots__ = ("top", "token", "order", "par", "kids", "low", "text", "start", "stop", "jump")
 
     def __init__(self, tree):
+        labels, adj = tree.labels, tree.neighbors
+        super().__init__(labels, adj, tree.rooted)
         if tree.rooted:
-            self.top, self.token = tree.rho_index(), "r"
+            top, token = tree.rho_index(), "r"
         else:
-            self.top = _unrooted_top(tree)
-            self.token = str(tree.labels[self.top])
-        self.tree = tree
-        self.order, self.par, self.kids, self.span, self.low = _orient(tree, self.top)
+            top = labels.index(min(filter(None, labels)))
+            token = str(labels[top])
+        n = len(labels)
+        par = [-1] * n
+        order = [top]
+        if n > 1:
+            par[adj[top][0]] = top
+            order.append(adj[top][0])
+        for x in order:
+            if labels[x] is None:
+                a, b, d = adj[x]
+                p = par[x]
+                if a == p:
+                    a = d
+                elif b == p:
+                    b = d
+                par[a] = par[b] = x
+                order += a, b
+        # spans and smallest labels bottom-up, one sibling pair at a time;
+        # the internal nodes' entries are placeholders until then
+        kids = [None] * n
+        span = list(map(str, labels))
+        low = labels[:]
+        for k in range(n - 2, 1, -2):
+            a = order[k]
+            b = order[k + 1]
+            if low[b] < low[a]:
+                a, b = b, a
+            x = par[a]
+            kids[x] = a, b
+            span[x] = f"({span[a]},{span[b]})"
+            low[x] = low[a]
+        start = [0] * n
+        stop = [0] * n
+        jump = [-1] * n
+        if n == 1:
+            text = "(r)" if tree.rooted else token
+        else:
+            # the top's neighbour opens the text, its "(" replaced by "(token,"
+            core = order[1]
+            first = len(token) + 1
+            if kids[core] is None:
+                text = f"({token},{span[core]})"
+                first += 1
+            else:
+                text = f"({token},{span[core][1:]}"
+            start[core] = first
+            stop[core] = first + len(span[core])
+            for k in range(2, n, 2):
+                x = par[order[k]]
+                a, b = kids[x]
+                start[a] = at = start[x] + 1
+                stop[a] = at = at + len(span[a])
+                start[b] = at = at + 1
+                stop[b] = at + len(span[b])
+                if kids[a]:
+                    # a shares x's smallest leaf: follow jumps from x to
+                    # the first second child with a smaller label than a's
+                    lo = low[kids[a][1]]
+                    while x >= 0 and low[kids[x][1]] > lo:
+                        x = jump[x]
+                    jump[a] = x
+        self.top, self.token, self.order, self.par, self.kids = top, token, order, par, kids
+        self.low, self.text, self.start, self.stop, self.jump = low, text, start, stop, jump
 
     def canonical(self):
         """The tree's canonical byte string, as canonical.sdlnewick_tree
-        gives it: the top leaf's neighbour seen from the top leaf."""
-        if len(self.order) == 1:
-            text = "(r)" if self.tree.rooted else self.token
-        else:
-            text = _splice(self.token, self.order[1], (), self.tree.labels, self.span, self.low)
-        return f"{text};".encode("ascii")
+        gives it."""
+        return f"{self.text};".encode("ascii")
 
 
-def _oriented(tree):
-    return tree if type(tree) is Oriented else Oriented(tree)
+def orient(tree):
+    """tree as an Oriented table, oriented now only if it is not one yet."""
+    return tree if isinstance(tree, Oriented) else Oriented(tree)
 
 
-def _splice(token, core, hangs, labels, span, low):
-    """Render a component as seen from token: the root marker ``r``, or the
-    component's smallest leaf label.
-
-    The component is a path from token to the subtree core, with the
-    subtrees in hangs attached along it, listed from the core outwards.
-    """
-    if not hangs:
-        if labels[core] is not None:
-            return f"({token},{span[core]})"
-        return f"({token},{span[core][1:]}"
-    body = span[core]
-    m = low[core]
-    head = []
-    tail = []
-    for o in hangs[:-1]:
-        if low[o] < m:
-            head.append(f"({span[o]},")
-            tail.append(")")
-            m = low[o]
-        else:
-            head.append("(")
-            tail.append(f",{span[o]})")
-    head.reverse()
-    body = "".join(head) + body + "".join(tail)
-    o = hangs[-1]
-    if low[o] < m:
-        return f"({token},{span[o]},{body})"
-    return f"({token},{body},{span[o]})"
+def _upper(c, s, top, token, par, kids, low, jump, text, start, stop):
+    """The side above the edge from c to its parent, c's subtree removed
+    and the parent suppressed, rendered from the top leaf. s is c's
+    sibling; c's parent is not the top."""
+    u = par[c]
+    piece = text[start[s] : stop[s]]
+    if low[c] < low[s] and jump[u] >= 0:
+        # c held u's smallest leaf, and the ancestors that now swap their
+        # children are the jumps from u. Each swap x wraps the piece in its
+        # second child o and in the unchanged text of the levels from its
+        # first child w down to the previous swap u.
+        head = []
+        tail = []
+        x = jump[u]
+        while x >= 0:
+            w, o = kids[x]
+            head.append(f"({text[start[o] : stop[o]]},{text[start[w] : start[u]]}")
+            tail.append(f"{text[stop[u] : stop[w]]})")
+            u = x
+            x = jump[x]
+        head.reverse()
+        piece = f"{''.join(head)}{piece}{''.join(tail)}"
+    if par[u] == top:
+        if piece[0] == "(":
+            return f"({token},{piece[1:]}"
+        return f"({token},{piece})"
+    return f"{text[: start[u]]}{piece}{text[stop[u] :]}"
 
 
-def _upper(c, top, token, par, kids, labels, span, low):
-    """The side above c's parent edge: c's subtree removed, its parent
-    suppressed, rendered from the top leaf. c's parent is not the top."""
-    b = par[c]
-    k0, k1 = kids[b]
-    core = k1 if k0 == c else k0
-    hangs = []
-    y = b
-    x = par[b]
-    while x != top:
-        k0, k1 = kids[x]
-        hangs.append(k1 if k0 == y else k0)
-        y = x
-        x = par[x]
-    return _splice(token, core, hangs, labels, span, low)
-
-
-def _lower(c, kids, labels, span, low):
+def _lower(c, labels, kids, low, text, start, stop):
     """c's subtree as an unrooted component with c suppressed, rendered
     from its smallest leaf."""
     if labels[c] is not None:
-        return span[c]
+        return text[start[c] : stop[c]]
+    # the path from c's smallest leaf y up to c, with a subtree hanging off
+    # each node on it; c is suppressed, so its second child ends the path
     y, core = kids[c]
     hangs = []
     while labels[y] is None:
-        y, o = kids[y]
-        hangs.append(o)
-    return _splice(str(labels[y]), core, hangs, labels, span, low)
-
-
-def _rooted(node, labels, span):
-    """A component kept rooted at node, whose subtree text is span."""
-    return f"{span}p" if labels[node] is None else f"({span})p"
+        y, other = kids[y]
+        hangs.append(other)
+    token = str(labels[y])
+    body = text[start[core] : stop[core]]
+    if not hangs:
+        if labels[core] is not None:
+            return f"({token},{body})"
+        return f"({token},{body[1:]}"
+    m = low[core]
+    head = []
+    tail = []
+    for other in hangs[:-1]:
+        if low[other] < m:
+            head.append(f"({text[start[other] : stop[other]]},")
+            tail.append(")")
+            m = low[other]
+        else:
+            head.append("(")
+            tail.append(f",{text[start[other] : stop[other]]})")
+    head.reverse()
+    body = f"{''.join(head)}{body}{''.join(tail)}"
+    last = hangs[-1]
+    if low[last] < m:
+        return f"({token},{text[start[last] : stop[last]]},{body})"
+    return f"({token},{body},{text[start[last] : stop[last]]})"
 
 
 def rspr_forest_keys(tree):
-    """One key per edge of a rooted tree: cut it, root the cut-off side.
-    tree may also be given already Oriented."""
-    o = _oriented(tree)
-    tree = o.tree
-    if not tree.rooted:
+    """One key per edge of a rooted tree whose host keeps three or more
+    leaves: cut it, root the cut-off side. tree may also be given already
+    Oriented."""
+    o = orient(tree)
+    if not o.rooted:
         raise ModeError("rooted-move keys require a rooted tree")
-    labels = tree.labels
-    top, order, par, kids, span, low = o.top, o.order, o.par, o.kids, o.span, o.low
+    top, order, par, kids, low = o.top, o.order, o.par, o.kids, o.low
+    text, start, stop, jump = o.text, o.start, o.stop, o.jump
     keys = []
-    for c in order[1:]:
-        rest = "(r)" if par[c] == top else _upper(c, top, "r", par, kids, labels, span, low)
-        keys.append(f"{rest} {_rooted(c, labels, span[c])};".encode("ascii"))
+    for k in range(2, len(order)):
+        c = order[k]
+        s = order[k ^ 1]
+        if kids[s] or par[par[c]] != top:
+            span = text[start[c] : stop[c]]
+            rooted = f"{span}p" if kids[c] else f"({span})p"
+            rest = _upper(c, s, top, "r", par, kids, low, jump, text, start, stop)
+            keys.append(f"{rest} {rooted};".encode("ascii"))
     return keys
 
 
 def uspr_forest_keys(tree):
-    """Two keys per edge of an unrooted tree: either endpoint side rooted.
-    tree may also be given already Oriented."""
-    o = _oriented(tree)
-    tree = o.tree
-    if tree.rooted:
+    """Up to two keys per edge of an unrooted tree, either endpoint side
+    rooted, skipping those whose host has at most two leaves. tree may also
+    be given already Oriented."""
+    o = orient(tree)
+    if o.rooted:
         raise ModeError("unrooted-move keys require an unrooted tree")
-    labels = tree.labels
-    top, token, order, par, kids, span, low = o.top, o.token, o.order, o.par, o.kids, o.span, o.low
-    # up[x]: the side above x's parent edge, rooted at x's parent; the top
-    # leaf alone for the top's neighbour
-    up = [token] * len(labels)
-    for x in order[2:]:
-        p = par[x]
-        k0, k1 = kids[p]
-        up[x] = f"({up[p]},{span[k1 if k0 == x else k0]})"
+    top, token, order, par, kids, low = o.top, o.token, o.order, o.par, o.kids, o.low
+    labels, text, start, stop, jump = o.labels, o.text, o.start, o.stop, o.jump
+    # up[x]: the side above x's parent edge, rooted at x's parent, for the
+    # internal nodes x that are not cherries; the top leaf alone at the
+    # top's neighbour, whose own cut is the only one with the top as parent
+    up = [token] * len(order)
     keys = []
-    for c in order[1:]:
+    if len(order) > 1:
+        c = order[1]
+        ck = kids[c]
+        if ck and (kids[ck[0]] or kids[ck[1]]):
+            below = _lower(c, labels, kids, low, text, start, stop)
+            keys.append(f"({token})p {below};".encode("ascii"))
+    for k in range(2, len(order)):
+        c = order[k]
+        s = order[k ^ 1]
         p = par[c]
-        above = token if p == top else _upper(c, top, token, par, kids, labels, span, low)
-        below = _lower(c, kids, labels, span, low)
-        keys.append(f"{above} {_rooted(c, labels, span[c])};".encode("ascii"))
-        keys.append(f"{_rooted(p, labels, up[c])} {below};".encode("ascii"))
+        ck = kids[c]
+        if kids[s] or par[p] != top:
+            span = text[start[c] : stop[c]]
+            rooted = f"{span}p" if ck else f"({span})p"
+            above = _upper(c, s, top, token, par, kids, low, jump, text, start, stop)
+            keys.append(f"{above} {rooted};".encode("ascii"))
+        if ck and (kids[ck[0]] or kids[ck[1]]):
+            up[c] = rooted = f"({up[p]},{text[start[s] : stop[s]]})"
+            below = _lower(c, labels, kids, low, text, start, stop)
+            keys.append(f"{rooted}p {below};".encode("ascii"))
     return keys
 
 
 def tbr_forest_keys(tree):
     """One key per edge of an unrooted tree, both cut endpoints suppressed.
     tree may also be given already Oriented."""
-    o = _oriented(tree)
-    tree = o.tree
-    if tree.rooted:
+    o = orient(tree)
+    if o.rooted:
         raise ModeError("bisection keys require an unrooted tree")
-    labels = tree.labels
-    top, token, order, par, kids, span, low = o.top, o.token, o.order, o.par, o.kids, o.span, o.low
+    top, token, order, par, kids, low = o.top, o.token, o.order, o.par, o.kids, o.low
+    labels, text, start, stop, jump = o.labels, o.text, o.start, o.stop, o.jump
     keys = []
-    for c in order[1:]:
-        above = token if par[c] == top else _upper(c, top, token, par, kids, labels, span, low)
-        keys.append(f"{above} {_lower(c, kids, labels, span, low)};".encode("ascii"))
+    for k in range(1, len(order)):
+        c = order[k]
+        if k == 1:
+            above = token
+        else:
+            above = _upper(c, order[k ^ 1], top, token, par, kids, low, jump, text, start, stop)
+        below = _lower(c, labels, kids, low, text, start, stop)
+        keys.append(f"{above} {below};".encode("ascii"))
     return keys

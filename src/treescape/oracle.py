@@ -2,15 +2,17 @@
 
 Everything here is deliberately naive: neighborhoods come from exhaustively
 applying every candidate move and comparing canonical strings, and pairwise
-graphs cost O(m^2) string lookups. The move surgery itself lives here too:
-yield_forest cuts edges out of a tree into a canonical.Forest, and
-apply_spr and apply_tbr rebuild the tree after one move. nni_moves lists
-interchange results directly, a cross-check on the shared-key count the
-interchange graph is built from. reference_forest_keys cuts and re-encodes
-the whole tree for every key, the construction the spliced keys of
-forestgen must match byte for byte. None of the indexing machinery is used,
-so agreement between this module and the container-driven builders is
-evidence for both. Builds never import this module.
+graphs cost O(m^2) string lookups. The tree walks only reference code and
+tests need live here: edges lists a tree's edges and to_newick writes plain
+Newick. So does the move surgery: yield_forest cuts edges out of a tree
+into a canonical.Forest, and apply_spr and apply_tbr rebuild the tree after
+one move. nni_moves lists interchange results directly, a cross-check on
+the shared-key count the interchange graph is built from.
+reference_forest_keys cuts and re-encodes the whole tree for every key, the
+construction the spliced keys of forestgen must match byte for byte. None
+of the indexing machinery is used, so agreement between this module and
+the container-driven builders is evidence for both. Builds never import
+this module.
 """
 
 from collections import deque
@@ -19,6 +21,59 @@ from .canonical import Component, Forest, RootMarker, sdlnewick_forest, sdlnewic
 from .errors import MoveError, ModeError, TreescapeError
 from .graph import AdjacencyGraph
 from .tree import RHO, Tree, _compact, _splice_degree2
+
+# ---------------------------------------------------------------------------
+# tree walks
+
+
+def edges(tree):
+    """All edges as (u, v) index pairs with u < v, in node-index order."""
+    out = []
+    for u, nbrs in enumerate(tree.neighbors):
+        for v in nbrs:
+            if u < v:
+                out.append((u, v))
+    return out
+
+
+def to_newick(tree):
+    """Standard Newick text (no root marker), invertible by parse_newick.
+
+    Rooted trees serialize from the root node with two top-level children;
+    unrooted trees serialize from an internal node with three. Child order
+    follows adjacency order, so the output is deterministic but not
+    canonical.
+    """
+    labels, adj = tree.labels, tree.neighbors
+    if tree.rooted:
+        start, skip = tree.root_index(), tree.rho_index()
+    else:
+        if len(labels) == 2:  # two-leaf tree: no internal node to anchor at
+            return f"({labels[0]},{labels[1]});"
+        start = next(i for i, lab in enumerate(labels) if lab is None)
+        skip = -1
+    out = []
+    stack = [(start, skip)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, parent = item
+        lab = labels[node]
+        if lab is not None:
+            out.append(str(lab))
+            continue
+        kids = [w for w in adj[node] if w != parent]
+        out.append("(")
+        stack.append(")")
+        for k in range(len(kids) - 1, 0, -1):
+            stack.append((kids[k], node))
+            stack.append(",")
+        stack.append((kids[0], node))
+    out.append(";")
+    return "".join(out)
+
 
 # ---------------------------------------------------------------------------
 # forest cutting and rearrangement surgery
@@ -279,9 +334,9 @@ def _oriented_prunes(tree):
     """Prune pairs (moving endpoint, fixed endpoint) for each edge."""
     if tree.rooted:
         par = parents(tree)
-        return [(a, b) if par[a] == b else (b, a) for a, b in tree.edges()]
+        return [(a, b) if par[a] == b else (b, a) for a, b in edges(tree)]
     prunes = []
-    for a, b in tree.edges():
+    for a, b in edges(tree):
         prunes.append((a, b))
         prunes.append((b, a))
     return prunes
@@ -289,10 +344,10 @@ def _oriented_prunes(tree):
 
 def _spr_like(tree, prunes, regraft_ok):
     self_c = sdlnewick_tree(tree)
-    edges = tree.edges()
+    regrafts = edges(tree)
     out = set()
     for prune in prunes:
-        for regraft in edges:
+        for regraft in regrafts:
             if not regraft_ok(prune, regraft):
                 continue
             try:
@@ -308,13 +363,13 @@ def _spr_like(tree, prunes, regraft_ok):
 def _tbr_neighbors(tree):
     self_c = sdlnewick_tree(tree)
     adj = tree.neighbors
-    edges = tree.edges()
+    all_edges = edges(tree)
     out = set()
-    for bisect in edges:
+    for bisect in all_edges:
         u, v = bisect
         u_side = _side_nodes(adj, u, v)
-        u_edges = [e for e in edges if e[0] in u_side and e[1] in u_side]
-        v_edges = [e for e in edges if e[0] not in u_side and e[1] not in u_side]
+        u_edges = [e for e in all_edges if e[0] in u_side and e[1] in u_side]
+        v_edges = [e for e in all_edges if e[0] not in u_side and e[1] not in u_side]
         for ru in u_edges or [None]:
             for rv in v_edges or [None]:
                 try:
@@ -395,7 +450,7 @@ def nni_moves(tree):
 
 
 def reference_forest_keys(tree, move):
-    """Forest keys by cutting each edge (a, b) of tree.edges(), in order,
+    """Forest keys by cutting each edge (a, b) of edges(tree), in order,
     out of a copy of the tree and encoding the whole forest.
 
     move is "rspr" (cut-off side rooted), "uspr" (two keys per edge: a's
@@ -407,7 +462,7 @@ def reference_forest_keys(tree, move):
     if tree.rooted != (move == "rspr"):
         raise ModeError(f"{move} keys need {'an unrooted' if tree.rooted else 'a rooted'} tree")
     keys = []
-    for a, b in tree.edges():
+    for a, b in edges(tree):
         if move == "uspr":
             for kept in (a, b):
                 keys.append(sdlnewick_forest(yield_forest(tree, ((a, b),), keep_roots=(kept,))))
@@ -481,7 +536,7 @@ def enumerate_all_trees(n, *, rooted):
     for k in range(k0 + 1, n + 1):
         grown = []
         for tree in level:
-            for edge in tree.edges():
+            for edge in edges(tree):
                 grown.append(_insert_leaf(tree, edge, k))
         expected = len(level) * ((2 * k - 3) if rooted else (2 * k - 5))
         if len(grown) != expected:
@@ -501,8 +556,8 @@ def random_tree(n, *, rooted, rng):
     labels 1..n shuffled over the tips."""
     tree, k0 = _base(n, rooted)
     for k in range(k0 + 1, n + 1):
-        edges = tree.edges()
-        tree = _insert_leaf(tree, edges[rng.randrange(len(edges))], k)
+        slots = edges(tree)
+        tree = _insert_leaf(tree, slots[rng.randrange(len(slots))], k)
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     labels = [perm[lab - 1] if isinstance(lab, int) and lab > 0 else lab for lab in tree.labels]

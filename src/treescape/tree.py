@@ -6,8 +6,9 @@ tree, and ``None`` for an internal node; ``neighbors[i]`` is the adjacency
 list. A rooted tree is represented as an unrooted binary tree with one extra
 marker leaf attached to the root node, so rooted and unrooted trees share
 one layout. Instances are immutable by convention, so trees can be shared
-freely. The forest model and the rearrangement surgery built on this layout
-are reference code and live in ``canonical`` and ``oracle``.
+freely. The forest model, the rearrangement surgery, the edge list and the
+Newick writer built on this layout are reference code and live in
+``canonical`` and ``oracle``.
 
 Leaf labels are distinct integers in ``1 .. 2**64 - 1``. Label 0 is reserved
 for the root marker and is never accepted from input.
@@ -51,15 +52,6 @@ class Tree:
     def leaf_labels(self):
         return {lab for lab in self.labels if lab is not None and lab != RHO}
 
-    def edges(self):
-        """All edges as (u, v) index pairs with u < v, in node-index order."""
-        out = []
-        for u, nbrs in enumerate(self.neighbors):
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        return out
-
     def rho_index(self):
         if not self.rooted:
             raise ValueError("unrooted tree has no root marker")
@@ -68,44 +60,6 @@ class Tree:
     def root_index(self):
         """The root node: the unique neighbor of the root-marker leaf."""
         return self.neighbors[self.rho_index()][0]
-
-    def to_newick(self):
-        """Standard Newick text (no root marker), invertible by parse_newick.
-
-        Rooted trees serialize from the root node with two top-level
-        children; unrooted trees serialize from an internal node with three.
-        Child order follows adjacency order, so the output is deterministic
-        but not canonical.
-        """
-        labels, adj = self.labels, self.neighbors
-        if self.rooted:
-            start, skip = self.root_index(), self.rho_index()
-        else:
-            if len(labels) == 2:  # two-leaf tree: no internal node to anchor at
-                return f"({labels[0]},{labels[1]});"
-            start = next(i for i, lab in enumerate(labels) if lab is None)
-            skip = -1
-        out = []
-        stack = [(start, skip)]
-        while stack:
-            item = stack.pop()
-            if type(item) is str:
-                out.append(item)
-                continue
-            node, parent = item
-            lab = labels[node]
-            if lab is not None:
-                out.append(str(lab))
-                continue
-            kids = [w for w in adj[node] if w != parent]
-            out.append("(")
-            stack.append(")")
-            for k in range(len(kids) - 1, 0, -1):
-                stack.append((kids[k], node))
-                stack.append(",")
-            stack.append((kids[0], node))
-        out.append(";")
-        return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,13 @@ from treescape import cli
 from treescape.afcontainer import AFContainer, Mode
 from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
-from treescape.oracle import enumerate_all_trees, enumerate_neighbors, pairwise_graph, random_tree
+from treescape.oracle import (
+    enumerate_all_trees,
+    enumerate_neighbors,
+    pairwise_graph,
+    random_tree,
+    to_newick,
+)
 from treescape.tree import Tree
 
 
@@ -48,7 +54,7 @@ def test_criterion_1_oracle_equivalence(tmp_path, capsys):
                 rooted = move == "rspr"
             mode = {"rspr": "spr", "uspr": "spr", "nni": "nni", "tbr": "tbr"}[move]
             trees = [random_tree(n, rooted=rooted, rng=rng) for _ in range(m)]
-            path.write_text("".join(t.to_newick() + "\n" for t in trees))
+            path.write_text("".join(to_newick(t) + "\n" for t in trees))
             rc = cli.main(
                 [
                     "verify",

@@ -19,6 +19,7 @@ from treescape.canonical import (
     sdlnewick_tree,
 )
 from treescape.errors import CanonicalError
+from treescape.oracle import edges as tree_edges
 from treescape.oracle import parents, random_tree, yield_forest
 from treescape.tree import Tree, parse_newick
 
@@ -60,7 +61,7 @@ class TestPinnedStrings:
         par = parents(t)
         edge45 = next(
             (a, b) if par[a] == b else (b, a)
-            for a, b in t.edges()
+            for a, b in tree_edges(t)
             if {t.labels[a], t.labels[b]} == {4, None}
         )
         f = yield_forest(t, (edge45,))

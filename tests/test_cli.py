@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import treescape
-from treescape import cli, oracle
+from treescape import cli, forestgen, oracle
 from treescape.afcontainer import Mode, read_snapshot
 from treescape.graph import AdjacencyGraph
 
@@ -279,6 +279,25 @@ class TestSnapshotFlow:
         assert run("build", empty, "--mode", "spr", "--rooted", "--out", str(out),
                    "--append", str(snap)) == 0
         assert out.read_text() == "# treescape spr m=3\n0\t1\n0\t2\n1\t2\n"
+
+    def test_append_orients_each_tree_once(self, tmp_path, monkeypatch):
+        inp = write(tmp_path, "t.nwk", TRIANGLE)
+        snap = tmp_path / "c.snap"
+        run("build", inp, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g1.tsv"),
+            "--snapshot", str(snap))
+        oriented = []
+        init = forestgen.Oriented.__init__
+
+        def counted(self, tree):
+            oriented.append(tree)
+            init(self, tree)
+
+        monkeypatch.setattr(forestgen.Oriented, "__init__", counted)
+        # a new tree and a repeat of a snapshot tree
+        more = write(tmp_path, "more.nwk", "((1,2),((4,5),3));\n(((4,5),1),(2,3));\n")
+        assert run("build", more, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g2.tsv"),
+                   "--append", str(snap)) == 0
+        assert len(oriented) == 3 + 2
 
     def test_append_mode_mismatch(self, tmp_path):
         inp = write(tmp_path, "t.nwk", TRIANGLE)

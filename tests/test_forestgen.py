@@ -1,4 +1,6 @@
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -6,7 +8,14 @@ from treescape.afcontainer import AFContainer
 from treescape.canonical import decode_forest, decode_tree, sdlnewick_tree
 from treescape.errors import ModeError
 from treescape.forestgen import Oriented, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
-from treescape.oracle import enumerate_neighbors, random_tree, reference_forest_keys
+from treescape.oracle import edges as tree_edges
+from treescape.oracle import (
+    enumerate_all_trees,
+    enumerate_neighbors,
+    random_tree,
+    reference_forest_keys,
+    to_newick,
+)
 from treescape.tree import MAX_LABEL, RHO, Tree, parse_newick
 
 
@@ -14,15 +23,51 @@ ROOTED5 = parse_newick("((1,(2,3)),(4,5));", rooted=True)
 UNROOTED5 = parse_newick("((1,2),3,(4,5));", rooted=False)
 
 
+def side(t, a, b):
+    """Labels of the leaves on a's side of the edge (a, b), the root marker
+    included."""
+    seen = {a, b}
+    work = [a]
+    labels = []
+    while work:
+        x = work.pop()
+        if t.labels[x] is not None:
+            labels.append(t.labels[x])
+        for w in t.neighbors[x]:
+            if w not in seen:
+                seen.add(w)
+                work.append(w)
+    return labels
+
+
+def shared_key_count(move, t):
+    """How many keys a generator emits for t: one per edge for TBR, and for
+    the prune-regraft moves one per cut and rooted side whose host, the
+    other side, has at least three leaves. rSPR roots the side away from the
+    root marker; uSPR roots each side in turn."""
+    count = 0
+    for a, b in tree_edges(t):
+        sides = side(t, a, b), side(t, b, a)
+        if move == "tbr":
+            count += 1
+        elif move == "uspr":
+            count += sum(len(host) >= 3 for host in sides)
+        else:
+            count += len(next(host for host in sides if RHO in host)) >= 3
+    return count
+
+
 class TestKeyCounts:
-    def test_rspr_one_key_per_edge(self):
+    def test_rspr_one_key_per_edge_with_a_shared_host(self):
+        # every edge but the root marker's, whose host is (r) alone
         keys = rspr_forest_keys(ROOTED5)
-        assert len(keys) == 2 * 5 - 1
+        assert len(keys) == 2 * 5 - 1 - 1
         assert len(set(keys)) == len(keys)
 
-    def test_uspr_two_keys_per_edge(self):
+    def test_uspr_one_key_per_edge_side_with_a_shared_host(self):
+        # both sides of the 7 edges, less the 5 leaf sides and the 2 cherries
         keys = uspr_forest_keys(UNROOTED5)
-        assert len(keys) == 2 * (2 * 5 - 3)
+        assert len(keys) == 2 * (2 * 5 - 3) - 5 - 2
         assert len(set(keys)) == len(keys)
 
     def test_tbr_one_key_per_edge(self):
@@ -36,9 +81,9 @@ class TestKeyCounts:
             n = rng.randint(4, 12)
             rt = random_tree(n, rooted=True, rng=rng)
             ut = random_tree(n, rooted=False, rng=rng)
-            assert len(set(rspr_forest_keys(rt))) == 2 * n - 1
-            assert len(set(uspr_forest_keys(ut))) == 2 * (2 * n - 3)
-            assert len(set(tbr_forest_keys(ut))) == 2 * n - 3
+            assert len(set(rspr_forest_keys(rt))) == shared_key_count("rspr", rt)
+            assert len(set(uspr_forest_keys(ut))) == shared_key_count("uspr", ut)
+            assert len(set(tbr_forest_keys(ut))) == shared_key_count("tbr", ut) == 2 * n - 3
 
 
 class TestKeyShape:
@@ -51,11 +96,15 @@ class TestKeyShape:
             assert forest.leaf_labels() == {1, 2, 3, 4, 5}
 
     def test_worked_key_values(self):
-        assert b"(r,1,(2,3)) (4,5)p;" in rspr_forest_keys(ROOTED5)
+        rk = rspr_forest_keys(ROOTED5)
+        assert b"(r,1,(2,3)) (4,5)p;" in rk
+        assert b"(r) ((1,(2,3)),(4,5))p;" not in rk  # host (r)
         assert b"(1,2,3) (4,5);" in tbr_forest_keys(UNROOTED5)
         uk = uspr_forest_keys(UNROOTED5)
         assert b"(1,2,3) (4,5)p;" in uk
-        assert b"((1,2),3)p (4,5);" in uk
+        assert b"(1)p (2,3,(4,5));" in uk
+        assert b"((1,2),3)p (4,5);" not in uk  # host (4,5)
+        assert b"(((1,2),3),4)p 5;" not in uk  # host 5
 
     def test_mode_checks(self):
         with pytest.raises(ModeError):
@@ -105,6 +154,11 @@ def leaf_labels(n, rng, sparse):
 
 def shaped_tree(shape, n, rooted, rng, sparse):
     labels = leaf_labels(n, rng, sparse)
+    if shape != "caterpillar" and shape.startswith("caterpillar"):
+        # labels ascending or descending along the path: on rooted trees
+        # the chains _upper rebuilds above the cut parents are then as long
+        # (ascending) or as short (descending) as they get
+        labels.sort(reverse=shape == "caterpillar-descending")
     if n == 1:  # a lone leaf, below the root marker when rooted
         if rooted:
             return Tree([RHO, labels[0]], [[1], [0]], True)
@@ -129,32 +183,50 @@ def shaped_tree(shape, n, rooted, rng, sparse):
     return parse_newick(text + ";", rooted=rooted)
 
 
+def host_leaves(key):
+    """Leaves of a prune-regraft key's host, the component not kept rooted,
+    the root marker counted."""
+    host = next(comp for comp in key[:-1].split(b" ") if not comp.endswith(b"p"))
+    return len(re.findall(rb"[0-9]+|r", host))
+
+
 def check_keys_per_edge(move, keys, t):
     """Pair each key with the edge it cuts and compare it with the reference
-    key for that edge: key k cuts the parent edge of Oriented(t).order[k + 1]
-    (for uSPR keys 2k and 2k + 1, keeping the child side rooted and then the
-    parent side)."""
+    key for that edge. The generator walks the parent edge of each node of
+    Oriented(t).order[1:] in order (for uSPR keeping the child side rooted
+    and then the parent side) and skips exactly the prune-regraft keys whose
+    host has at most two leaves."""
     o = Oriented(t)
     got = keys(t)
     assert keys(o) == got
     ref = reference_forest_keys(t, move)
     want = {}
-    for e, (a, b) in enumerate(t.edges()):
+    for e, (a, b) in enumerate(tree_edges(t)):
         if move == "uspr":
             want[(a, b), a], want[(a, b), b] = ref[2 * e], ref[2 * e + 1]
         else:
             want[(a, b), None] = ref[e]
-    per = 2 if move == "uspr" else 1
-    assert len(got) == len(want)
+    expected = []
     cut = set()
-    for k, key in enumerate(got):
-        c = o.order[k // per + 1]
+    for c in o.order[1:]:
         p = o.par[c]
         edge = (min(c, p), max(c, p))
-        kept = (c if k % 2 == 0 else p) if move == "uspr" else None
-        assert key == want[edge, kept], (t.to_newick(), edge, kept)
         cut.add(edge)
-    assert cut == set(t.edges())
+        for kept in (c, p) if move == "uspr" else (None,):
+            key = want[edge, kept]
+            if move == "tbr" or host_leaves(key) >= 3:
+                expected.append(key)
+    assert cut == set(tree_edges(t))
+    assert got == expected, to_newick(t)
+
+
+LARGE_SHAPES = [
+    "random",
+    "caterpillar",
+    "caterpillar-ascending",
+    "caterpillar-descending",
+    "balanced",
+]
 
 
 class TestSplicedKeysMatchReference:
@@ -170,7 +242,7 @@ class TestSplicedKeysMatchReference:
                     check_keys_per_edge(move, keys, shaped_tree(shape, n, rooted, rng, sparse))
 
     @pytest.mark.parametrize("n", [64, 128, 256])
-    @pytest.mark.parametrize("shape", ["random", "caterpillar", "balanced"])
+    @pytest.mark.parametrize("shape", LARGE_SHAPES)
     @pytest.mark.parametrize("move, keys, rooted", MOVES)
     def test_large_trees(self, move, keys, rooted, shape, n):
         rng = random.Random(n)
@@ -188,6 +260,34 @@ class TestSplicedKeysMatchReference:
             reference_forest_keys(ROOTED5, "tbr")
         with pytest.raises(ValueError):
             reference_forest_keys(ROOTED5, "nni")
+
+
+class TestSkippedKeysBelongToOneTree:
+    """A prune-regraft key is shared by exactly the trees that regraft its
+    rooted component onto an edge of its host: 2k - 3 trees for a host of
+    k >= 2 leaves, and one for a lone leaf. So the keys the generators skip,
+    those with at most two host leaves, each belong to one tree alone, and
+    every other key to at least three. Checked over whole tree spaces."""
+
+    @pytest.mark.parametrize(
+        "move, n", [("uspr", 5), ("uspr", 6), ("uspr", 7), ("rspr", 4), ("rspr", 5), ("rspr", 6)]
+    )
+    def test_trees_per_key_follow_the_host(self, move, n):
+        owners = Counter()
+        for t in enumerate_all_trees(n, rooted=move == "rspr"):
+            owners.update(set(reference_forest_keys(t, move)))
+        for key, count in owners.items():
+            k = host_leaves(key)
+            assert count == (1 if k <= 2 else 2 * k - 3), key
+
+    def test_space_of_seven_leaves(self):
+        trees = enumerate_all_trees(7, rooted=False)
+        c = AFContainer("uspr")
+        for t in trees:
+            c.insert(t)
+        keys = sum(len(uspr_forest_keys(t)) for t in trees)
+        # 20,790 keys in 10,710 entries before one-tree keys were skipped
+        assert (len(c), keys, len(c._forest_trie)) == (945, 11970, 1890)
 
 
 class TestTreeStringFromKeyTable:
@@ -211,7 +311,7 @@ class TestTreeStringFromKeyTable:
                     self.check(move, shaped_tree(shape, n, rooted, rng, sparse))
 
     @pytest.mark.parametrize("n", [64, 128, 256])
-    @pytest.mark.parametrize("shape", ["random", "caterpillar", "balanced"])
+    @pytest.mark.parametrize("shape", LARGE_SHAPES)
     @pytest.mark.parametrize("move, rooted", [(move, rooted) for move, _, rooted in MOVES])
     def test_large_trees(self, move, rooted, shape, n):
         rng = random.Random(n)

@@ -18,7 +18,9 @@ from treescape.oracle import (
     nni_moves,
     parents,
     random_tree,
+    to_newick,
 )
+from treescape.oracle import edges as tree_edges
 from treescape.tree import parse_newick
 
 
@@ -208,7 +210,7 @@ class TestConstruction:
 def one_move(tree, rng, *, bisect=False):
     """A random tree one prune-regraft (or bisection-reconnection) move
     from tree; the identity move is possible."""
-    edges = tree.edges()
+    edges = tree_edges(tree)
     while True:
         u, v = rng.choice(edges)
         if tree.rooted and parents(tree)[u] != v:
@@ -247,7 +249,7 @@ def test_single_pass_matches_two_pass(mode, build):
         for k in range(9):
             source = rng.choice(trees)
             if k % 3 == 0:
-                trees.append(parse_newick(source.to_newick(), rooted=mode.rooted))
+                trees.append(parse_newick(to_newick(source), rooted=mode.rooted))
             else:
                 trees.append(one_move(source, rng, bisect=k % 3 == 1 and mode is Mode.TBR))
         rng.shuffle(trees)

@@ -5,7 +5,8 @@ import pytest
 
 from treescape.errors import MoveError, NewickError
 from treescape.canonical import RootMarker, sdlnewick_forest, sdlnewick_tree, validate_tree
-from treescape.oracle import apply_spr, apply_tbr, parents, random_tree, yield_forest
+from treescape.oracle import apply_spr, apply_tbr, parents, random_tree, to_newick, yield_forest
+from treescape.oracle import edges as tree_edges
 from treescape.tree import RHO, Tree, parse_newick
 
 
@@ -17,7 +18,7 @@ def child_edge(tree, labels_below):
     """Edge (child, parent) whose child side carries exactly labels_below."""
     par = parents(tree)
     adj = tree.neighbors
-    for a, b in tree.edges():
+    for a, b in tree_edges(tree):
         c, p = (a, b) if par[a] == b else (b, a)
         seen = set()
         stack = [(c, p)]
@@ -38,13 +39,13 @@ class TestParse:
         assert t.n_leaves == 5
         assert t.leaf_labels() == {1, 2, 3, 4, 5}
         assert len(t) == 10  # 5 leaves, 4 internals, rho
-        assert len(t.edges()) == 9
+        assert len(tree_edges(t)) == 9
 
     def test_unrooted_trifurcating(self):
         t = parse_newick("(1,2,(3,4));", rooted=False)
         assert not t.rooted
         assert len(t) == 6
-        assert len(t.edges()) == 5
+        assert len(tree_edges(t)) == 5
 
     def test_unrooted_bifurcating_top_is_suppressed(self):
         a = parse_newick("((3,4),(1,2));", rooted=False)
@@ -53,7 +54,7 @@ class TestParse:
 
     def test_two_leaves(self):
         t = parse_newick("(1,2);", rooted=False)
-        assert len(t.edges()) == 1
+        assert len(tree_edges(t)) == 1
         r = parse_newick("(1,2);", rooted=True)
         assert r.rooted and r.n_leaves == 2
 
@@ -138,7 +139,7 @@ class TestTree:
         for _ in range(25):
             rooted = rng.random() < 0.5
             t = random_tree(rng.randint(2 if rooted else 3, 12), rooted=rooted, rng=rng)
-            back = parse_newick(t.to_newick(), rooted=rooted)
+            back = parse_newick(to_newick(t), rooted=rooted)
             assert sdlnewick_tree(back) == sdlnewick_tree(t)
 
     def test_validate_rejects_broken_structures(self):
@@ -172,7 +173,7 @@ class TestYieldForest:
         for _ in range(40):
             rooted = rng.random() < 0.5
             t = random_tree(rng.randint(4, 10), rooted=rooted, rng=rng)
-            edge = t.edges()[rng.randrange(len(t.edges()))]
+            edge = tree_edges(t)[rng.randrange(len(tree_edges(t)))]
             if rooted:
                 f = yield_forest(t, (edge,))
             else:
@@ -184,17 +185,17 @@ class TestYieldForest:
     def test_rooted_rejects_keep_roots(self):
         t = parse_newick("((1,2),(3,4));", rooted=True)
         with pytest.raises(MoveError):
-            yield_forest(t, (t.edges()[0],), keep_roots=(t.edges()[0][0],))
+            yield_forest(t, (tree_edges(t)[0],), keep_roots=(tree_edges(t)[0][0],))
 
     def test_keep_root_must_touch_a_cut(self):
         t = parse_newick("(1,2,(3,4));", rooted=False)
-        e0, e1 = t.edges()[0], t.edges()[1]
+        e0, e1 = tree_edges(t)[0], tree_edges(t)[1]
         with pytest.raises(MoveError):
             yield_forest(t, (e0,), keep_roots=(e1[0],) if e1[0] not in e0 else (e1[1],))
 
     def test_duplicate_cut_rejected(self):
         t = parse_newick("(1,2,(3,4));", rooted=False)
-        e = t.edges()[0]
+        e = tree_edges(t)[0]
         with pytest.raises(MoveError):
             yield_forest(t, (e, (e[1], e[0])))
 
@@ -231,7 +232,7 @@ class TestYieldForest:
 def child_edge_unrooted(tree, labels_below):
     """Edge (inner endpoint of the clade, other endpoint) for an unrooted tree."""
     adj = tree.neighbors
-    for a, b in tree.edges():
+    for a, b in tree_edges(tree):
         for c, p in ((a, b), (b, a)):
             seen = set()
             stack = [(c, p)]
@@ -274,7 +275,7 @@ class TestApplySpr:
 
     def test_regraft_equal_to_prune_rejected(self):
         t = parse_newick("(1,2,(3,4));", rooted=False)
-        e = t.edges()[0]
+        e = tree_edges(t)[0]
         with pytest.raises(MoveError):
             apply_spr(t, e, e)
 
@@ -282,7 +283,7 @@ class TestApplySpr:
         t = parse_newick("((1,2),(3,4));", rooted=True)
         rho = t.rho_index()
         root = t.root_index()
-        for e in t.edges():
+        for e in tree_edges(t):
             if set(e) != {rho, root}:
                 with pytest.raises(MoveError):
                     apply_spr(t, (root, rho), e)
@@ -292,7 +293,7 @@ class TestApplySpr:
         for _ in range(60):
             rooted = rng.random() < 0.5
             t = random_tree(rng.randint(4, 9), rooted=rooted, rng=rng)
-            edges = t.edges()
+            edges = tree_edges(t)
             par = parents(t) if rooted else None
             a, b = edges[rng.randrange(len(edges))]
             prune = ((a, b) if par[a] == b else (b, a)) if rooted else (a, b)
@@ -310,7 +311,7 @@ class TestApplyTbr:
     def test_rooted_rejected(self):
         t = parse_newick("((1,2),(3,4));", rooted=True)
         with pytest.raises(MoveError):
-            apply_tbr(t, t.edges()[0])
+            apply_tbr(t, tree_edges(t)[0])
 
     def test_leaf_side_requires_none(self):
         t = parse_newick("(1,2,(3,4));", rooted=False)
@@ -524,6 +525,6 @@ def test_parse_roundtrip_with_whitespace_and_decorations(shape, rooted, lenient)
     rng = random.Random(f"{shape}-{rooted}-{lenient}")
     for n in list(range(2, 13)) + [31, 64, 128, 256]:
         t = shaped(shape, n, rooted, rng)
-        text = decorate(t.to_newick(), rng, lenient)
+        text = decorate(to_newick(t), rng, lenient)
         parsed = parse_newick(text, rooted=rooted, lenient=lenient)
         assert sdlnewick_tree(parsed) == sdlnewick_tree(t), text
