@@ -158,10 +158,11 @@ def orient(tree):
     return tree if isinstance(tree, Oriented) else Oriented(tree)
 
 
-def _upper(c, s, top, token, par, kids, low, jump, text, start, stop):
-    """The side above the edge from c to its parent, c's subtree removed
-    and the parent suppressed, rendered from the top leaf. s is c's
-    sibling; c's parent is not the top."""
+def _upper_key(c, s, rest, top, token, par, kids, low, jump, text, start, stop):
+    """The key of the cut above c: the side above the edge from c to its
+    parent, c's subtree removed and the parent suppressed, rendered from
+    the top leaf, then rest, the rest of the key. s is c's sibling; c's
+    parent is not the top."""
     u = par[c]
     piece = text[start[s] : stop[s]]
     if low[c] < low[s] and jump[u] >= 0:
@@ -180,11 +181,11 @@ def _upper(c, s, top, token, par, kids, low, jump, text, start, stop):
             x = jump[x]
         head.reverse()
         piece = f"{''.join(head)}{piece}{''.join(tail)}"
-    if par[u] == top:
-        if piece[0] == "(":
-            return f"({token},{piece[1:]}"
-        return f"({token},{piece})"
-    return f"{text[: start[u]]}{piece}{text[stop[u] :]}"
+    if par[u] != top:
+        return f"{text[: start[u]]}{piece}{text[stop[u] :]}{rest}".encode("ascii")
+    if piece[0] == "(":
+        return f"({token},{piece[1:]}{rest}".encode("ascii")
+    return f"({token},{piece}){rest}".encode("ascii")
 
 
 def _lower(c, labels, kids, low, text, start, stop):
@@ -239,9 +240,8 @@ def rspr_forest_keys(tree):
         s = order[k ^ 1]
         if kids[s] or par[par[c]] != top:
             span = text[start[c] : stop[c]]
-            rooted = f"{span}p" if kids[c] else f"({span})p"
-            rest = _upper(c, s, top, "r", par, kids, low, jump, text, start, stop)
-            keys.append(f"{rest} {rooted};".encode("ascii"))
+            rest = f" {span}p;" if kids[c] else f" ({span})p;"
+            keys.append(_upper_key(c, s, rest, top, "r", par, kids, low, jump, text, start, stop))
     return keys
 
 
@@ -272,9 +272,8 @@ def uspr_forest_keys(tree):
         ck = kids[c]
         if kids[s] or par[p] != top:
             span = text[start[c] : stop[c]]
-            rooted = f"{span}p" if ck else f"({span})p"
-            above = _upper(c, s, top, token, par, kids, low, jump, text, start, stop)
-            keys.append(f"{above} {rooted};".encode("ascii"))
+            rest = f" {span}p;" if ck else f" ({span})p;"
+            keys.append(_upper_key(c, s, rest, top, token, par, kids, low, jump, text, start, stop))
         if ck and (kids[ck[0]] or kids[ck[1]]):
             up[c] = rooted = f"({up[p]},{text[start[s] : stop[s]]})"
             below = _lower(c, labels, kids, low, text, start, stop)
@@ -293,10 +292,10 @@ def tbr_forest_keys(tree):
     keys = []
     for k in range(1, len(order)):
         c = order[k]
+        rest = f" {_lower(c, labels, kids, low, text, start, stop)};"
         if k == 1:
-            above = token
+            keys.append(f"{token}{rest}".encode("ascii"))
         else:
-            above = _upper(c, order[k ^ 1], top, token, par, kids, low, jump, text, start, stop)
-        below = _lower(c, labels, kids, low, text, start, stop)
-        keys.append(f"{above} {below};".encode("ascii"))
+            s = order[k ^ 1]
+            keys.append(_upper_key(c, s, rest, top, token, par, kids, low, jump, text, start, stop))
     return keys

@@ -155,10 +155,14 @@ def leaf_labels(n, rng, sparse):
 def shaped_tree(shape, n, rooted, rng, sparse):
     labels = leaf_labels(n, rng, sparse)
     if shape != "caterpillar" and shape.startswith("caterpillar"):
-        # labels ascending or descending along the path: on rooted trees
-        # the chains _upper rebuilds above the cut parents are then as long
-        # (ascending) or as short (descending) as they get
+        # labels in order along the path. Ascending or descending, no cut
+        # reorders an ancestor; with the second smallest deepest, the others
+        # descending above it and the smallest last, every ancestor of the
+        # deepest cut swaps its children, the longest chain _upper_key
+        # rebuilds
         labels.sort(reverse=shape == "caterpillar-descending")
+        if shape == "caterpillar-swapping":
+            labels = [labels[1], *labels[:1:-1], labels[0]]
     if n == 1:  # a lone leaf, below the root marker when rooted
         if rooted:
             return Tree([RHO, labels[0]], [[1], [0]], True)
@@ -225,6 +229,7 @@ LARGE_SHAPES = [
     "caterpillar",
     "caterpillar-ascending",
     "caterpillar-descending",
+    "caterpillar-swapping",
     "balanced",
 ]
 
