@@ -291,7 +291,7 @@ class TestSkippedKeysBelongToOneTree:
         for t in trees:
             c.insert(t)
         keys = sum(len(uspr_forest_keys(t)) for t in trees)
-        # 20,790 keys in 10,710 entries before one-tree keys were skipped
+        # of the 20,790 reference keys, 8,820 belong to one tree each
         assert (len(c), keys, len(c._forest_trie)) == (945, 11970, 1890)
 
 
