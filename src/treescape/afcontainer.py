@@ -147,6 +147,11 @@ class AFContainer:
 
     def __init__(self, mode):
         self.mode = Mode(mode)
+        # the mode's key generator, read from this module now rather than at
+        # import, so that a wrapped one is used; it refuses the wrong rootedness
+        self._forest_keys = {
+            Mode.RSPR: rspr_forest_keys, Mode.USPR: uspr_forest_keys, Mode.TBR: tbr_forest_keys
+        }[self.mode]
         # the acceptance suite reads both indexes by these names
         self._forest_trie = {}
         self._id_trie = {}
@@ -158,38 +163,27 @@ class AFContainer:
     def __repr__(self):
         return f"<AFContainer {self.mode.value} m={len(self._trees)}>"
 
-    def _check_rootedness(self, tree):
-        if tree.rooted != self.mode.rooted:
-            kind = "rooted" if tree.rooted else "unrooted"
-            raise ModeError(f"{kind} tree does not match container mode {self.mode.value}")
-
-    def _keys(self, oriented):
-        if self.mode is Mode.RSPR:
-            return rspr_forest_keys(oriented)
-        if self.mode is Mode.USPR:
-            return uspr_forest_keys(oriented)
-        return tbr_forest_keys(oriented)
-
     def insert_counting(self, tree):
         """Index a tree; returns (id, shared).
 
         shared maps every earlier id that has forest keys in common with
         the new tree, which is every earlier tree one move away, to how
         many it has. A duplicate returns its existing id and an empty count.
-        tree may also be given already Oriented.
+        tree may also be given already Oriented. A tree the container
+        refuses leaves it unchanged.
         """
-        self._check_rootedness(tree)
         oriented = orient(tree)
         text = oriented.canonical()
         existing = self._id_trie.get(text)
         if existing is not None:
             return existing, Counter()
+        keys = self._forest_keys(oriented)
         tree_id = len(self._trees)
         self._id_trie[text] = tree_id
         self._trees.append(text)
         index = self._forest_trie
         hits = []
-        for key in self._keys(oriented):
+        for key in keys:
             ids = index.get(key)
             if ids is None:
                 index[key] = [tree_id]
@@ -213,12 +207,11 @@ class AFContainer:
         return b""
 
     def _matches(self, tree):
-        self._check_rootedness(tree)
         oriented = orient(tree)
         own = self._id_trie.get(oriented.canonical())
         get = self._forest_trie.get
         out = []
-        for key in self._keys(oriented):
+        for key in self._forest_keys(oriented):
             found = get(key)
             if found:
                 if own is None:

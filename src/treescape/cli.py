@@ -10,6 +10,7 @@ many trees for the quadratic check).
 """
 
 import argparse
+import contextlib
 import os
 import re
 import sys
@@ -52,12 +53,15 @@ def _container_mode(mode, rooted):
 
 
 def _read_lines(path):
-    """Lines of a UTF-8 text file, or of stdin for -."""
+    """Yield the lines of a UTF-8 text file, or of stdin for -, one at a
+    time, split only at line ends: LF, CR LF or CR."""
+    source = contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
     try:
-        if path == "-":
-            return sys.stdin.read().splitlines()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+        with source as fh:
+            for line in fh:
+                # a file is read with universal newlines; stdin may still
+                # hold \r, so split there too
+                yield from line.removesuffix("\n").removesuffix("\r").split("\r")
     except UnicodeDecodeError:
         raise NewickError(f"{path}: not UTF-8 text") from None
 
@@ -110,8 +114,7 @@ def _untranslated_pos(line, taxa, pos):
 
 
 def _read_trees(path, *, rooted, lenient, taxa):
-    """Parse a newline-delimited tree file: list of (lineno, Tree)."""
-    out = []
+    """Parse a newline-delimited tree file, yielding (lineno, Tree) pairs."""
     for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -123,8 +126,7 @@ def _read_trees(path, *, rooted, lenient, taxa):
             if taxa and exc.pos is not None:
                 exc = NewickError(exc.reason, pos=_untranslated_pos(line, taxa, exc.pos))
             raise NewickError(f"{path}:{lineno}: {exc}") from None
-        out.append((lineno, tree))
-    return out
+        yield lineno, tree
 
 
 def _construct(mode, trees):
@@ -166,7 +168,7 @@ def _write_vertices(out_path, linenos, labeling):
 def _cmd_build(args):
     taxa = _load_taxa(args.taxa) if args.taxa else None
 
-    trees = []
+    snapshot = []
     if args.append:
         snap_mode, lines = read_snapshot(args.append)
         if snap_mode is not _container_mode(args.mode, args.rooted):
@@ -175,17 +177,25 @@ def _cmd_build(args):
                 f"snapshot mode {snap_mode.value} does not fit "
                 f"{'rooted' if args.rooted else 'unrooted'} {args.mode}",
             )
-        trees = decode_snapshot(snap_mode, lines)
-    linenos = [0] * len(trees)
+        snapshot = decode_snapshot(snap_mode, lines)
+    linenos = [0] * len(snapshot)
 
-    parsed = _read_trees(args.input, rooted=args.rooted, lenient=args.lenient, taxa=taxa)
-    if not parsed and not trees:
+    def trees():
+        yield from snapshot
+        for lineno, tree in _read_trees(
+            args.input, rooted=args.rooted, lenient=args.lenient, taxa=taxa
+        ):
+            linenos.append(lineno)
+            yield tree
+
+    try:
+        graph, labeling = _construct(args.mode, trees())
+    except LabelSetError as exc:
+        # the refused tree is the last one taken
+        where = f"{args.input}:{linenos[-1]}" if linenos[-1] else args.append
+        raise LabelSetError(f"{where}: {exc}") from None
+    if not linenos:
         _warn(f"{args.input}: no trees")
-    for lineno, tree in parsed:
-        linenos.append(lineno)
-        trees.append(tree)
-
-    graph, labeling = _construct(args.mode, trees)
     for k in labeling.duplicates():
         if linenos[k]:
             first = linenos[labeling.first_input[labeling.vertex_of_input[k]]]
@@ -209,7 +219,8 @@ def _cmd_verify(args):
     from .oracle import pairwise_graph
 
     taxa = _load_taxa(args.taxa) if args.taxa else None
-    parsed = _read_trees(args.input, rooted=args.rooted, lenient=args.lenient, taxa=taxa)
+    # a list, not a stream: the trees are counted before --max-m is checked
+    parsed = list(_read_trees(args.input, rooted=args.rooted, lenient=args.lenient, taxa=taxa))
     if len(parsed) > args.max_m:
         return _fail(
             5, f"{len(parsed)} trees exceed --max-m {args.max_m} for the quadratic check"

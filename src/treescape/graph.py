@@ -5,11 +5,13 @@ next vertex i when it is inserted into an AFContainer, and the insert
 reports the earlier trees j < i sharing forest keys with it, so every edge
 {j, i} is stored exactly once, in vertex i's step. Prune-regraft and
 bisection graphs take every earlier tree sharing a key; the interchange
-graph takes those sharing two or more.
+graph takes those sharing two or more. Each construct_*_graph consumes any
+iterable of trees once, one tree at a time, so a caller that yields trees
+holds none past its step.
 """
 
 from .afcontainer import AFContainer, Mode
-from .errors import GraphInvariantError, LabelSetError, ModeError
+from .errors import GraphInvariantError, LabelSetError
 
 
 class AdjacencyGraph:
@@ -96,27 +98,19 @@ class VertexLabeling:
         return [k for k, v in enumerate(self.vertex_of_input) if self.first_input[v] != k]
 
 
-def _check_collection(trees, *, need_unrooted=False):
-    if not trees:
-        return
-    rooted = trees[0].rooted
-    for t in trees:
-        if t.rooted != rooted:
-            raise ModeError("cannot mix rooted and unrooted trees in one graph")
-    if need_unrooted and rooted:
-        raise ModeError("bisection-reconnection graphs need unrooted trees")
-    labels = trees[0].leaf_labels()
-    for t in trees:
-        if t.leaf_labels() != labels:
-            raise LabelSetError("all trees must share one leaf label set")
-
-
-def _construct(trees, mode, min_shared=1):
-    container = AFContainer(mode)
+def _construct(trees, tbr=False, min_shared=1):
+    """The graph and labeling of trees, taken one at a time. The first tree
+    fixes the leaf set and, unless tbr, the container mode by its
+    rootedness; the key generators refuse a tree of the other rootedness."""
     graph = AdjacencyGraph()
     vertex_of_input = []
     first_input = []
     for k, tree in enumerate(trees):
+        if k == 0:
+            labels = tree.leaf_labels()
+            container = AFContainer(Mode.TBR if tbr else Mode.RSPR if tree.rooted else Mode.USPR)
+        elif tree.leaf_labels() != labels:
+            raise LabelSetError("all trees must share one leaf label set")
         vid, shared = container.insert_counting(tree)
         vertex_of_input.append(vid)
         if vid == graph.n_vertices:
@@ -125,6 +119,7 @@ def _construct(trees, mode, min_shared=1):
     labeling = VertexLabeling(
         vertex_of_input=vertex_of_input,
         first_input=first_input,
+        # no container without trees, and then no vertices to read
         canonical=[container.sdlnewick_of(v) for v in range(graph.n_vertices)],
     )
     return graph, labeling
@@ -133,23 +128,15 @@ def _construct(trees, mode, min_shared=1):
 def construct_spr_graph(trees):
     """Prune-regraft adjacency graph; rooted and unrooted collections both
     work, picking the matching move family."""
-    trees = list(trees)
-    _check_collection(trees)
-    mode = Mode.RSPR if trees and trees[0].rooted else Mode.USPR
-    return _construct(trees, mode)
+    return _construct(trees)
 
 
 def construct_nni_graph(trees):
     """Interchange adjacency graph over rooted or unrooted collections: the
     prune-regraft pairs that share at least two forest keys."""
-    trees = list(trees)
-    _check_collection(trees)
-    mode = Mode.RSPR if trees and trees[0].rooted else Mode.USPR
-    return _construct(trees, mode, min_shared=2)
+    return _construct(trees, min_shared=2)
 
 
 def construct_tbr_graph(trees):
     """Bisection-reconnection adjacency graph; unrooted collections only."""
-    trees = list(trees)
-    _check_collection(trees, need_unrooted=True)
-    return _construct(trees, Mode.TBR)
+    return _construct(trees, tbr=True)

@@ -57,6 +57,16 @@ class TestInsert:
         with pytest.raises(ModeError):
             AFContainer(Mode.USPR).insert(rooted)
 
+    def test_refused_tree_leaves_the_container_unchanged(self):
+        c = AFContainer(Mode.RSPR)
+        t0, t1, _ = triangle_trees()
+        c.insert(t0)
+        c.insert(t1)
+        before = (dict(c._id_trie), {k: list(v) for k, v in c._forest_trie.items()}, list(c._trees))
+        with pytest.raises(ModeError):
+            c.insert_counting(parse_newick("(4,5,(1,(2,3)));", rooted=False))
+        assert (c._id_trie, c._forest_trie, c._trees) == before
+
     def test_shared_forest_list_is_insertion_ordered(self):
         c = AFContainer(Mode.RSPR)
         for t in triangle_trees():

@@ -156,6 +156,56 @@ class TestBuildErrors:
         inp = write(tmp_path, "t.nwk", "(1,2,(3,4));\n(1,2,(3,5));\n")
         assert run("build", inp, "--mode", "spr", "--unrooted", "--out", str(tmp_path / "g")) == 3
 
+    def test_leaf_set_error_names_its_line(self, tmp_path, capsys):
+        inp = write(tmp_path, "t.nwk", "(1,2,(3,4));\n# other leaves below\n(1,2,(3,5));\n")
+        assert run("build", inp, "--mode", "spr", "--unrooted", "--out", str(tmp_path / "g")) == 3
+        assert capsys.readouterr().err == (
+            f"error: {inp}:3: all trees must share one leaf label set\n"
+        )
+
+    def test_leaf_set_error_after_a_snapshot_names_the_input_line(self, tmp_path, capsys):
+        snap = str(tmp_path / "c.snap")
+        first = write(tmp_path, "a.nwk", TRIANGLE)
+        assert run("build", first, "--mode", "spr", "--rooted", "--out", str(tmp_path / "a.tsv"),
+                   "--snapshot", snap) == 0
+        inp = write(tmp_path, "t.nwk", "((1,2),(3,4));\n")
+        capsys.readouterr()
+        assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g.tsv"),
+                   "--append", snap) == 3
+        assert capsys.readouterr().err == (
+            f"error: {inp}:1: all trees must share one leaf label set\n"
+        )
+
+    def test_leaf_set_error_inside_a_snapshot_names_the_snapshot(self, tmp_path, capsys):
+        snaps = []
+        for k, text in enumerate(["((1,2),(3,4));\n", "((1,2),(3,5));\n"]):
+            snaps.append(tmp_path / f"{k}.snap")
+            assert run("build", write(tmp_path, f"{k}.nwk", text), "--mode", "spr", "--rooted",
+                       "--out", str(tmp_path / f"{k}.tsv"), "--snapshot", str(snaps[-1])) == 0
+        snap = tmp_path / "mixed.snap"
+        lines = [p.read_text().splitlines()[1] for p in snaps]
+        snap.write_text("afcontainer v1 rspr 2\n" + "\n".join(lines) + "\n")
+        inp = write(tmp_path, "t.nwk", "")
+        capsys.readouterr()
+        assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g.tsv"),
+                   "--append", str(snap)) == 3
+        assert capsys.readouterr().err == (
+            f"error: {snap}: all trees must share one leaf label set\n"
+        )
+
+    # the build reads, checks and inserts one line at a time, so the first
+    # faulty line decides the exit code
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("(1,2,(3,4));\n(1,2,(3,5));\n((1,2),(3,4);\n", 3),
+            ("(1,2,(3,4));\n((1,2),(3,4);\n(1,2,(3,5));\n", 2),
+        ],
+    )
+    def test_first_faulty_line_decides_the_exit_code(self, tmp_path, text, code):
+        inp = write(tmp_path, "t.nwk", text)
+        assert run("build", inp, "--mode", "spr", "--unrooted", "--out", str(tmp_path / "g")) == code
+
     def test_tbr_rooted_conflict(self, tmp_path):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
         assert run("build", inp, "--mode", "tbr", "--rooted", "--out", str(tmp_path / "g")) == 4
@@ -187,6 +237,60 @@ class TestBuildErrors:
         inp = write(tmp_path, "t.nwk", TRIANGLE)
         with pytest.raises(SystemExit):
             run("build", inp, "--mode", "spr", "--out", str(tmp_path / "g"))
+
+
+# characters str.splitlines() also splits at; none of them ends a line
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_comment_holding_a_separator(self, tmp_path, sep):
+        inp = tmp_path / "t.nwk"
+        inp.write_text(f"# first{sep}more\n" + TRIANGLE, encoding="utf-8")
+        out = tmp_path / "g.tsv"
+        assert run("build", str(inp), "--mode", "spr", "--rooted", "--out", str(out)) == 0
+        assert out.read_text() == "# treescape spr m=3\n0\t1\n0\t2\n1\t2\n"
+        sidecar = (tmp_path / "g.vertices.tsv").read_text().splitlines()
+        assert [row.split("\t")[1] for row in sidecar[1:]] == ["2", "3", "4"]
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_separator_after_a_tree_keeps_line_numbers(self, tmp_path, capsys, sep):
+        inp = tmp_path / "t.nwk"
+        inp.write_text(
+            f"(1,2,(3,4));\n(1,3,(2,4));{sep}\n(2,1,(4,3));\n(1,4,(2,3));\n", encoding="utf-8"
+        )
+        out = tmp_path / "g.tsv"
+        assert run("build", str(inp), "--mode", "spr", "--unrooted", "--out", str(out)) == 0
+        assert capsys.readouterr().err == f"warning: {inp}:3: duplicate of line 1\n"
+        sidecar = (tmp_path / "g.vertices.tsv").read_text().splitlines()
+        assert [row.split("\t")[1] for row in sidecar[1:]] == ["1", "2", "4"]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_crlf_and_cr_end_lines(self, tmp_path, monkeypatch, capsys, end, stdin):
+        text = f"# header{end}{end}" + TRIANGLE.replace("\n", end) + f"(((5,4),1),(3,2));{end}"
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            inp = "-"
+        else:
+            inp = str(tmp_path / "t.nwk")
+            with open(inp, "w", newline="") as fh:
+                fh.write(text)
+        out = tmp_path / "g.tsv"
+        assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(out)) == 0
+        assert capsys.readouterr().err == f"warning: {inp}:6: duplicate of line 3\n"
+        sidecar = (tmp_path / "g.vertices.tsv").read_text().splitlines()
+        assert [row.split("\t")[1] for row in sidecar[1:]] == ["3", "4", "5"]
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_taxa_file(self, tmp_path, capsys, sep):
+        inp = write(tmp_path, "t.nwk", "(a,b,(c,d));\n")
+        taxa = tmp_path / "m.tsv"
+        taxa.write_text(f"# name{sep}label\na 1\nb 2{sep}\nc 3\nc 4\n", encoding="utf-8")
+        assert run("build", inp, "--mode", "spr", "--unrooted", "--taxa", str(taxa),
+                   "--out", str(tmp_path / "g.tsv")) == 2
+        assert capsys.readouterr().err == f"error: {taxa}:5: taxon 'c' repeated\n"
 
 
 class TestTaxa:

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -21,7 +22,7 @@ from treescape.oracle import (
     to_newick,
 )
 from treescape.oracle import edges as tree_edges
-from treescape.tree import parse_newick
+from treescape.tree import Tree, parse_newick
 
 
 class TestAdjacencyGraph:
@@ -137,6 +138,16 @@ class TestConstruction:
     def test_tbr_needs_unrooted(self):
         with pytest.raises(ModeError):
             construct_tbr_graph([parse_newick("((1,2),(3,4));", rooted=True)])
+
+    def test_leaf_set_is_checked_before_the_tree_is_inserted(self):
+        # the second tree has another leaf set and the other rootedness;
+        # the leaf-set check comes first
+        trees = iter([
+            parse_newick("(1,2,(3,4));", rooted=False),
+            parse_newick("((1,2),(3,5));", rooted=True),
+        ])
+        with pytest.raises(LabelSetError):
+            construct_spr_graph(trees)
 
     def test_duplicate_labeling(self):
         t0 = parse_newick("((1,2),(3,4));", rooted=True)
@@ -277,3 +288,39 @@ def test_nni_count_rule_matches_nni_moves():
         assert graph == want
         assert graph.edge_count >= graph.n_vertices - 1
         assert construct_spr_graph(walk)[0].edge_count > graph.edge_count
+
+
+class Tracked(Tree):
+    """A Tree that can be weakly referenced (Tree has __slots__)."""
+
+
+@pytest.mark.parametrize(
+    "construct, rooted",
+    [
+        (construct_spr_graph, True),
+        (construct_spr_graph, False),
+        (construct_nni_graph, True),
+        (construct_tbr_graph, False),
+    ],
+)
+def test_construction_takes_one_tree_at_a_time(construct, rooted):
+    rng = random.Random(17)
+    pool = [random_tree(9, rooted=rooted, rng=rng) for _ in range(12)]
+    order = [rng.choice(pool) for _ in range(40)]
+    refs = []
+
+    def trees():
+        for k, t in enumerate(order):
+            # only the previous tree may still be held
+            held = any(ref() is not None for ref in refs[:-1])
+            assert not held, f"tree {k}: an earlier tree is still held"
+            tracked = Tracked(t.labels, t.neighbors, t.rooted)
+            refs.append(weakref.ref(tracked))
+            yield tracked
+
+    graph, labeling = construct(trees())
+    assert len(refs) == len(order)
+    want_graph, want_labeling = construct(order)
+    assert graph == want_graph
+    assert labeling.vertex_of_input == want_labeling.vertex_of_input
+    assert labeling.canonical == want_labeling.canonical
