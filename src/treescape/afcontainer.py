@@ -24,7 +24,7 @@ also one interchange apart share at least two keys; all others share one.
 A snapshot stores one canonical tree string per line. It is read back
 with the input parser, tree.parse_newick, and each line must equal the
 Oriented re-encoding of its tree, so loading needs no second parser or
-encoder, and the decoded trees are those Oriented tables.
+encoder. Each line is decoded only when its tree is inserted.
 """
 
 import contextlib
@@ -109,16 +109,15 @@ def read_snapshot(path):
 
 
 def decode_snapshot(mode, lines):
-    """Decode the lines read_snapshot returned into Oriented trees,
-    checking that each fits the snapshot's mode, is canonical and repeats
-    no earlier line. Errors name the snapshot line.
+    """Lazily yield the Oriented tree of each line read_snapshot returned,
+    checking, when its tree is taken, that the line fits the snapshot's
+    mode, is canonical and repeats no earlier line. Errors name the line.
 
     A line is read with the input parser, after dropping the ``r,`` that
     opens a rooted line, and must equal its tree's canonical string byte
     for byte. A one-leaf line such as ``1;`` is rejected: parse_newick
     refuses it, and a build never writes it.
     """
-    trees = []
     seen = set()
     for lineno, text in enumerate(lines, start=2):
         rooted = text.startswith(b"(r,")
@@ -134,8 +133,7 @@ def decode_snapshot(mode, lines):
         if text in seen:
             raise SnapshotError(f"duplicate tree at snapshot line {lineno}")
         seen.add(text)
-        trees.append(tree)
-    return trees
+        yield tree
 
 
 class AFContainer:

@@ -168,7 +168,7 @@ def _write_vertices(out_path, linenos, labeling):
 def _cmd_build(args):
     taxa = _load_taxa(args.taxa) if args.taxa else None
 
-    snapshot = []
+    snapshot, lines = (), ()
     if args.append:
         snap_mode, lines = read_snapshot(args.append)
         if snap_mode is not _container_mode(args.mode, args.rooted):
@@ -178,7 +178,7 @@ def _cmd_build(args):
                 f"{'rooted' if args.rooted else 'unrooted'} {args.mode}",
             )
         snapshot = decode_snapshot(snap_mode, lines)
-    linenos = [0] * len(snapshot)
+    linenos = [0] * len(lines)
 
     def trees():
         yield from snapshot

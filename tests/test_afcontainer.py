@@ -301,7 +301,7 @@ class TestSnapshot:
     )
     def test_decode_messages(self, mode, line, message):
         with pytest.raises(SnapshotError) as err:
-            decode_snapshot(mode, [line])
+            list(decode_snapshot(mode, [line]))
         assert str(err.value) == f"snapshot line 2: {message}"
 
     def test_one_leaf_line_is_refused(self):
@@ -309,7 +309,15 @@ class TestSnapshot:
         # parser refuses a single leaf and a build never writes one
         assert decode_tree(b"1;").n_leaves == 1
         with pytest.raises(SnapshotError, match=r"^snapshot line 2: not a canonical uspr tree$"):
-            decode_snapshot(Mode.USPR, [b"1;"])
+            list(decode_snapshot(Mode.USPR, [b"1;"]))
+
+    def test_decoding_is_lazy(self):
+        lines = [b"(r,(1,2),(3,4));", b"(r,(1,3),(2,4));", b"(r,(2,1),(3,4));"]
+        trees = decode_snapshot(Mode.RSPR, lines)
+        assert next(trees).canonical() == lines[0]
+        assert next(trees).canonical() == lines[1]
+        with pytest.raises(SnapshotError, match=r"^snapshot line 4: not a canonical rspr tree$"):
+            next(trees)
 
 
 def _children(s, open_at):

@@ -2,13 +2,15 @@
 
 import io
 import os
+import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import treescape
-from treescape import cli, forestgen, oracle
+from treescape import afcontainer, cli, forestgen, oracle
 from treescape.afcontainer import Mode, read_snapshot
 from treescape.graph import AdjacencyGraph
 
@@ -403,6 +405,45 @@ class TestSnapshotFlow:
                    "--append", str(snap)) == 0
         assert len(oriented) == 3 + 2
 
+    def test_append_takes_one_snapshot_tree_at_a_time(self, tmp_path, monkeypatch):
+        rng = random.Random(17)
+        pool = [oracle.to_newick(oracle.random_tree(9, rooted=True, rng=rng)) for _ in range(16)]
+        old = write(tmp_path, "old.nwk", "\n".join(pool[:12]) + "\n")
+        new = write(tmp_path, "new.nwk", "\n".join(pool[12:]) + "\n")
+        snap = str(tmp_path / "c.snap")
+        assert run("build", old, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g1.tsv"),
+                   "--snapshot", snap) == 0
+        refs = []
+
+        def check():
+            # only the previous snapshot tree may still be held
+            held = [k for k, ref in enumerate(refs[:-1]) if ref() is not None]
+            assert not held, f"snapshot trees {held} are still held"
+
+        class Tracked(afcontainer.Oriented):
+            def __init__(self, tree):
+                check()
+                super().__init__(tree)
+                refs.append(weakref.ref(self))
+
+        parse = cli.parse_newick
+
+        def checked_parse(*args, **kwargs):
+            check()
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(afcontainer, "Oriented", Tracked)
+        monkeypatch.setattr(cli, "parse_newick", checked_parse)
+        out = tmp_path / "g2.tsv"
+        assert run("build", new, "--mode", "spr", "--rooted", "--out", str(out),
+                   "--append", snap) == 0
+        assert len(refs) == len(read_snapshot(snap)[1])
+        monkeypatch.undo()
+        both = write(tmp_path, "both.nwk", "\n".join(pool) + "\n")
+        want = tmp_path / "g3.tsv"
+        assert run("build", both, "--mode", "spr", "--rooted", "--out", str(want)) == 0
+        assert out.read_text() == want.read_text()
+
     def test_append_mode_mismatch(self, tmp_path):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
         snap = tmp_path / "c.snap"
@@ -459,6 +500,14 @@ class TestAppendSnapshotErrors:
     def test_noncanonical_line(self, tmp_path, capsys):
         assert self.append(tmp_path, b"afcontainer v1 rspr 1\n(r,2,1);\n", "spr", "--rooted") == 2
         assert "snapshot line 2" in capsys.readouterr().err
+
+    def test_first_faulty_snapshot_line_decides_the_exit_code(self, tmp_path, capsys):
+        # line 3 has another leaf set, line 4 is not canonical
+        text = b"afcontainer v1 rspr 3\n(r,(1,2),(3,4));\n(r,(1,2),(3,5));\n(r,(2,1),(3,4));\n"
+        assert self.append(tmp_path, text, "spr", "--rooted") == 3
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'c.snap'}: all trees must share one leaf label set\n"
+        )
 
 
 class TestVerify:
