@@ -11,6 +11,7 @@ many trees for the quadratic check).
 
 import argparse
 import contextlib
+import itertools
 import os
 import re
 import sys
@@ -156,35 +157,27 @@ def _write_dot(path, graph, labeling):
         fh.write("}\n")
 
 
+def _vertices_path(out_path):
+    return os.path.splitext(out_path)[0] + ".vertices.tsv"
+
+
 def _write_vertices(out_path, linenos, labeling):
-    path = os.path.splitext(out_path)[0] + ".vertices.tsv"
-    with replace_atomically(path) as fh:
+    with replace_atomically(_vertices_path(out_path)) as fh:
         fh.write("# vertex\tline\tcanonical\n")
         for v, first in enumerate(labeling.first_input):
             canonical = labeling.canonical[v].decode("ascii")
             fh.write(f"{v}\t{linenos[first]}\t{canonical}\n")
 
 
-def _cmd_build(args):
-    taxa = _load_taxa(args.taxa) if args.taxa else None
-
-    snapshot, lines = (), ()
-    if args.append:
-        snap_mode, lines = read_snapshot(args.append)
-        if snap_mode is not _container_mode(args.mode, args.rooted):
-            return _fail(
-                4,
-                f"snapshot mode {snap_mode.value} does not fit "
-                f"{'rooted' if args.rooted else 'unrooted'} {args.mode}",
-            )
-        snapshot = decode_snapshot(snap_mode, lines)
-    linenos = [0] * len(lines)
+def _construct_numbered(args, numbered):
+    """Build the graph of (lineno, tree) pairs, taken one at a time, with
+    line 0 for a tree of the --append snapshot. Returns the graph, its
+    labeling and the line of each tree taken; a leaf-set fault names the
+    line of the refused tree."""
+    linenos = []
 
     def trees():
-        yield from snapshot
-        for lineno, tree in _read_trees(
-            args.input, rooted=args.rooted, lenient=args.lenient, taxa=taxa
-        ):
+        for lineno, tree in numbered:
             linenos.append(lineno)
             yield tree
 
@@ -194,6 +187,47 @@ def _cmd_build(args):
         # the refused tree is the last one taken
         where = f"{args.input}:{linenos[-1]}" if linenos[-1] else args.append
         raise LabelSetError(f"{where}: {exc}") from None
+    return graph, labeling, linenos
+
+
+def _path_clash(args):
+    """Why two of a build's paths name one file that the build writes, or
+    None. --snapshot may name the --append snapshot: that updates it."""
+    written = [
+        ("--out", args.out),
+        ("the vertex file", _vertices_path(args.out)),
+        ("--snapshot", args.snapshot),
+    ]
+    read = [("the input", args.input), ("--taxa", args.taxa), ("--append", args.append)]
+    for k, (name, path) in enumerate(written):
+        if path is None:
+            continue
+        for other, other_path in written[k + 1 :] + read:
+            if other_path in (None, "-") or {name, other} == {"--snapshot", "--append"}:
+                continue
+            if os.path.realpath(path) == os.path.realpath(other_path):
+                return f"{name} {path} and {other} {other_path} are the same file"
+    return None
+
+
+def _cmd_build(args):
+    clash = _path_clash(args)
+    if clash:
+        return _fail(2, clash)
+    taxa = _load_taxa(args.taxa) if args.taxa else None
+
+    numbered = _read_trees(args.input, rooted=args.rooted, lenient=args.lenient, taxa=taxa)
+    if args.append:
+        snap_mode, lines = read_snapshot(args.append)
+        if snap_mode is not _container_mode(args.mode, args.rooted):
+            return _fail(
+                4,
+                f"snapshot mode {snap_mode.value} does not fit "
+                f"{'rooted' if args.rooted else 'unrooted'} {args.mode}",
+            )
+        snapshot = ((0, tree) for tree in decode_snapshot(snap_mode, lines))
+        numbered = itertools.chain(snapshot, numbered)
+    graph, labeling, linenos = _construct_numbered(args, numbered)
     if not linenos:
         _warn(f"{args.input}: no trees")
     for k in labeling.duplicates():
@@ -225,9 +259,8 @@ def _cmd_verify(args):
         return _fail(
             5, f"{len(parsed)} trees exceed --max-m {args.max_m} for the quadratic check"
         )
+    graph, labeling, _ = _construct_numbered(args, parsed)
     trees = [tree for _, tree in parsed]
-
-    graph, labeling = _construct(args.mode, trees)
     if args.mode == "spr":
         move = "rspr" if args.rooted else "uspr"
     else:

@@ -241,6 +241,58 @@ class TestBuildErrors:
             run("build", inp, "--mode", "spr", "--out", str(tmp_path / "g"))
 
 
+class TestPathClashes:
+    """A build refuses, before it reads or writes anything, output paths
+    that name another of its files."""
+
+    def make_files(self, tmp_path):
+        inp = write(tmp_path, "t.nwk", "((a,b),(c,d));\n((a,c),(b,d));\n")
+        taxa = write(tmp_path, "names.txt", "a 1\nb 2\nc 3\nd 4\n")
+        snap = str(tmp_path / "c.snap")
+        assert run("build", inp, "--mode", "spr", "--rooted", "--taxa", taxa,
+                   "--out", str(tmp_path / "old.tsv"), "--snapshot", snap) == 0
+        write(tmp_path, "x.tsv", "old graph\n")
+        write(tmp_path, "x.vertices.tsv", "old vertices\n")
+        return {"input": inp, "taxa": taxa, "snap": snap, "x": str(tmp_path / "x.tsv"),
+                "xv": str(tmp_path / "x.vertices.tsv")}
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--out", "{x}", "--snapshot", "{x}"], "--out {x} and --snapshot {x}"),
+            (["--out", "{x}", "--snapshot", "{xv}"], "the vertex file {xv} and --snapshot {xv}"),
+            (["--out", "{input}"], "--out {input} and the input {input}"),
+            (["--out", "{taxa}"], "--out {taxa} and --taxa {taxa}"),
+            (["--out", "{snap}", "--append", "{snap}"], "--out {snap} and --append {snap}"),
+            (["--out", "{x}", "--snapshot", "{input}"], "--snapshot {input} and the input {input}"),
+        ],
+        ids=["out-snapshot", "vertices-snapshot", "out-input", "out-taxa", "out-append",
+             "snapshot-input"],
+    )
+    def test_clashing_paths_are_refused(self, tmp_path, capsys, options, message):
+        paths = self.make_files(tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        argv = [o.format(**paths) for o in options]
+        assert run("build", paths["input"], "--mode", "spr", "--rooted",
+                   "--taxa", paths["taxa"], *argv) == 2
+        assert capsys.readouterr().err == f"error: {message.format(**paths)} are the same file\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_a_link_to_the_output_is_refused(self, tmp_path, capsys):
+        paths = self.make_files(tmp_path)
+        link = tmp_path / "link.tsv"
+        link.symlink_to(paths["x"])
+        assert run("build", paths["input"], "--mode", "spr", "--rooted", "--taxa", paths["taxa"],
+                   "--out", paths["x"], "--snapshot", str(link)) == 2
+        assert (tmp_path / "x.tsv").read_text() == "old graph\n"
+
+    def test_snapshot_may_update_the_appended_one(self, tmp_path):
+        paths = self.make_files(tmp_path)
+        assert run("build", paths["input"], "--mode", "spr", "--rooted", "--taxa", paths["taxa"],
+                   "--out", paths["x"], "--append", paths["snap"], "--snapshot", paths["snap"]) == 0
+
+
 # characters str.splitlines() also splits at; none of them ends a line
 NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
@@ -523,6 +575,13 @@ class TestVerify:
         rooted = write(tmp_path, "r.nwk", TRIANGLE)
         for mode in ("spr", "nni"):
             assert run("verify", rooted, "--mode", mode, "--rooted") == 0
+
+    def test_leaf_set_error_names_its_line(self, tmp_path, capsys):
+        inp = write(tmp_path, "t.nwk", "(1,2,(3,4));\n(1,2,(3,5));\n")
+        assert run("verify", inp, "--mode", "spr", "--unrooted") == 3
+        assert capsys.readouterr().err == (
+            f"error: {inp}:2: all trees must share one leaf label set\n"
+        )
 
     def test_max_m_refusal(self, tmp_path, capsys):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
