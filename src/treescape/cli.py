@@ -4,9 +4,9 @@ treescape build   constructs a move adjacency graph from a tree file
 treescape verify  cross-checks the fast builder against all-pairs comparison
 treescape bench   times graph builds on random inputs
 
-Exit codes: 0 success, 1 verify mismatch, 2 unreadable or unparseable input,
-3 mixed leaf label sets, 4 move/rootedness conflict, 5 verify refused (too
-many trees for the quadratic check).
+Exit codes: 0 success, 1 verify mismatch, 2 unreadable or unparseable input
+or clashing build paths, 3 mixed leaf label sets, 4 move/rootedness
+conflict, 5 verify refused (too many trees for the quadratic check).
 """
 
 import argparse
