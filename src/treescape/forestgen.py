@@ -4,7 +4,8 @@ Two trees on the same leaf set are one rearrangement apart exactly when
 they share a key: cut any edge of each tree, keep the attachment point of
 the moved part as a marked root where the move semantics require it, and
 encode the resulting forest canonically. The three generators below differ
-only in which side of the cut keeps its root.
+only in which side of the cut keeps its root: rSPR the child side, uSPR
+each side in turn, TBR neither.
 
 Keys are spliced, not re-encoded. Each tree is oriented once from a top
 leaf (the root marker of a rooted tree, the smallest leaf of an unrooted
@@ -41,13 +42,15 @@ for sides of a and b leaves, which is one only for n <= 4, so the
 bisection generator skips nothing.
 
 Each generator walks the parent edge of every node below the top leaf, in
-the table's top-down order, and emits the keys of each cut that is not
-skipped (for uSPR the child side rooted, then the parent side); neither
-the index nor the graph depends on the order. A key costs Python steps
-for each swapping ancestor (and, for an unrooted lower side, for each node
-on the path down to its smallest leaf) plus copying its O(n) bytes. The
-cut-and-encode construction these keys are tested against byte for byte
-is ``oracle.reference_forest_keys``, and the tree string is tested against
+the table's top-down order. One prune-regraft walk serves rSPR and uSPR: it
+emits each cut's key with the child side rooted, then, for an unrooted tree
+only, the key with the parent side rooted, starting with that of the top's
+neighbour, whose parent side is the top leaf alone. Neither the index nor
+the graph depends on the order. A key costs Python steps for each swapping
+ancestor (and, for an unrooted lower side, for each node on the path down
+to its smallest leaf) plus copying its O(n) bytes. The cut-and-encode
+construction these keys are tested against byte for byte is
+``oracle.reference_forest_keys``, and the tree string is tested against
 ``canonical.sdlnewick_tree``. An AFContainer orients a tree, looks its
 string up and passes the same table to the key generators only when the
 tree is new.
@@ -158,39 +161,44 @@ def orient(tree):
     return tree if isinstance(tree, Oriented) else Oriented(tree)
 
 
-def _upper_key(c, s, rest, top, token, par, kids, low, jump, text, start, stop):
-    """The key of the cut above c: the side above the edge from c to its
-    parent, c's subtree removed and the parent suppressed, rendered from
-    the top leaf, then rest, the rest of the key. s is c's sibling; c's
-    parent is not the top."""
+def _upper_key(o, c, s, rest):
+    """The key of the cut above c in the Oriented table o: the side above
+    the edge from c to its parent, c's subtree removed and the parent
+    suppressed, rendered from the top leaf, then rest, the rest of the
+    key. s is c's sibling; c's parent is not the top."""
+    par, low, jump = o.par, o.low, o.jump
+    text, start, stop = o.text, o.start, o.stop
     u = par[c]
     piece = text[start[s] : stop[s]]
     if low[c] < low[s] and jump[u] >= 0:
         # c held u's smallest leaf, and the ancestors that now swap their
         # children are the jumps from u. Each swap x wraps the piece in its
-        # second child o and in the unchanged text of the levels from its
+        # second child v and in the unchanged text of the levels from its
         # first child w down to the previous swap u.
+        kids = o.kids
         head = []
         tail = []
         x = jump[u]
         while x >= 0:
-            w, o = kids[x]
-            head.append(f"({text[start[o] : stop[o]]},{text[start[w] : start[u]]}")
+            w, v = kids[x]
+            head.append(f"({text[start[v] : stop[v]]},{text[start[w] : start[u]]}")
             tail.append(f"{text[stop[u] : stop[w]]})")
             u = x
             x = jump[x]
         head.reverse()
         piece = f"{''.join(head)}{piece}{''.join(tail)}"
-    if par[u] != top:
+    if par[u] != o.top:
         return f"{text[: start[u]]}{piece}{text[stop[u] :]}{rest}".encode("ascii")
     if piece[0] == "(":
-        return f"({token},{piece[1:]}{rest}".encode("ascii")
-    return f"({token},{piece}){rest}".encode("ascii")
+        return f"({o.token},{piece[1:]}{rest}".encode("ascii")
+    return f"({o.token},{piece}){rest}".encode("ascii")
 
 
-def _lower(c, labels, kids, low, text, start, stop):
-    """c's subtree as an unrooted component with c suppressed, rendered
-    from its smallest leaf."""
+def _lower(o, c):
+    """c's subtree in the Oriented table o as an unrooted component with c
+    suppressed, rendered from its smallest leaf."""
+    labels, kids, low = o.labels, o.kids, o.low
+    text, start, stop = o.text, o.start, o.stop
     if labels[c] is not None:
         return text[start[c] : stop[c]]
     # the path from c's smallest leaf y up to c, with a subtree hanging off
@@ -225,6 +233,35 @@ def _lower(c, labels, kids, low, text, start, stop):
     return f"({token},{body},{text[start[last] : stop[last]]})"
 
 
+def _prune_regraft_keys(o):
+    """The prune-regraft keys of the Oriented table o: for each cut not
+    skipped, the child side rooted, then, if o is unrooted, the parent's."""
+    top, token, order, par, kids = o.top, o.token, o.order, o.par, o.kids
+    text, start, stop = o.text, o.start, o.stop
+    unrooted = not o.rooted
+    # up[x]: the side above x's parent edge, rooted at x's parent, for the
+    # internal nodes x that are not cherries; the top leaf alone at the
+    # top's neighbour, whose own cut is the only one with the top as parent
+    up = [token] * len(order)
+    keys = []
+    ck = kids[order[1]] if unrooted and len(order) > 1 else None
+    if ck and (kids[ck[0]] or kids[ck[1]]):
+        keys.append(f"({token})p {_lower(o, order[1])};".encode("ascii"))
+    for k in range(2, len(order)):
+        c = order[k]
+        s = order[k ^ 1]
+        p = par[c]
+        ck = kids[c]
+        if kids[s] or par[p] != top:
+            span = text[start[c] : stop[c]]
+            rest = f" {span}p;" if ck else f" ({span})p;"
+            keys.append(_upper_key(o, c, s, rest))
+        if unrooted and ck and (kids[ck[0]] or kids[ck[1]]):
+            up[c] = rooted = f"({up[p]},{text[start[s] : stop[s]]})"
+            keys.append(f"{rooted}p {_lower(o, c)};".encode("ascii"))
+    return keys
+
+
 def rspr_forest_keys(tree):
     """One key per edge of a rooted tree whose host keeps three or more
     leaves: cut it, root the cut-off side. tree may also be given already
@@ -232,17 +269,7 @@ def rspr_forest_keys(tree):
     o = orient(tree)
     if not o.rooted:
         raise ModeError("rooted-move keys require a rooted tree")
-    top, order, par, kids, low = o.top, o.order, o.par, o.kids, o.low
-    text, start, stop, jump = o.text, o.start, o.stop, o.jump
-    keys = []
-    for k in range(2, len(order)):
-        c = order[k]
-        s = order[k ^ 1]
-        if kids[s] or par[par[c]] != top:
-            span = text[start[c] : stop[c]]
-            rest = f" {span}p;" if kids[c] else f" ({span})p;"
-            keys.append(_upper_key(c, s, rest, top, "r", par, kids, low, jump, text, start, stop))
-    return keys
+    return _prune_regraft_keys(o)
 
 
 def uspr_forest_keys(tree):
@@ -252,33 +279,7 @@ def uspr_forest_keys(tree):
     o = orient(tree)
     if o.rooted:
         raise ModeError("unrooted-move keys require an unrooted tree")
-    top, token, order, par, kids, low = o.top, o.token, o.order, o.par, o.kids, o.low
-    labels, text, start, stop, jump = o.labels, o.text, o.start, o.stop, o.jump
-    # up[x]: the side above x's parent edge, rooted at x's parent, for the
-    # internal nodes x that are not cherries; the top leaf alone at the
-    # top's neighbour, whose own cut is the only one with the top as parent
-    up = [token] * len(order)
-    keys = []
-    if len(order) > 1:
-        c = order[1]
-        ck = kids[c]
-        if ck and (kids[ck[0]] or kids[ck[1]]):
-            below = _lower(c, labels, kids, low, text, start, stop)
-            keys.append(f"({token})p {below};".encode("ascii"))
-    for k in range(2, len(order)):
-        c = order[k]
-        s = order[k ^ 1]
-        p = par[c]
-        ck = kids[c]
-        if kids[s] or par[p] != top:
-            span = text[start[c] : stop[c]]
-            rest = f" {span}p;" if ck else f" ({span})p;"
-            keys.append(_upper_key(c, s, rest, top, token, par, kids, low, jump, text, start, stop))
-        if ck and (kids[ck[0]] or kids[ck[1]]):
-            up[c] = rooted = f"({up[p]},{text[start[s] : stop[s]]})"
-            below = _lower(c, labels, kids, low, text, start, stop)
-            keys.append(f"{rooted}p {below};".encode("ascii"))
-    return keys
+    return _prune_regraft_keys(o)
 
 
 def tbr_forest_keys(tree):
@@ -287,15 +288,13 @@ def tbr_forest_keys(tree):
     o = orient(tree)
     if o.rooted:
         raise ModeError("bisection keys require an unrooted tree")
-    top, token, order, par, kids, low = o.top, o.token, o.order, o.par, o.kids, o.low
-    labels, text, start, stop, jump = o.labels, o.text, o.start, o.stop, o.jump
+    order = o.order
     keys = []
     for k in range(1, len(order)):
         c = order[k]
-        rest = f" {_lower(c, labels, kids, low, text, start, stop)};"
+        rest = f" {_lower(o, c)};"
         if k == 1:
-            keys.append(f"{token}{rest}".encode("ascii"))
+            keys.append(f"{o.token}{rest}".encode("ascii"))
         else:
-            s = order[k ^ 1]
-            keys.append(_upper_key(c, s, rest, top, token, par, kids, low, jump, text, start, stop))
+            keys.append(_upper_key(o, c, order[k ^ 1], rest))
     return keys
