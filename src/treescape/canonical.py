@@ -406,12 +406,9 @@ def _parse_component(s, i):
     raise CanonicalError(f"unrooted component takes two or three subtrees, found {c}")
 
 
-def decode_forest(data, *, strict=True):
-    """Parse a canonical forest string back into a Forest.
-
-    Strict mode (the default) additionally requires the input to be in
-    canonical form: re-encoding the result must reproduce the input bytes.
-    Lenient mode accepts any ordering that fits the grammar.
+def decode_forest(data):
+    """Parse a canonical forest string back into a Forest. The input must
+    be in canonical form: re-encoding the result must reproduce its bytes.
     """
     s = _as_text(data)
     if not s or s[-1] != ";":
@@ -438,7 +435,7 @@ def decode_forest(data, *, strict=True):
         forest.validate()
     except ValueError as exc:
         raise CanonicalError(str(exc)) from None
-    if strict and sdlnewick_forest(forest) != s.encode("ascii"):
+    if sdlnewick_forest(forest) != s.encode("ascii"):
         raise CanonicalError(f"{s!r} is not in canonical form")
     return forest
 
@@ -488,13 +485,13 @@ def validate_tree(tree):
         raise ValueError("tree is not connected")
 
 
-def decode_tree(data, *, strict=True):
+def decode_tree(data):
     """Parse a canonical tree string back into a Tree.
 
     The string must hold exactly one component; rootedness is inferred from
     the presence of the r token. Raises CanonicalError otherwise.
     """
-    forest = decode_forest(data, strict=strict)
+    forest = decode_forest(data)
     if len(forest) != 1:
         raise CanonicalError(f"expected one component, found {len(forest)}")
     comp = forest.components[0]

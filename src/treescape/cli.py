@@ -171,9 +171,9 @@ def _write_vertices(out_path, linenos, labeling):
 
 def _construct_numbered(args, numbered):
     """Build the graph of (lineno, tree) pairs, taken one at a time, with
-    line 0 for a tree of the --append snapshot. Returns the graph, its
-    labeling and the line of each tree taken; a leaf-set fault names the
-    line of the refused tree."""
+    line 0 for a tree of the --append snapshot, which come first. Returns
+    the graph, its labeling and the line of each tree taken; a leaf-set
+    fault names the file line of the refused tree."""
     linenos = []
 
     def trees():
@@ -184,8 +184,10 @@ def _construct_numbered(args, numbered):
     try:
         graph, labeling = _construct(args.mode, trees())
     except LabelSetError as exc:
-        # the refused tree is the last one taken
-        where = f"{args.input}:{linenos[-1]}" if linenos[-1] else args.append
+        # the refused tree is the last one taken; the k-th snapshot tree is
+        # on line k + 1 of its file, after the header
+        k = len(linenos)
+        where = f"{args.input}:{linenos[-1]}" if linenos[-1] else f"{args.append}:{k + 1}"
         raise LabelSetError(f"{where}: {exc}") from None
     return graph, labeling, linenos
 
@@ -228,7 +230,7 @@ def _cmd_build(args):
         snapshot = ((0, tree) for tree in decode_snapshot(snap_mode, lines))
         numbered = itertools.chain(snapshot, numbered)
     graph, labeling, linenos = _construct_numbered(args, numbered)
-    if not linenos:
+    if not any(linenos):
         _warn(f"{args.input}: no trees")
     for k in labeling.duplicates():
         if linenos[k]:
@@ -311,8 +313,7 @@ def _cmd_bench(args):
             best[k] = min(best[k], time.perf_counter() - t0)
     points = list(zip(sizes, best))
     for n, total in points:
-        # a build is one insert pass, so insert and total agree
-        print(f"n={n} m={args.m} insert={total:.3f}s total={total:.3f}s")
+        print(f"n={n} m={args.m} total={total:.3f}s")
     if len(points) > 1:
         xs = [math.log(n) for n, _ in points]
         ys = [math.log(t) for _, t in points]

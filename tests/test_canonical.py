@@ -126,12 +126,6 @@ class TestDecode:
         with pytest.raises(CanonicalError):
             decode_forest(text)
 
-    def test_lenient_accepts_noncanonical_order(self):
-        f = decode_forest("(2,1,(3,4));", strict=False)
-        assert sdlnewick_forest(f) == b"(1,2,(3,4));"
-        with pytest.raises(CanonicalError):
-            decode_forest("(2,1,(3,4));", strict=True)
-
     @pytest.mark.parametrize("text", ["(r,(1,2),\u00b2);", "(r,(1,2),\u0663);", "(1,2,\u0660);"])
     @pytest.mark.parametrize("decode", [decode_tree, decode_forest])
     def test_non_ascii_digits_rejected(self, decode, text):

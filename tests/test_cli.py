@@ -192,7 +192,7 @@ class TestBuildErrors:
         assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g.tsv"),
                    "--append", str(snap)) == 3
         assert capsys.readouterr().err == (
-            f"error: {snap}: all trees must share one leaf label set\n"
+            f"error: {snap}:3: all trees must share one leaf label set\n"
         )
 
     # the build reads, checks and inserts one line at a time, so the first
@@ -427,16 +427,19 @@ class TestSnapshotFlow:
         mode, lines = read_snapshot(snap)
         assert len(lines) == 4
 
-    def test_append_edges_cover_old_and_new(self, tmp_path):
+    def test_append_edges_cover_old_and_new(self, tmp_path, capsys):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
         snap = tmp_path / "c.snap"
         run("build", inp, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g1.tsv"),
             "--snapshot", str(snap))
         empty = write(tmp_path, "empty.nwk", "")
         out = tmp_path / "g2.tsv"
+        capsys.readouterr()
         assert run("build", empty, "--mode", "spr", "--rooted", "--out", str(out),
                    "--append", str(snap)) == 0
         assert out.read_text() == "# treescape spr m=3\n0\t1\n0\t2\n1\t2\n"
+        # the input gave no tree, though the snapshot did
+        assert capsys.readouterr().err == f"warning: {empty}: no trees\n"
 
     def test_append_orients_each_tree_once(self, tmp_path, monkeypatch):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
@@ -558,7 +561,16 @@ class TestAppendSnapshotErrors:
         text = b"afcontainer v1 rspr 3\n(r,(1,2),(3,4));\n(r,(1,2),(3,5));\n(r,(2,1),(3,4));\n"
         assert self.append(tmp_path, text, "spr", "--rooted") == 3
         assert capsys.readouterr().err == (
-            f"error: {tmp_path / 'c.snap'}: all trees must share one leaf label set\n"
+            f"error: {tmp_path / 'c.snap'}:3: all trees must share one leaf label set\n"
+        )
+
+    def test_leaf_set_fault_names_its_snapshot_line(self, tmp_path, capsys):
+        # the fourth tree, on line 5 of the file, has another leaf set
+        text = (b"afcontainer v1 uspr 4\n(1,2,(3,(4,5)));\n(1,(2,(4,5)),3);\n"
+                b"(1,(2,(3,5)),4);\n(1,2,(3,(4,6)));\n")
+        assert self.append(tmp_path, text, "spr", "--unrooted") == 3
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'c.snap'}:5: all trees must share one leaf label set\n"
         )
 
 
@@ -623,7 +635,8 @@ class TestBench:
         assert run("bench", "--mode", "spr", "--rooted", "--m", "6", "--sizes", "8,16",
                    "--seed", "7") == 0
         out = capsys.readouterr().out
-        assert "n=8 m=6" in out and "n=16 m=6" in out
+        assert "n=8 m=6 total=" in out and "n=16 m=6 total=" in out
+        assert "insert=" not in out  # a build is one insert pass: total says it
         assert "exponent=" in out
         assert "query=" not in out  # one build pass per size, as build makes
 
