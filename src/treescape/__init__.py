@@ -32,7 +32,7 @@ _EXPORTS = {
         "SnapshotError",
         "TreescapeError",
     ),
-    "forestgen": ("rspr_forest_keys", "tbr_forest_keys", "uspr_forest_keys"),
+    "forestgen": ("nni_keys", "rspr_forest_keys", "tbr_forest_keys", "uspr_forest_keys"),
     "graph": (
         "AdjacencyGraph",
         "VertexLabeling",

@@ -20,6 +20,8 @@ The id lists a new tree's keys land on hold exactly the earlier trees one
 move away from it, so inserting a tree also finds its earlier neighbours,
 with the number of keys each one shares. Prune-regraft neighbours that are
 also one interchange apart share at least two keys; all others share one.
+A container made with nni indexes interchange keys instead, one of which
+is shared by each pair of trees one interchange apart and by no others.
 
 A snapshot stores one canonical tree string per line. It is read back
 with the input parser, tree.parse_newick, and each line must equal the
@@ -31,9 +33,11 @@ import contextlib
 import enum
 import os
 from collections import Counter
+from functools import partial
 
 from .errors import ModeError, NewickError, SnapshotError
-from .forestgen import Oriented, orient, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
+from .forestgen import Oriented, nni_keys, orient
+from .forestgen import rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
 from .tree import parse_newick
 
 
@@ -141,15 +145,23 @@ class AFContainer:
 
     Tree ids are assigned densely from 0 in first-insertion order; inserting
     an already-present tree returns its existing id and changes nothing.
+    With nni, an rspr or uspr container indexes interchange keys instead of
+    forests, and answers only nni_neighbors.
     """
 
-    def __init__(self, mode):
+    def __init__(self, mode, nni=False):
         self.mode = Mode(mode)
-        # the mode's key generator, read from this module now rather than at
+        self.nni = nni
+        # the key generator, read from this module now rather than at
         # import, so that a wrapped one is used; it refuses the wrong rootedness
-        self._forest_keys = {
-            Mode.RSPR: rspr_forest_keys, Mode.USPR: uspr_forest_keys, Mode.TBR: tbr_forest_keys
-        }[self.mode]
+        if nni and self.mode is Mode.TBR:
+            raise ModeError("interchange keys need an rspr or uspr container")
+        if nni:
+            self._forest_keys = partial(nni_keys, rooted=self.mode.rooted)
+        else:
+            self._forest_keys = {
+                Mode.RSPR: rspr_forest_keys, Mode.USPR: uspr_forest_keys, Mode.TBR: tbr_forest_keys
+            }[self.mode]
         # the acceptance suite reads both indexes by these names
         self._forest_trie = {}
         self._id_trie = {}
@@ -225,8 +237,8 @@ class AFContainer:
         interchange-adjacent (they share more than one forest key); the query
         tree itself need not be inserted and is never reported.
         """
-        if self.mode is Mode.TBR:
-            raise ModeError("prune-regraft queries need an rspr or uspr container")
+        if self.mode is Mode.TBR or self.nni:
+            raise ModeError("prune-regraft queries need a container of rspr or uspr forests")
         return self._matches(tree)
 
     def tbr_neighbors(self, tree):
@@ -237,13 +249,15 @@ class AFContainer:
 
     def nni_neighbors(self, tree):
         """Ids of inserted trees one interchange move from tree (no repeats):
-        those sharing at least two forest keys with it.
+        those sharing at least two forest keys with it, or one nni key.
 
         Needs an rspr or uspr container; bisection-reconnection pairs that
         are not interchange-adjacent can share two tbr keys.
         """
         if self.mode is Mode.TBR:
             raise ModeError("interchange queries need an rspr or uspr container")
+        if self.nni:
+            return self._matches(tree)
         shared = Counter(self._matches(tree))
         return [i for i, k in shared.items() if k >= 2]
 

@@ -1,4 +1,4 @@
-"""Per-edge two-component forest keys.
+"""Per-edge two-component forest keys, and per-internal-edge interchange keys.
 
 Two trees on the same leaf set are one rearrangement apart exactly when
 they share a key: cut any edge of each tree, keep the attachment point of
@@ -54,6 +54,16 @@ construction these keys are tested against byte for byte is
 ``canonical.sdlnewick_tree``. An AFContainer orients a tree, looks its
 string up and passes the same table to the key generators only when the
 tree is new.
+
+Interchange keys are not forests. Two binary trees are one interchange
+apart exactly when contracting one internal edge in each gives the same
+tree. So the interchange generator walks each internal node x whose parent
+p is internal, and its key is the tree with the edge from x to p
+contracted: p's span with x's two children and x's sibling inside, in
+label order. p keeps its smallest label, so no ancestor reorders. A rooted
+tree is keyed with its root marker as a leaf. Each key is shared by the
+three trees that resolve its four-way node, and two distinct trees share
+at most one key.
 """
 
 from .errors import ModeError
@@ -280,6 +290,37 @@ def uspr_forest_keys(tree):
     if o.rooted:
         raise ModeError("unrooted-move keys require an unrooted tree")
     return _prune_regraft_keys(o)
+
+
+def nni_keys(tree, rooted):
+    """One interchange key per internal edge: n - 3 unrooted, n - 2 rooted.
+    A tree whose rootedness is not rooted raises ModeError. tree may also be
+    given already Oriented."""
+    o = orient(tree)
+    if o.rooted != rooted:
+        kind = "rooted" if rooted else "unrooted"
+        raise ModeError(f"{kind} interchange keys require a {kind} tree")
+    order, par, kids, low = o.order, o.par, o.kids, o.low
+    text, start, stop = o.text, o.start, o.stop
+    keys = []
+    for k in range(2, len(order)):
+        x = order[k]
+        if kids[x] is None:
+            continue
+        # x's children a < b are adjacent in its span; the sibling s joins
+        # them in label order, inside the "(" and ")" of the parent's span
+        a, b = kids[x]
+        s = order[k ^ 1]
+        sib = text[start[s] : stop[s]]
+        if low[s] < low[a]:
+            inner = f"{sib},{text[start[a] : stop[b]]}"
+        elif low[s] < low[b]:
+            inner = f"{text[start[a] : stop[a]]},{sib},{text[start[b] : stop[b]]}"
+        else:
+            inner = f"{text[start[a] : stop[b]]},{sib}"
+        p = par[x]
+        keys.append(f"{text[: start[p] + 1]}{inner}{text[stop[p] - 1 :]}".encode("ascii"))
+    return keys
 
 
 def tbr_forest_keys(tree):

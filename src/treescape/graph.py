@@ -2,12 +2,13 @@
 
 Construction makes one pass over the input. Each distinct tree becomes the
 next vertex i when it is inserted into an AFContainer, and the insert
-reports the earlier trees j < i sharing forest keys with it, so every edge
-{j, i} is stored exactly once, in vertex i's step. Prune-regraft and
-bisection graphs take every earlier tree sharing a key; the interchange
-graph takes those sharing two or more. Each construct_*_graph consumes any
-iterable of trees once, one tree at a time, so a caller that yields trees
-holds none past its step.
+reports the earlier trees j < i sharing keys with it, so every edge {j, i}
+is stored exactly once, in vertex i's step. Every graph takes each earlier
+tree sharing a key: a forest key for the prune-regraft and bisection
+graphs, an interchange key, the tree with one internal edge contracted,
+for the interchange graph. Each construct_*_graph consumes any iterable of
+trees once, one tree at a time, so a caller that yields trees holds none
+past its step.
 """
 
 from .afcontainer import AFContainer, Mode
@@ -98,7 +99,7 @@ class VertexLabeling:
         return [k for k, v in enumerate(self.vertex_of_input) if self.first_input[v] != k]
 
 
-def _construct(trees, tbr=False, min_shared=1):
+def _construct(trees, tbr=False, nni=False):
     """The graph and labeling of trees, taken one at a time. The first tree
     fixes the leaf set and, unless tbr, the container mode by its
     rootedness; the key generators refuse a tree of the other rootedness."""
@@ -108,14 +109,14 @@ def _construct(trees, tbr=False, min_shared=1):
     for k, tree in enumerate(trees):
         if k == 0:
             labels = tree.leaf_labels()
-            container = AFContainer(Mode.TBR if tbr else Mode.RSPR if tree.rooted else Mode.USPR)
+            container = AFContainer(Mode.TBR if tbr else Mode.RSPR if tree.rooted else Mode.USPR, nni)
         elif tree.leaf_labels() != labels:
             raise LabelSetError("all trees must share one leaf label set")
         vid, shared = container.insert_counting(tree)
         vertex_of_input.append(vid)
         if vid == graph.n_vertices:
             first_input.append(k)
-            graph.add_vertex([j for j, count in shared.items() if count >= min_shared])
+            graph.add_vertex(list(shared))
     labeling = VertexLabeling(
         vertex_of_input=vertex_of_input,
         first_input=first_input,
@@ -133,8 +134,9 @@ def construct_spr_graph(trees):
 
 def construct_nni_graph(trees):
     """Interchange adjacency graph over rooted or unrooted collections: the
-    prune-regraft pairs that share at least two forest keys."""
-    return _construct(trees, min_shared=2)
+    pairs that share an interchange key, which is a tree with one internal
+    edge contracted (forestgen.nni_keys)."""
+    return _construct(trees, nni=True)
 
 
 def construct_tbr_graph(trees):

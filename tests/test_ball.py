@@ -1,12 +1,14 @@
 """The paper's characterisation, checked on balls around random trees.
 
-Two trees share a forest key exactly when they are one move apart, and
-interchange neighbours share at least two (arXiv:1606.08893). The vertex
+Two trees share a forest key exactly when they are one move apart
+(arXiv:1606.08893), and one interchange key exactly when they are one
+interchange apart. The vertex
 set is a random tree T, every tree one move from T by the exhaustive
 oracle, and a few trees two moves from T; the graph built through the key
 index must give T, and a few sampled neighbours of T, exactly their oracle
 neighbourhood within that set. The pairwise oracle of the other tests stops
-at n = 8; these balls reach n = 24.
+at n = 8; these balls reach n = 24, and n = 64 for the interchange graph,
+whose keys are the tree with one internal edge contracted.
 """
 
 import random
@@ -17,17 +19,21 @@ from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
 from treescape.oracle import enumerate_neighbors, random_tree
 
+# move name -> (builder, rooted, the oracle's move)
 BUILDERS = {
-    "rspr": (construct_spr_graph, True),
-    "uspr": (construct_spr_graph, False),
-    "nni": (construct_nni_graph, False),
-    "tbr": (construct_tbr_graph, False),
+    "rspr": (construct_spr_graph, True, "rspr"),
+    "uspr": (construct_spr_graph, False, "uspr"),
+    "nni": (construct_nni_graph, False, "nni"),
+    "rnni": (construct_nni_graph, True, "nni"),
+    "tbr": (construct_tbr_graph, False, "tbr"),
 }
 
-# closed-form degrees on unrooted trees (Allen & Steel 2001)
+# closed-form degrees (Allen & Steel 2001); a rooted tree on n leaves has
+# the interchanges of an unrooted one on n + 1
 DEGREE = {
     "uspr": lambda n: 2 * (n - 3) * (2 * n - 7),
     "nni": lambda n: 2 * (n - 3),
+    "rnni": lambda n: 2 * (n - 2),
 }
 
 
@@ -41,14 +47,17 @@ def graph_neighbourhoods(move, trees):
 
 @pytest.mark.parametrize(
     "move, n",
-    [("rspr", 16), ("uspr", 16), ("nni", 16), ("tbr", 16), ("uspr", 24)],
+    [
+        ("rspr", 16), ("uspr", 16), ("nni", 16), ("tbr", 16), ("uspr", 24),
+        ("nni", 32), ("nni", 64), ("rnni", 16),
+    ],
 )
 def test_ball_neighbourhoods_match_oracle(move, n):
     rng = random.Random(f"{move}-{n}")
-    rooted = BUILDERS[move][1]
+    _, rooted, oracle_move = BUILDERS[move]
     t = random_tree(n, rooted=rooted, rng=rng)
     home = sdlnewick_tree(t)
-    near = enumerate_neighbors(t, move)
+    near = enumerate_neighbors(t, oracle_move)
     if move in DEGREE:
         assert len(near) == DEGREE[move](n)
 
@@ -56,7 +65,7 @@ def test_ball_neighbourhoods_match_oracle(move, n):
     ring = {}  # sampled neighbour -> its oracle neighbourhood
     far = set()
     for s in sampled:
-        ring[s] = enumerate_neighbors(decode_tree(s), move)
+        ring[s] = enumerate_neighbors(decode_tree(s), oracle_move)
         outside = sorted(ring[s] - near - {home})
         far.update(rng.sample(outside, 2))
     assert far and not far & near and home not in far

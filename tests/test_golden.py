@@ -70,3 +70,43 @@ def test_snapshot_then_append(tmp_path):
         "g2.vertices.tsv": "9f7c1468b148cad71a2f8af68c86bf0b098187e77783032a44d528fee0a40db2",
         "two.snap": "7da5f1bdc7047b9eaa42d62aed467759e3315117c5527cea48b95567efd0c9dd",
     }
+
+
+# Snapshots written by the earlier NNI build, which counted shared forests:
+# spr_rooted_first.snap by `build nni_rooted_first.nwk --mode spr --rooted
+# --snapshot`, and nni_unrooted_head.snap by `build --mode nni --unrooted
+# --snapshot` over the first 15 lines of nni_unrooted.nwk. An NNI build
+# appending the rest must write what that build wrote, byte for byte.
+@pytest.mark.parametrize(
+    "snap, source, first_line, rootedness, want",
+    [
+        ("spr_rooted_first.snap", "nni_rooted_second.nwk", 1, "--rooted", {
+            "g.tsv": "11fad7900ca1c7b8e86652b4796c0cfc50e95c2fe75fe90a261ad126c58b6ea2",
+            "g.vertices.tsv": "9f7c1468b148cad71a2f8af68c86bf0b098187e77783032a44d528fee0a40db2",
+            "g.snap": "7da5f1bdc7047b9eaa42d62aed467759e3315117c5527cea48b95567efd0c9dd",
+        }),
+        ("nni_unrooted_head.snap", "nni_unrooted.nwk", 16, "--unrooted", {
+            "g.tsv": "5ee33e46a2f45c9ba161b3b87107782933fb4d8a4c20b99105765f8db9ee3161",
+            "g.vertices.tsv": "b03d74c37a77e72bf5e30c85c420b1a4fbebda064ea6ed1dbf3378dfe0958c79",
+            "g.snap": "95e1a77a06dac824ae7d763f4d807f5da1cf962ce0cfbab71ce427b75899c758",
+        }),
+    ],
+)
+def test_nni_append_to_earlier_snapshot(tmp_path, snap, source, first_line, rootedness, want):
+    with open(os.path.join(GOLDEN, source), encoding="ascii") as fh:
+        rest = fh.readlines()[first_line - 1 :]
+    (tmp_path / "rest.nwk").write_text("".join(rest), encoding="ascii")
+    argv = [str(tmp_path / "rest.nwk"), "--mode", "nni", rootedness,
+            "--append", os.path.join(GOLDEN, snap), "--snapshot", str(tmp_path / "g.snap")]
+    assert digests(tmp_path, "g", *argv) == want
+
+
+def test_rooted_snapshot_refused_by_unrooted_nni(tmp_path, capsys):
+    rest = tmp_path / "rest.nwk"
+    rest.write_text("(1,2,(3,4));\n", encoding="ascii")
+    snap = os.path.join(GOLDEN, "spr_rooted_first.snap")
+    argv = ["build", str(rest), "--mode", "nni", "--unrooted", "--out", str(tmp_path / "g.tsv"),
+            "--append", snap]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == "error: snapshot mode rspr does not fit unrooted nni\n"
+    assert os.listdir(tmp_path) == ["rest.nwk"]
