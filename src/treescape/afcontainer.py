@@ -52,6 +52,18 @@ class Mode(enum.Enum):
     def rooted(self):
         return self is Mode.RSPR
 
+    @classmethod
+    def of(cls, move, rooted):
+        """The mode of a build of move ("spr", "nni" or "tbr") over trees of
+        this rootedness: nni keeps the spr mode, and tbr has no rooted one."""
+        if move == "tbr":
+            if rooted:
+                raise ModeError("tbr graphs are only defined for unrooted trees")
+            return cls.TBR
+        if move not in ("spr", "nni"):
+            raise ValueError(f"unknown move {move!r}")
+        return cls.RSPR if rooted else cls.USPR
+
 
 _SNAPSHOT_MAGIC = "afcontainer"
 _SNAPSHOT_VERSION = "v1"
@@ -83,32 +95,33 @@ def write_snapshot(path, mode, canonical_lines):
 
 
 def read_snapshot(path):
-    """Read a snapshot header and its raw canonical lines: (Mode, [bytes])."""
+    """Read a snapshot header and its raw canonical lines: (Mode, [bytes]).
+    Errors name the file, and the line where there is one."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().rstrip("\n").split(" ")
             if len(header) != 4 or header[0] != _SNAPSHOT_MAGIC:
-                raise SnapshotError("not a container snapshot")
+                raise SnapshotError(f"{path}:1: not a container snapshot")
             if header[1] != _SNAPSHOT_VERSION:
-                raise SnapshotError(f"unsupported snapshot version {header[1]!r}")
+                raise SnapshotError(f"{path}:1: unsupported snapshot version {header[1]!r}")
             try:
                 mode = Mode(header[2])
             except ValueError:
-                raise SnapshotError(f"unknown snapshot mode {header[2]!r}") from None
-            try:
-                count = int(header[3])
-            except ValueError:
-                raise SnapshotError(f"bad tree count {header[3]!r}") from None
+                raise SnapshotError(f"{path}:1: unknown snapshot mode {header[2]!r}") from None
+            # ASCII digits only, as written: int() would also take "+1" and "1_0"
+            if not (header[3].isascii() and header[3].isdigit()):
+                raise SnapshotError(f"{path}:1: bad tree count {header[3]!r}")
+            count = int(header[3])
             lines = []
-            for lineno, line in enumerate(fh):
+            for lineno, line in enumerate(fh, start=2):
                 text = line.rstrip("\n")
                 if not text:
-                    raise SnapshotError(f"blank line {lineno + 2} in snapshot")
+                    raise SnapshotError(f"{path}:{lineno}: blank line in snapshot")
                 lines.append(text.encode("ascii"))
     except UnicodeDecodeError:
-        raise SnapshotError(f"{os.fspath(path)}: snapshot is not ASCII text") from None
+        raise SnapshotError(f"{path}: snapshot is not ASCII text") from None
     if len(lines) != count:
-        raise SnapshotError(f"snapshot header promises {count} trees, found {len(lines)}")
+        raise SnapshotError(f"{path}: snapshot header promises {count} trees, found {len(lines)}")
     return mode, lines
 
 

@@ -47,12 +47,6 @@ def _warn(message):
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _container_mode(mode, rooted):
-    if mode == "tbr":
-        return Mode.TBR
-    return Mode.RSPR if rooted else Mode.USPR
-
-
 def _read_lines(path):
     """Yield the lines of a UTF-8 text file, or of stdin for -, one at a
     time, split only at line ends: LF, CR LF or CR."""
@@ -221,11 +215,10 @@ def _cmd_build(args):
     numbered = _read_trees(args.input, rooted=args.rooted, lenient=args.lenient, taxa=taxa)
     if args.append:
         snap_mode, lines = read_snapshot(args.append)
-        if snap_mode is not _container_mode(args.mode, args.rooted):
-            return _fail(
-                4,
+        if snap_mode is not args.container_mode:
+            raise ModeError(
                 f"snapshot mode {snap_mode.value} does not fit "
-                f"{'rooted' if args.rooted else 'unrooted'} {args.mode}",
+                f"{'rooted' if args.rooted else 'unrooted'} {args.mode}"
             )
         snapshot = ((0, tree) for tree in decode_snapshot(snap_mode, lines))
         numbered = itertools.chain(snapshot, numbered)
@@ -244,9 +237,7 @@ def _cmd_build(args):
         _write_dot(args.out, graph, labeling)
     _write_vertices(args.out, linenos, labeling)
     if args.snapshot:
-        write_snapshot(
-            args.snapshot, _container_mode(args.mode, args.rooted), labeling.canonical
-        )
+        write_snapshot(args.snapshot, args.container_mode, labeling.canonical)
     print(f"built {args.mode} graph: m={graph.n_vertices} edges={graph.edge_count}")
     return 0
 
@@ -263,10 +254,7 @@ def _cmd_verify(args):
         )
     graph, labeling, _ = _construct_numbered(args, parsed)
     trees = [tree for _, tree in parsed]
-    if args.mode == "spr":
-        move = "rspr" if args.rooted else "uspr"
-    else:
-        move = args.mode
+    move = "nni" if args.mode == "nni" else args.container_mode.value
     slow_graph, slow_canon = pairwise_graph(trees, move)
 
     if labeling.canonical != slow_canon:
@@ -286,6 +274,7 @@ def _cmd_verify(args):
 def _cmd_bench(args):
     import math
     import random
+    import statistics
 
     from .oracle import random_tree
 
@@ -311,18 +300,11 @@ def _cmd_bench(args):
             t0 = time.perf_counter()
             _construct(args.mode, trees)
             best[k] = min(best[k], time.perf_counter() - t0)
-    points = list(zip(sizes, best))
-    for n, total in points:
+    for n, total in zip(sizes, best):
         print(f"n={n} m={args.m} total={total:.3f}s")
-    if len(points) > 1:
-        xs = [math.log(n) for n, _ in points]
-        ys = [math.log(t) for _, t in points]
-        mean_x = sum(xs) / len(xs)
-        mean_y = sum(ys) / len(ys)
-        slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum(
-            (x - mean_x) ** 2 for x in xs
-        )
-        print(f"exponent={slope:.3f}")
+    if len(sizes) > 1:
+        fit = statistics.linear_regression(list(map(math.log, sizes)), list(map(math.log, best)))
+        print(f"exponent={fit.slope:.3f}")
     return 0
 
 
@@ -391,9 +373,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.mode == "tbr" and args.rooted:
-        return _fail(4, "tbr graphs are only defined for unrooted trees")
     try:
+        # the one container mode of the run; refuses rooted tbr
+        args.container_mode = Mode.of(args.mode, args.rooted)
         return args.run(args)
     except (NewickError, CanonicalError, SnapshotError) as exc:
         return _fail(2, str(exc))

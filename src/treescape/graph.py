@@ -99,17 +99,17 @@ class VertexLabeling:
         return [k for k, v in enumerate(self.vertex_of_input) if self.first_input[v] != k]
 
 
-def _construct(trees, tbr=False, nni=False):
-    """The graph and labeling of trees, taken one at a time. The first tree
-    fixes the leaf set and, unless tbr, the container mode by its
-    rootedness; the key generators refuse a tree of the other rootedness."""
+def _construct(trees, move):
+    """The graph and labeling of move over trees, taken one at a time. The
+    first tree fixes the leaf set and, by its rootedness, the container
+    mode (Mode.of); the key generators refuse the other rootedness."""
     graph = AdjacencyGraph()
     vertex_of_input = []
     first_input = []
     for k, tree in enumerate(trees):
         if k == 0:
             labels = tree.leaf_labels()
-            container = AFContainer(Mode.TBR if tbr else Mode.RSPR if tree.rooted else Mode.USPR, nni)
+            container = AFContainer(Mode.of(move, tree.rooted), nni=move == "nni")
         elif tree.leaf_labels() != labels:
             raise LabelSetError("all trees must share one leaf label set")
         vid, shared = container.insert_counting(tree)
@@ -129,16 +129,16 @@ def _construct(trees, tbr=False, nni=False):
 def construct_spr_graph(trees):
     """Prune-regraft adjacency graph; rooted and unrooted collections both
     work, picking the matching move family."""
-    return _construct(trees)
+    return _construct(trees, "spr")
 
 
 def construct_nni_graph(trees):
     """Interchange adjacency graph over rooted or unrooted collections: the
     pairs that share an interchange key, which is a tree with one internal
     edge contracted (forestgen.nni_keys)."""
-    return _construct(trees, nni=True)
+    return _construct(trees, "nni")
 
 
 def construct_tbr_graph(trees):
     """Bisection-reconnection adjacency graph; unrooted collections only."""
-    return _construct(trees, tbr=True)
+    return _construct(trees, "tbr")

@@ -7,7 +7,7 @@ tests need live here: edges lists a tree's edges and to_newick writes plain
 Newick. So does the move surgery: yield_forest cuts edges out of a tree
 into a canonical.Forest, and apply_spr and apply_tbr rebuild the tree after
 one move. nni_moves lists interchange results directly, a cross-check on
-the shared-key count the interchange graph is built from.
+the contracted-edge keys the interchange graph indexes (forestgen.nni_keys).
 reference_forest_keys cuts and re-encodes the whole tree for every key, the
 construction the spliced keys of forestgen must match byte for byte. None
 of the indexing machinery is used, so agreement between this module and

@@ -1,4 +1,26 @@
+import os
+import subprocess
+import sys
+import tempfile
+
 _acceptance_lines = []
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# an --append build in a fresh interpreter; prints the files of the
+# treescape modules it imported
+_BUILD_PATH_PROBE = """\
+import sys
+from treescape import cli
+with open("t.nwk", "w") as fh:
+    fh.write("(((4,5),1),(2,3));\\n((((4,5),2),3),1);\\n")
+argv = ["build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g.tsv"]
+assert cli.main(argv + ["--snapshot", "c.snap"]) == 0
+assert cli.main(argv + ["--append", "c.snap"]) == 0
+for name, module in sorted(sys.modules.items()):
+    if name.split(".")[0] == "treescape":
+        print("module", module.__file__)
+"""
 
 
 def report_criterion(num, name, ok, detail=""):
@@ -10,8 +32,38 @@ def report_criterion(num, name, ok, detail=""):
     assert ok, line
 
 
+def _line_count(path):
+    with open(path, "rb") as fh:
+        return fh.read().count(b"\n")
+
+
+def _line_counts():
+    """(lines of src/, lines of the modules an --append build imports)."""
+    package = os.path.join(SRC, "treescape")
+    src = sum(_line_count(os.path.join(package, f)) for f in os.listdir(package) if f.endswith(".py"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = subprocess.run(
+            [sys.executable, "-c", _BUILD_PATH_PROBE],
+            cwd=tmp,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+    modules = [line.split(" ", 1)[1] for line in out.splitlines() if line.startswith("module ")]
+    return src, sum(map(_line_count, modules))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus):
     if _acceptance_lines:
         terminalreporter.section("acceptance criteria")
         for _, line in sorted(_acceptance_lines):
             terminalreporter.write_line(line)
+    # informational: a failure to count is reported, never raised
+    terminalreporter.section("line counts")
+    try:
+        src, build_path = _line_counts()
+    except (OSError, subprocess.SubprocessError) as exc:
+        terminalreporter.write_line(f"unavailable: {exc}")
+    else:
+        terminalreporter.write_line(f"src/: {src} lines; an --append build imports {build_path}")

@@ -57,6 +57,17 @@ class TestInsert:
         with pytest.raises(ModeError):
             AFContainer(Mode.USPR).insert(rooted)
 
+    def test_mode_of_a_build(self):
+        modes = {(move, rooted): Mode.of(move, rooted)
+                 for move in ("spr", "nni") for rooted in (True, False)}
+        assert modes == {("spr", True): Mode.RSPR, ("spr", False): Mode.USPR,
+                         ("nni", True): Mode.RSPR, ("nni", False): Mode.USPR}
+        assert Mode.of("tbr", False) is Mode.TBR
+        with pytest.raises(ModeError, match="^tbr graphs are only defined for unrooted trees$"):
+            Mode.of("tbr", True)
+        with pytest.raises(ValueError):
+            Mode.of("rspr", True)
+
     def test_refused_tree_leaves_the_container_unchanged(self):
         c = AFContainer(Mode.RSPR)
         t0, t1, _ = triangle_trees()
@@ -255,6 +266,8 @@ class TestSnapshot:
             "afcontainer v2 rspr 0\n",
             "afcontainer v1 zpr 0\n",
             "afcontainer v1 rspr x\n",
+            "afcontainer v1 rspr +1\n(r,1,2);\n",
+            "afcontainer v1 rspr 0_1\n(r,1,2);\n",
             "afcontainer v1 rspr 2\n(r,1,2);\n",
             "afcontainer v1 rspr 1\n(r,1,2);\n\n",
             "afcontainer v1 rspr 1\n(r,1,\u00e9);\n",

@@ -1,10 +1,12 @@
 """End-to-end command line behavior, driven in-process through main()."""
 
 import io
+import math
 import os
 import random
 import subprocess
 import sys
+import types
 import weakref
 
 import pytest
@@ -208,9 +210,10 @@ class TestBuildErrors:
         inp = write(tmp_path, "t.nwk", text)
         assert run("build", inp, "--mode", "spr", "--unrooted", "--out", str(tmp_path / "g")) == code
 
-    def test_tbr_rooted_conflict(self, tmp_path):
+    def test_tbr_rooted_conflict(self, tmp_path, capsys):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
         assert run("build", inp, "--mode", "tbr", "--rooted", "--out", str(tmp_path / "g")) == 4
+        assert capsys.readouterr().err == "error: tbr graphs are only defined for unrooted trees\n"
 
     def test_missing_input_file(self, tmp_path):
         assert run("build", str(tmp_path / "absent.nwk"), "--mode", "spr", "--rooted",
@@ -564,6 +567,19 @@ class TestAppendSnapshotErrors:
             f"error: {tmp_path / 'c.snap'}:3: all trees must share one leaf label set\n"
         )
 
+    @pytest.mark.parametrize(
+        "text, where, reason",
+        [
+            (b"not a snapshot\n", ":1", "not a container snapshot"),
+            (b"afcontainer v1 rspr 0_1\n(r,1,2);\n", ":1", "bad tree count '0_1'"),
+            (b"afcontainer v1 rspr 2\n(r,1,2);\n\n", ":3", "blank line in snapshot"),
+            (b"afcontainer v1 rspr 2\n(r,1,2);\n", "", "snapshot header promises 2 trees, found 1"),
+        ],
+    )
+    def test_header_fault_names_the_file(self, tmp_path, capsys, text, where, reason):
+        assert self.append(tmp_path, text, "spr", "--rooted") == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'c.snap'}{where}: {reason}\n"
+
     def test_leaf_set_fault_names_its_snapshot_line(self, tmp_path, capsys):
         # the fourth tree, on line 5 of the file, has another leaf set
         text = (b"afcontainer v1 uspr 4\n(1,2,(3,(4,5)));\n(1,(2,(4,5)),3);\n"
@@ -572,6 +588,49 @@ class TestAppendSnapshotErrors:
         assert capsys.readouterr().err == (
             f"error: {tmp_path / 'c.snap'}:5: all trees must share one leaf label set\n"
         )
+
+
+# each build kind (move, rootedness) and the snapshot mode it writes and reads
+BUILD_KINDS = {
+    ("spr", "--rooted"): "rspr",
+    ("nni", "--rooted"): "rspr",
+    ("spr", "--unrooted"): "uspr",
+    ("nni", "--unrooted"): "uspr",
+    ("tbr", "--unrooted"): "tbr",
+}
+FIRST_LINES = {"--rooted": TRIANGLE, "--unrooted": "(1,2,(3,(4,5)));\n((1,3),2,(4,5));\n"}
+# a new tree and a repeat of a first tree
+MORE_LINES = {
+    "--rooted": "((1,2),((4,5),3));\n(((4,5),1),(2,3));\n",
+    "--unrooted": "(1,(2,(4,5)),3);\n(1,2,(3,(4,5)));\n",
+}
+
+
+@pytest.mark.parametrize("appending", BUILD_KINDS, ids="-".join)
+@pytest.mark.parametrize("saved", BUILD_KINDS, ids="-".join)
+def test_snapshot_fits_each_build_kind_of_its_mode(tmp_path, capsys, saved, appending):
+    (saved_move, saved_rooted), (move, rooted) = saved, appending
+    first = write(tmp_path, "first.nwk", FIRST_LINES[saved_rooted])
+    snap = tmp_path / "c.snap"
+    assert run("build", first, "--mode", saved_move, saved_rooted,
+               "--out", str(tmp_path / "g1.tsv"), "--snapshot", str(snap)) == 0
+    assert read_snapshot(snap)[0].value == BUILD_KINDS[saved]
+    capsys.readouterr()
+    more = write(tmp_path, "more.nwk", MORE_LINES[rooted])
+    out = tmp_path / "g2.tsv"
+    code = run("build", more, "--mode", move, rooted, "--out", str(out), "--append", str(snap))
+    if BUILD_KINDS[saved] == BUILD_KINDS[appending]:
+        assert code == 0
+        both = write(tmp_path, "both.nwk", FIRST_LINES[saved_rooted] + MORE_LINES[rooted])
+        want = tmp_path / "want.tsv"
+        assert run("build", both, "--mode", move, rooted, "--out", str(want)) == 0
+        assert out.read_text() == want.read_text()
+    else:
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"error: snapshot mode {BUILD_KINDS[saved]} does not fit {rooted[2:]} {move}\n"
+        )
+        assert not out.exists()
 
 
 class TestVerify:
@@ -625,9 +684,10 @@ class TestVerify:
         assert run("verify", inp, "--mode", "spr", "--rooted") == 1
         assert "vertex sets differ" in capsys.readouterr().err
 
-    def test_tbr_rooted_conflict(self, tmp_path):
+    def test_tbr_rooted_conflict(self, tmp_path, capsys):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
         assert run("verify", inp, "--mode", "tbr", "--rooted") == 4
+        assert capsys.readouterr().err == "error: tbr graphs are only defined for unrooted trees\n"
 
 
 class TestBench:
@@ -663,9 +723,52 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.startswith("error: --m") and captured.err.count("\n") == 1
 
-    def test_seed_reproducibility(self, capsys):
-        run("bench", "--mode", "tbr", "--unrooted", "--m", "3", "--sizes", "8", "--seed", "1")
-        first = capsys.readouterr().out.split("total")[0]
-        run("bench", "--mode", "tbr", "--unrooted", "--m", "3", "--sizes", "8", "--seed", "1")
-        second = capsys.readouterr().out.split("total")[0]
-        assert first.split("insert")[0] == second.split("insert")[0]
+    def test_seed_reproducibility(self, monkeypatch):
+        built = []
+        construct = cli._construct
+
+        def recording(mode, trees):
+            built.append([forestgen.Oriented(tree).canonical() for tree in trees])
+            return construct(mode, trees)
+
+        monkeypatch.setattr(cli, "_construct", recording)
+
+        def collections(seed):
+            built.clear()
+            assert run("bench", "--mode", "tbr", "--unrooted", "--m", "3", "--sizes", "8,9",
+                       "--seed", seed) == 0
+            return list(built)
+
+        first = collections("1")
+        assert len(first) == 3 * 2
+        assert collections("1") == first
+        assert collections("2") != first
+
+    def test_exponent_is_the_least_squares_slope(self, capsys, monkeypatch):
+        # on a fake clock each build of n-leaf trees takes seconds[n], twice
+        # that in the first round, so the best of the three rounds is seconds[n]
+        seconds = {8: 0.125, 16: 0.375, 32: 1.5}
+        clock = [0.0]
+        builds = []
+
+        def build(mode, trees):
+            n = len(trees[0].leaf_labels())
+            clock[0] += seconds[n] * (1 if n in builds else 2)
+            builds.append(n)
+
+        monkeypatch.setattr(cli, "_construct", build)
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        assert run("bench", "--mode", "spr", "--rooted", "--m", "2", "--sizes", "8,16,32") == 0
+        xs = [math.log(n) for n in seconds]
+        ys = [math.log(t) for t in seconds.values()]
+        mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum(
+            (x - mean_x) ** 2 for x in xs
+        )
+        assert len(builds) == 3 * 3
+        assert capsys.readouterr().out.splitlines() == [
+            "n=8 m=2 total=0.125s",
+            "n=16 m=2 total=0.375s",
+            "n=32 m=2 total=1.500s",
+            f"exponent={slope:.3f}",
+        ]
