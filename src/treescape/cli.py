@@ -4,18 +4,21 @@ treescape build   constructs a move adjacency graph from a tree file
 treescape verify  cross-checks the fast builder against all-pairs comparison
 treescape bench   times graph builds on random inputs
 
-Exit codes: 0 success, 1 verify mismatch, 2 unreadable or unparseable input
-or clashing build paths, 3 mixed leaf label sets, 4 move/rootedness
-conflict, 5 verify refused (too many trees for the quadratic check).
+Exit codes: 0 success, 1 verify mismatch, 2 unreadable or unparseable input,
+clashing build paths or a usage error, 3 mixed leaf label sets, 4
+move/rootedness conflict, 5 verify refused (too many trees for the
+quadratic check).
+
+The grammar of every command is one table, COMMANDS, read by one parser,
+parse_args. A build imports no more than it runs: verify and bench live in
+checks and the --taxa reader in taxa, each imported when it is used.
 """
 
-import argparse
 import contextlib
 import itertools
 import os
-import re
 import sys
-import time
+import types
 
 from .afcontainer import (
     Mode,
@@ -32,10 +35,7 @@ from .errors import (
     SnapshotError,
 )
 from .graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
-from .tree import MAX_LABEL, parse_newick
-
-_TOKEN = re.compile(r"[(),;:\s]|[^(),;:\s]+")
-_LABEL = re.compile(r"[1-9][0-9]*")
+from .tree import parse_newick
 
 
 def _fail(code, message):
@@ -62,50 +62,13 @@ def _read_lines(path):
 
 
 def _load_taxa(path):
-    """Name-to-label map from a two-column file; labels must be distinct
-    and follow the Newick label rule: ASCII digits, no leading zero, at
-    most 2**64 - 1."""
-    table = {}
-    used = set()
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t") if "\t" in line else line.split()
-        if len(parts) != 2:
-            raise NewickError(f"{path}:{lineno}: expected two columns")
-        name, value = parts
-        if not _LABEL.fullmatch(value):
-            raise NewickError(f"{path}:{lineno}: label {value!r} is not a Newick leaf label")
-        if len(value) > 20 or int(value) > MAX_LABEL:
-            raise NewickError(f"{path}:{lineno}: label {value} exceeds the 64-bit limit")
-        label = int(value)
-        if name in table:
-            raise NewickError(f"{path}:{lineno}: taxon {name!r} repeated")
-        if label in used:
-            raise NewickError(f"{path}:{lineno}: label {label} repeated")
-        table[name] = label
-        used.add(label)
-    return table
+    """The taxa.Taxa of a --taxa file, or None without one; the taxa module
+    is imported only when a file is given."""
+    if path is None:
+        return None
+    from .taxa import Taxa
 
-
-def _translate(line, taxa):
-    return "".join(
-        str(taxa[tok]) if tok in taxa else tok for tok in _TOKEN.findall(line)
-    )
-
-
-def _untranslated_pos(line, taxa, pos):
-    """The offset in line of offset pos in _translate(line, taxa); an offset
-    inside a swapped-in label maps to the start of its taxon name."""
-    at = 0
-    for tok in _TOKEN.findall(line):
-        width = len(str(taxa[tok])) if tok in taxa else len(tok)
-        if pos < width:
-            return at if tok in taxa else at + pos
-        pos -= width
-        at += len(tok)
-    return at + pos
+    return Taxa(path, _read_lines(path))
 
 
 def _read_trees(path, *, rooted, lenient, taxa):
@@ -114,12 +77,12 @@ def _read_trees(path, *, rooted, lenient, taxa):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        text = _translate(line, taxa) if taxa else line
+        text = taxa.translate(line) if taxa else line
         try:
             tree = parse_newick(text, rooted=rooted, lenient=lenient)
         except NewickError as exc:
             if taxa and exc.pos is not None:
-                exc = NewickError(exc.reason, pos=_untranslated_pos(line, taxa, exc.pos))
+                exc = NewickError(exc.reason, pos=taxa.untranslated_pos(line, exc.pos))
             raise NewickError(f"{path}:{lineno}: {exc}") from None
         yield lineno, tree
 
@@ -132,35 +95,34 @@ def _construct(mode, trees):
     return construct_tbr_graph(trees)
 
 
-def _write_tsv(path, mode, graph):
+def _write_tsv(fh, mode, graph):
+    # each vertex id is rendered once, not once per edge it ends
+    names = list(map(str, range(graph.n_vertices)))
     lines = [f"# treescape {mode} m={graph.n_vertices}\n"]
-    for j, bucket in enumerate(graph.buckets()):
+    for name, bucket in zip(names, graph.buckets()):
         if bucket:
-            lines.append(f"{j}\t" + f"\n{j}\t".join(map(str, bucket)) + "\n")
-    with replace_atomically(path) as fh:
-        fh.write("".join(lines))
+            lines.append(f"{name}\t" + f"\n{name}\t".join(map(names.__getitem__, bucket)) + "\n")
+    fh.write("".join(lines))
 
 
-def _write_dot(path, graph, labeling):
-    with replace_atomically(path) as fh:
-        fh.write("graph G {\n")
-        for v in range(graph.n_vertices):
-            fh.write(f'  v{v} [label="{labeling.canonical[v].decode("ascii")}"];\n')
-        for u, v in graph.edges():
-            fh.write(f"  v{u} -- v{v};\n")
-        fh.write("}\n")
+def _write_dot(fh, graph, labeling):
+    fh.write("graph G {\n")
+    for v in range(graph.n_vertices):
+        fh.write(f'  v{v} [label="{labeling.canonical[v].decode("ascii")}"];\n')
+    for u, v in graph.edges():
+        fh.write(f"  v{u} -- v{v};\n")
+    fh.write("}\n")
 
 
 def _vertices_path(out_path):
     return os.path.splitext(out_path)[0] + ".vertices.tsv"
 
 
-def _write_vertices(out_path, linenos, labeling):
-    with replace_atomically(_vertices_path(out_path)) as fh:
-        fh.write("# vertex\tline\tcanonical\n")
-        for v, first in enumerate(labeling.first_input):
-            canonical = labeling.canonical[v].decode("ascii")
-            fh.write(f"{v}\t{linenos[first]}\t{canonical}\n")
+def _write_vertices(fh, linenos, labeling):
+    fh.write("# vertex\tline\tcanonical\n")
+    for v, first in enumerate(labeling.first_input):
+        canonical = labeling.canonical[v].decode("ascii")
+        fh.write(f"{v}\t{linenos[first]}\t{canonical}\n")
 
 
 def _construct_numbered(args, numbered):
@@ -210,9 +172,9 @@ def _cmd_build(args):
     clash = _path_clash(args)
     if clash:
         return _fail(2, clash)
-    taxa = _load_taxa(args.taxa) if args.taxa else None
-
-    numbered = _read_trees(args.input, rooted=args.rooted, lenient=args.lenient, taxa=taxa)
+    numbered = _read_trees(
+        args.input, rooted=args.rooted, lenient=args.lenient, taxa=_load_taxa(args.taxa)
+    )
     if args.append:
         snap_mode, lines = read_snapshot(args.append)
         if snap_mode is not args.container_mode:
@@ -231,148 +193,172 @@ def _cmd_build(args):
             where = f"line {first}" if first else "the snapshot"
             _warn(f"{args.input}:{linenos[k]}: duplicate of {where}")
 
-    if args.format == "tsv":
-        _write_tsv(args.out, args.mode, graph)
-    else:
-        _write_dot(args.out, graph, labeling)
-    _write_vertices(args.out, linenos, labeling)
-    if args.snapshot:
-        write_snapshot(args.snapshot, args.container_mode, labeling.canonical)
+    # every file is written to its temporary file before any replaces its
+    # target, so a failed write leaves all of them as they were
+    with replace_atomically(args.out) as out, replace_atomically(_vertices_path(args.out)) as vertices:
+        if args.format == "tsv":
+            _write_tsv(out, args.mode, graph)
+        else:
+            _write_dot(out, graph, labeling)
+        _write_vertices(vertices, linenos, labeling)
+        if args.snapshot:
+            write_snapshot(args.snapshot, args.container_mode, labeling.canonical)
     print(f"built {args.mode} graph: m={graph.n_vertices} edges={graph.edge_count}")
     return 0
 
 
 def _cmd_verify(args):
-    from .oracle import pairwise_graph
+    from .checks import verify
 
-    taxa = _load_taxa(args.taxa) if args.taxa else None
-    # a list, not a stream: the trees are counted before --max-m is checked
-    parsed = list(_read_trees(args.input, rooted=args.rooted, lenient=args.lenient, taxa=taxa))
-    if len(parsed) > args.max_m:
-        return _fail(
-            5, f"{len(parsed)} trees exceed --max-m {args.max_m} for the quadratic check"
-        )
-    graph, labeling, _ = _construct_numbered(args, parsed)
-    trees = [tree for _, tree in parsed]
-    move = "nni" if args.mode == "nni" else args.container_mode.value
-    slow_graph, slow_canon = pairwise_graph(trees, move)
-
-    if labeling.canonical != slow_canon:
-        return _fail(1, "verify mismatch: vertex sets differ")
-    fast_edges = set(graph.edges())
-    slow_edges = set(slow_graph.edges())
-    if fast_edges != slow_edges:
-        for edge in sorted(fast_edges - slow_edges):
-            print(f"only fast: {edge}", file=sys.stderr)
-        for edge in sorted(slow_edges - fast_edges):
-            print(f"only pairwise: {edge}", file=sys.stderr)
-        return _fail(1, "verify mismatch: edge sets differ")
-    print(f"verify ok: m={graph.n_vertices} edges={graph.edge_count}")
-    return 0
+    numbered = _read_trees(
+        args.input, rooted=args.rooted, lenient=args.lenient, taxa=_load_taxa(args.taxa)
+    )
+    return verify(args, numbered, _construct_numbered)
 
 
 def _cmd_bench(args):
-    import math
-    import random
-    import statistics
+    from .checks import bench
 
-    from .oracle import random_tree
-
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        return _fail(2, f"bad --sizes {args.sizes!r}")
-    if not sizes or min(sizes) < 4:
-        return _fail(2, "--sizes needs integers of at least 4")
-    if len(set(sizes)) != len(sizes):
-        return _fail(2, f"--sizes repeats a leaf count: {args.sizes!r}")
-    if args.m < 1:
-        return _fail(2, f"--m needs at least one tree per size, got {args.m}")
-    rng = random.Random(args.seed)
-    collections = [
-        [random_tree(n, rooted=args.rooted, rng=rng) for _ in range(args.m)] for n in sizes
-    ]
-    # each size's fastest build over three rounds that visit every size, so
-    # that a slow spell of the machine cannot set the fitted slope
-    best = [math.inf] * len(sizes)
-    for _ in range(3):
-        for k, trees in enumerate(collections):
-            t0 = time.perf_counter()
-            _construct(args.mode, trees)
-            best[k] = min(best[k], time.perf_counter() - t0)
-    for n, total in zip(sizes, best):
-        print(f"n={n} m={args.m} total={total:.3f}s")
-    if len(sizes) > 1:
-        fit = statistics.linear_regression(list(map(math.log, sizes)), list(map(math.log, best)))
-        print(f"exponent={fit.slope:.3f}")
-    return 0
+    return bench(args)
 
 
-def _add_common(sub, *, with_input):
-    if with_input:
-        sub.add_argument("input", help="newline-delimited Newick tree file, - for stdin")
-    sub.add_argument(
-        "--mode", required=True, choices=("spr", "nni", "tbr"), help="move family"
-    )
-    rootedness = sub.add_mutually_exclusive_group(required=True)
-    rootedness.add_argument("--rooted", action="store_true", help="trees are rooted")
-    rootedness.add_argument(
-        "--unrooted", dest="rooted", action="store_false", help="trees are unrooted"
-    )
-    if with_input:
-        strictness = sub.add_mutually_exclusive_group()
-        strictness.add_argument(
-            "--strict",
-            dest="lenient",
-            action="store_false",
-            default=False,
-            help="reject branch lengths and internal labels (default)",
-        )
-        strictness.add_argument(
-            "--lenient", action="store_true", help="skip branch lengths and internal labels"
-        )
-        sub.add_argument("--taxa", help="two-column taxon-name to integer-label file")
+# The grammar, which parse_args reads and the usage module renders. Each
+# command has a help line, its handler, whether it reads an input file, and
+# its options. An option is (flag, dest, value, default, help), where value
+# is a tuple of choices, int, a metavar for any string, or, for a flag that
+# takes no value, the bool it stores. Flags that share a dest are
+# either-or, and a default of ... makes the option, or one flag of the
+# pair, required.
+_COMMON = [
+    ("--mode", "mode", ("spr", "nni", "tbr"), ..., "move family"),
+    ("--rooted", "rooted", True, ..., "trees are rooted"),
+    ("--unrooted", "rooted", False, ..., "trees are unrooted"),
+]
+_READING = [
+    ("--strict", "lenient", False, False, "reject branch lengths and internal labels (default)"),
+    ("--lenient", "lenient", True, False, "skip branch lengths and internal labels"),
+    ("--taxa", "taxa", "FILE", None, "two-column taxon-name to integer-label file"),
+]
+COMMANDS = {
+    "build": ("construct an adjacency graph", _cmd_build, True, _COMMON + _READING + [
+        ("--out", "out", "GRAPH", ..., "output graph path"),
+        ("--format", "format", ("tsv", "dot"), "tsv", "output format"),
+        ("--append", "append", "SNAPSHOT", None, "start from a saved container"),
+        ("--snapshot", "snapshot", "SNAPSHOT", None, "save the resulting container"),
+    ]),
+    "verify": ("compare the indexed build against all-pairs comparison", _cmd_verify, True,
+               _COMMON + _READING + [
+        ("--max-m", "max_m", int, 200, "refuse more input trees than this"),
+    ]),
+    "bench": ("time graph builds on random trees", _cmd_bench, False, _COMMON + [
+        ("--seed", "seed", int, 0, "random seed"),
+        ("--m", "m", int, 200, "trees per size"),
+        ("--sizes", "sizes", "CSV", "64,128,256", "comma-separated leaf counts"),
+    ]),
+}
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="treescape",
-        description="SPR, NNI, and TBR adjacency graphs over tree collections",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+def _exit(command, reason=None):
+    """Print the help of command, or of the program for None, to stdout and
+    exit 0; or, given a reason, print its usage line and the reason to
+    stderr and exit 2, as argparse does. The usage module renders both from
+    COMMANDS, and is imported only then."""
+    from .usage import exit_with
 
-    build = commands.add_parser("build", help="construct an adjacency graph")
-    _add_common(build, with_input=True)
-    build.add_argument("--out", required=True, help="output graph path")
-    build.add_argument(
-        "--format", choices=("tsv", "dot"), default="tsv", help="output format"
-    )
-    build.add_argument("--append", metavar="SNAPSHOT", help="start from a saved container")
-    build.add_argument(
-        "--snapshot", metavar="SNAPSHOT", help="save the resulting container"
-    )
-    build.set_defaults(run=_cmd_build)
+    exit_with(COMMANDS, command, reason)
 
-    verify = commands.add_parser(
-        "verify", help="compare the indexed build against all-pairs comparison"
-    )
-    _add_common(verify, with_input=True)
-    verify.add_argument(
-        "--max-m", type=int, default=200, help="refuse more input trees than this"
-    )
-    verify.set_defaults(run=_cmd_verify)
 
-    bench = commands.add_parser("bench", help="time graph builds on random trees")
-    _add_common(bench, with_input=False)
-    bench.add_argument("--seed", type=int, default=0, help="random seed")
-    bench.add_argument("--m", type=int, default=200, help="trees per size")
-    bench.add_argument("--sizes", default="64,128,256", help="comma-separated leaf counts")
-    bench.set_defaults(run=_cmd_bench)
-    return parser
+def _is_flag(arg):
+    # - names stdin, and a negative number is a value, as in --m -1
+    return arg.startswith("-") and arg != "-" and not arg[1:].isdecimal()
+
+
+def parse_args(argv):
+    """The namespace of argv under COMMANDS: command, run (its handler),
+    input if it reads one, and one attribute per option dest. An option is
+    given as --x v or --x=v, or by a unique prefix of its flag; the last of
+    a repeated option wins, and -- ends the options. -h or --help prints
+    the help to stdout and exits 0; a usage error exits 2."""
+    if not argv or argv[0] not in COMMANDS:
+        if argv and argv[0] in ("-h", "--help"):
+            _exit(None)
+        if not argv:
+            _exit(None, "the following arguments are required: command")
+        choices = ", ".join(map(repr, COMMANDS))
+        _exit(None, f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
+    command, rest = argv[0], argv[1:]
+    _, run, reads_input, options = COMMANDS[command]
+    flags = {option[0]: option for option in options}
+    args = types.SimpleNamespace(command=command, run=run)
+    for _, dest, _, default, _ in options:
+        setattr(args, dest, None if default is ... else default)
+    given = {}  # dest: the flag that set it
+    inputs = []
+    k = 0
+    while k < len(rest):
+        arg = rest[k]
+        k += 1
+        if arg == "--":
+            inputs += rest[k:]
+            break
+        if not _is_flag(arg):
+            inputs.append(arg)
+            continue
+        flag, has_text, text = arg.partition("=")
+        if flag != "-h" and flag not in flags:
+            matches = [f for f in (*flags, "--help") if f.startswith(flag)]
+            if len(matches) > 1:
+                _exit(command, f"ambiguous option: {flag} could match {', '.join(matches)}")
+            if not matches:
+                _exit(command, f"unrecognized arguments: {arg}")
+            flag = matches[0]
+        if flag in ("-h", "--help"):
+            _exit(command)
+        _, dest, value, _, _ = flags[flag]
+        if isinstance(value, bool):
+            if has_text:
+                _exit(command, f"argument {flag}: ignored explicit argument {text!r}")
+            if given.get(dest, flag) != flag:
+                _exit(command, f"argument {flag}: not allowed with argument {given[dest]}")
+        else:
+            if not has_text:
+                if k == len(rest) or _is_flag(rest[k]):
+                    _exit(command, f"argument {flag}: expected one argument")
+                text = rest[k]
+                k += 1
+            if value is int:
+                try:
+                    text = int(text)
+                except ValueError:
+                    _exit(command, f"argument {flag}: invalid int value: {text!r}")
+            elif isinstance(value, tuple) and text not in value:
+                choices = ", ".join(map(repr, value))
+                _exit(command, f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+            value = text
+        given[dest] = flag
+        setattr(args, dest, value)
+
+    missing = ["input"] if reads_input and not inputs else []
+    pairs = {}
+    for flag, dest, value, default, _ in options:
+        if default is ... and dest not in given:
+            if isinstance(value, bool):
+                pairs.setdefault(dest, []).append(flag)
+            else:
+                missing.append(flag)
+    if missing:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    for pair in pairs.values():
+        _exit(command, f"one of the arguments {' '.join(pair)} is required")
+    if len(inputs) > reads_input:
+        _exit(command, f"unrecognized arguments: {' '.join(inputs[reads_input:])}")
+    if reads_input:
+        args.input = inputs[0]
+    return args
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         # the one container mode of the run; refuses rooted tbr
         args.container_mode = Mode.of(args.mode, args.rooted)

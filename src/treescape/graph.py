@@ -99,7 +99,7 @@ class VertexLabeling:
         return [k for k, v in enumerate(self.vertex_of_input) if self.first_input[v] != k]
 
 
-def _construct(trees, move):
+def _construct(move, trees):
     """The graph and labeling of move over trees, taken one at a time. The
     first tree fixes the leaf set and, by its rootedness, the container
     mode (Mode.of); the key generators refuse the other rootedness."""
@@ -129,16 +129,16 @@ def _construct(trees, move):
 def construct_spr_graph(trees):
     """Prune-regraft adjacency graph; rooted and unrooted collections both
     work, picking the matching move family."""
-    return _construct(trees, "spr")
+    return _construct("spr", trees)
 
 
 def construct_nni_graph(trees):
     """Interchange adjacency graph over rooted or unrooted collections: the
     pairs that share an interchange key, which is a tree with one internal
     edge contracted (forestgen.nni_keys)."""
-    return _construct(trees, "nni")
+    return _construct("nni", trees)
 
 
 def construct_tbr_graph(trees):
     """Bisection-reconnection adjacency graph; unrooted collections only."""
-    return _construct(trees, "tbr")
+    return _construct("tbr", trees)

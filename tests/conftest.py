@@ -8,9 +8,11 @@ _acceptance_lines = []
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # an --append build in a fresh interpreter; prints the files of the
-# treescape modules it imported
+# treescape modules it imported, and the other modules it added to those a
+# bare interpreter holds
 _BUILD_PATH_PROBE = """\
 import sys
+bare = set(sys.modules)
 from treescape import cli
 with open("t.nwk", "w") as fh:
     fh.write("(((4,5),1),(2,3));\\n((((4,5),2),3),1);\\n")
@@ -20,6 +22,8 @@ assert cli.main(argv + ["--append", "c.snap"]) == 0
 for name, module in sorted(sys.modules.items()):
     if name.split(".")[0] == "treescape":
         print("module", module.__file__)
+    elif name not in bare:
+        print("other", name)
 """
 
 
@@ -38,7 +42,8 @@ def _line_count(path):
 
 
 def _line_counts():
-    """(lines of src/, lines of the modules an --append build imports)."""
+    """(lines of src/, lines of the treescape modules an --append build
+    imports, the other modules it imports beyond a bare interpreter)."""
     package = os.path.join(SRC, "treescape")
     src = sum(_line_count(os.path.join(package, f)) for f in os.listdir(package) if f.endswith(".py"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -50,8 +55,10 @@ def _line_counts():
             text=True,
             check=True,
         ).stdout
-    modules = [line.split(" ", 1)[1] for line in out.splitlines() if line.startswith("module ")]
-    return src, sum(map(_line_count, modules))
+    lines = [line.split(" ", 1) for line in out.splitlines()]
+    modules = [value for kind, value in lines if kind == "module"]
+    others = [value for kind, value in lines if kind == "other"]
+    return src, sum(map(_line_count, modules)), others
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus):
@@ -62,8 +69,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus):
     # informational: a failure to count is reported, never raised
     terminalreporter.section("line counts")
     try:
-        src, build_path = _line_counts()
+        src, build_path, others = _line_counts()
     except (OSError, subprocess.SubprocessError) as exc:
         terminalreporter.write_line(f"unavailable: {exc}")
     else:
         terminalreporter.write_line(f"src/: {src} lines; an --append build imports {build_path}")
+        terminalreporter.write_line(
+            f"modules outside treescape it imports beyond a bare interpreter: "
+            f"{', '.join(others) or 'none'}"
+        )

@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 import treescape
-from treescape import afcontainer, cli, forestgen, oracle
+from treescape import afcontainer, checks, cli, forestgen, oracle
 from treescape.afcontainer import Mode, read_snapshot
 from treescape.graph import AdjacencyGraph
 
@@ -105,8 +105,8 @@ def fresh_interpreter(code):
 @pytest.mark.parametrize("append", [False, True])
 def test_build_loads_neither_reference_modules_nor_dataclasses(tmp_path, append):
     # a build compiles every module it imports, so the reference encoder and
-    # decoder, the all-pairs oracle and dataclasses stay out of it, also
-    # when it reads a snapshot
+    # decoder, the all-pairs oracle, dataclasses, argparse and the modules of
+    # verify, bench and --taxa stay out of it, also when it reads a snapshot
     inp = write(tmp_path, "t.nwk", TRIANGLE)
     snap = str(tmp_path / "c.snap")
     build = ["build", inp, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g.tsv")]
@@ -116,12 +116,15 @@ def test_build_loads_neither_reference_modules_nor_dataclasses(tmp_path, append)
     code = (
         "import sys\n"
         "had_dataclasses = 'dataclasses' in sys.modules\n"
+        "had_argparse = 'argparse' in sys.modules\n"
         "from treescape import cli\n"
         f"assert cli.main({build!r}) == 0\n"
         "print('treescape.canonical' in sys.modules, 'treescape.oracle' in sys.modules,\n"
-        "      not had_dataclasses and 'dataclasses' in sys.modules)\n"
+        "      not had_dataclasses and 'dataclasses' in sys.modules,\n"
+        "      not had_argparse and 'argparse' in sys.modules,\n"
+        "      'treescape.checks' in sys.modules, 'treescape.taxa' in sys.modules)\n"
     )
-    assert fresh_interpreter(code) == "False False False"
+    assert fresh_interpreter(code) == "False False False False False False"
 
 
 def test_package_names_resolve_lazily():
@@ -532,6 +535,19 @@ class TestSnapshotFlow:
         assert out.read_text() == "old graph\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "t.nwk"]
 
+    def test_failed_snapshot_write_keeps_every_output(self, tmp_path, monkeypatch, capsys):
+        # the snapshot's directory is missing, so its temporary file cannot
+        # be made; the graph and vertex files were written before it
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "two.nwk", TRIANGLE)
+        write(tmp_path, "keep.tsv", "old graph\n")
+        write(tmp_path, "keep.vertices.tsv", "old vertices\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run("build", "two.nwk", "--mode", "spr", "--rooted", "--out", "keep.tsv",
+                   "--snapshot", "nodir/s.snap") == 2
+        assert "No such file or directory: 'nodir/s.snap." in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestAppendSnapshotErrors:
     def append(self, tmp_path, snapshot_text, *mode):
@@ -725,13 +741,13 @@ class TestBench:
 
     def test_seed_reproducibility(self, monkeypatch):
         built = []
-        construct = cli._construct
+        construct = checks._construct
 
         def recording(mode, trees):
             built.append([forestgen.Oriented(tree).canonical() for tree in trees])
             return construct(mode, trees)
 
-        monkeypatch.setattr(cli, "_construct", recording)
+        monkeypatch.setattr(checks, "_construct", recording)
 
         def collections(seed):
             built.clear()
@@ -756,8 +772,8 @@ class TestBench:
             clock[0] += seconds[n] * (1 if n in builds else 2)
             builds.append(n)
 
-        monkeypatch.setattr(cli, "_construct", build)
-        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(checks, "_construct", build)
+        monkeypatch.setattr(checks, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
         assert run("bench", "--mode", "spr", "--rooted", "--m", "2", "--sizes", "8,16,32") == 0
         xs = [math.log(n) for n in seconds]
         ys = [math.log(t) for t in seconds.values()]
