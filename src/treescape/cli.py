@@ -11,7 +11,8 @@ quadratic check).
 
 The grammar of every command is one table, COMMANDS, read by one parser,
 parse_args. A build imports no more than it runs: verify and bench live in
-checks and the --taxa reader in taxa, each imported when it is used.
+checks, the --taxa reader in taxa and the help and usage-error text in
+usage, each imported only when it is used.
 """
 
 import contextlib
@@ -193,9 +194,10 @@ def _cmd_build(args):
             where = f"line {first}" if first else "the snapshot"
             _warn(f"{args.input}:{linenos[k]}: duplicate of {where}")
 
-    # every file is written to its temporary file before any replaces its
-    # target, so a failed write leaves all of them as they were
-    with replace_atomically(args.out) as out, replace_atomically(_vertices_path(args.out)) as vertices:
+    # every file is written to its temporary file before any target is
+    # replaced, the graph's first, so a failed write or a graph path that
+    # cannot be replaced leaves the outputs as they were
+    with replace_atomically(_vertices_path(args.out)) as vertices, replace_atomically(args.out) as out:
         if args.format == "tsv":
             _write_tsv(out, args.mode, graph)
         else:
@@ -240,17 +242,19 @@ _READING = [
     ("--taxa", "taxa", "FILE", None, "two-column taxon-name to integer-label file"),
 ]
 COMMANDS = {
-    "build": ("construct an adjacency graph", _cmd_build, True, _COMMON + _READING + [
+    "build": ("construct an adjacency graph", _cmd_build, True, [
+        *_COMMON, *_READING,
         ("--out", "out", "GRAPH", ..., "output graph path"),
         ("--format", "format", ("tsv", "dot"), "tsv", "output format"),
         ("--append", "append", "SNAPSHOT", None, "start from a saved container"),
         ("--snapshot", "snapshot", "SNAPSHOT", None, "save the resulting container"),
     ]),
-    "verify": ("compare the indexed build against all-pairs comparison", _cmd_verify, True,
-               _COMMON + _READING + [
+    "verify": ("compare the indexed build against all-pairs comparison", _cmd_verify, True, [
+        *_COMMON, *_READING,
         ("--max-m", "max_m", int, 200, "refuse more input trees than this"),
     ]),
-    "bench": ("time graph builds on random trees", _cmd_bench, False, _COMMON + [
+    "bench": ("time graph builds on random trees", _cmd_bench, False, [
+        *_COMMON,
         ("--seed", "seed", int, 0, "random seed"),
         ("--m", "m", int, 200, "trees per size"),
         ("--sizes", "sizes", "CSV", "64,128,256", "comma-separated leaf counts"),
@@ -258,11 +262,10 @@ COMMANDS = {
 }
 
 
-def _exit(command, reason=None):
-    """Print the help of command, or of the program for None, to stdout and
-    exit 0; or, given a reason, print its usage line and the reason to
-    stderr and exit 2, as argparse does. The usage module renders both from
-    COMMANDS, and is imported only then."""
+def _usage_exit(command, reason=None):
+    """Print the help of command, or of the program for None, and exit 0;
+    or, given a reason, print the usage error and exit 2. The usage module
+    renders both from COMMANDS, and is imported only then."""
     from .usage import exit_with
 
     exit_with(COMMANDS, command, reason)
@@ -281,11 +284,11 @@ def parse_args(argv):
     the help to stdout and exits 0; a usage error exits 2."""
     if not argv or argv[0] not in COMMANDS:
         if argv and argv[0] in ("-h", "--help"):
-            _exit(None)
+            _usage_exit(None)
         if not argv:
-            _exit(None, "the following arguments are required: command")
+            _usage_exit(None, "the following arguments are required: command")
         choices = ", ".join(map(repr, COMMANDS))
-        _exit(None, f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
+        _usage_exit(None, f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
     command, rest = argv[0], argv[1:]
     _, run, reads_input, options = COMMANDS[command]
     flags = {option[0]: option for option in options}
@@ -308,32 +311,32 @@ def parse_args(argv):
         if flag != "-h" and flag not in flags:
             matches = [f for f in (*flags, "--help") if f.startswith(flag)]
             if len(matches) > 1:
-                _exit(command, f"ambiguous option: {flag} could match {', '.join(matches)}")
+                _usage_exit(command, f"ambiguous option: {flag} could match {', '.join(matches)}")
             if not matches:
-                _exit(command, f"unrecognized arguments: {arg}")
+                _usage_exit(command, f"unrecognized arguments: {arg}")
             flag = matches[0]
         if flag in ("-h", "--help"):
-            _exit(command)
+            _usage_exit(command)
         _, dest, value, _, _ = flags[flag]
         if isinstance(value, bool):
             if has_text:
-                _exit(command, f"argument {flag}: ignored explicit argument {text!r}")
+                _usage_exit(command, f"argument {flag}: ignored explicit argument {text!r}")
             if given.get(dest, flag) != flag:
-                _exit(command, f"argument {flag}: not allowed with argument {given[dest]}")
+                _usage_exit(command, f"argument {flag}: not allowed with argument {given[dest]}")
         else:
             if not has_text:
                 if k == len(rest) or _is_flag(rest[k]):
-                    _exit(command, f"argument {flag}: expected one argument")
+                    _usage_exit(command, f"argument {flag}: expected one argument")
                 text = rest[k]
                 k += 1
             if value is int:
                 try:
                     text = int(text)
                 except ValueError:
-                    _exit(command, f"argument {flag}: invalid int value: {text!r}")
+                    _usage_exit(command, f"argument {flag}: invalid int value: {text!r}")
             elif isinstance(value, tuple) and text not in value:
                 choices = ", ".join(map(repr, value))
-                _exit(command, f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+                _usage_exit(command, f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
             value = text
         given[dest] = flag
         setattr(args, dest, value)
@@ -347,11 +350,11 @@ def parse_args(argv):
             else:
                 missing.append(flag)
     if missing:
-        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+        _usage_exit(command, f"the following arguments are required: {', '.join(missing)}")
     for pair in pairs.values():
-        _exit(command, f"one of the arguments {' '.join(pair)} is required")
+        _usage_exit(command, f"one of the arguments {' '.join(pair)} is required")
     if len(inputs) > reads_input:
-        _exit(command, f"unrecognized arguments: {' '.join(inputs[reads_input:])}")
+        _usage_exit(command, f"unrecognized arguments: {' '.join(inputs[reads_input:])}")
     if reads_input:
         args.input = inputs[0]
     return args

@@ -55,9 +55,9 @@ def _line_counts():
             text=True,
             check=True,
         ).stdout
-    lines = [line.split(" ", 1) for line in out.splitlines()]
-    modules = [value for kind, value in lines if kind == "module"]
-    others = [value for kind, value in lines if kind == "other"]
+    lines = [line.partition(" ") for line in out.splitlines()]
+    modules = [value for kind, _, value in lines if kind == "module"]
+    others = [value for kind, _, value in lines if kind == "other"]
     return src, sum(map(_line_count, modules)), others
 
 

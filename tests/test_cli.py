@@ -85,6 +85,12 @@ class TestBuild:
         assert run("build", "-", "--mode", "spr", "--rooted", "--out", str(out)) == 0
         assert "m=3" in out.read_text()
 
+    def test_double_dash_ends_the_options(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "-t.nwk", TRIANGLE)
+        assert run("build", "--mode", "spr", "--rooted", "--out", "g.tsv", "--", "-t.nwk") == 0
+        assert (tmp_path / "g.tsv").read_text() == "# treescape spr m=3\n0\t1\n0\t2\n1\t2\n"
+
     def test_lenient_flag(self, tmp_path):
         inp = write(tmp_path, "t.nwk", "((1:0.1,2:0.2)n1:0.3,(3:0.1,4:0.4)n2:0.5)root;\n")
         out = tmp_path / "g.tsv"
@@ -547,6 +553,13 @@ class TestSnapshotFlow:
                    "--snapshot", "nodir/s.snap") == 2
         assert "No such file or directory: 'nodir/s.snap." in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_unreplaceable_graph_path_keeps_the_vertex_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "t.nwk", TRIANGLE)
+        (tmp_path / "g").mkdir()
+        assert run("build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "t.nwk"]
 
 
 class TestAppendSnapshotErrors:
