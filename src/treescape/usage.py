@@ -6,8 +6,6 @@ and importing treescape.cli would compile and run cli.py a second time."""
 
 import sys
 
-_INPUT_HELP = "newline-delimited Newick tree file, - for stdin"
-
 
 def _spelling(flag, value):
     if isinstance(value, bool):
@@ -41,7 +39,7 @@ def _help(commands, command):
         lines = ["SPR, NNI, and TBR adjacency graphs over tree collections", "", "commands:"]
         return lines + [f"  {name:8}{entry[0]}" for name, entry in commands.items()]
     text, _, reads_input, options = commands[command]
-    rows = [("INPUT", _INPUT_HELP)] if reads_input else []
+    rows = [("INPUT", "newline-delimited Newick tree file, - for stdin")] if reads_input else []
     for flag, _, value, default, line in options:
         if not isinstance(value, bool) and default not in (None, ...):
             line = f"{line} (default {default})"
