@@ -4,7 +4,6 @@ neither. Nothing here imports cli: under python -m treescape.cli the
 running module is __main__, and importing treescape.cli would compile and
 run cli.py a second time."""
 
-import gc
 import math
 import random
 import statistics
@@ -13,8 +12,6 @@ import time
 
 from . import oracle
 from .graph import _construct
-
-_BENCH_ROUNDS = 7
 
 
 def _fail(code, message):
@@ -68,24 +65,14 @@ def bench(args):
     collections = [
         [oracle.random_tree(n, rooted=args.rooted, rng=rng) for _ in range(args.m)] for n in sizes
     ]
-    # each size's fastest build over rounds that visit every size in turn,
-    # so that a slow spell of the machine cannot set the fitted slope. The
-    # objects alive before the builds, the trees and, in a test, the test
-    # runner's, are frozen out of the collector's scans: a full collection over them
-    # takes tens of ms whatever the size, and where those pauses fall in
-    # the builds depends on what the process ran before. The collector
-    # still scans what the builds allocate, as it would in a build of its own
+    # each size's fastest build over three rounds that visit every size, so
+    # that a slow spell of the machine cannot set the fitted slope
     best = [math.inf] * len(sizes)
-    gc.collect()
-    gc.freeze()
-    try:
-        for _ in range(_BENCH_ROUNDS):
-            for k, trees in enumerate(collections):
-                t0 = time.perf_counter()
-                _construct(args.mode, trees)
-                best[k] = min(best[k], time.perf_counter() - t0)
-    finally:
-        gc.unfreeze()
+    for _ in range(3):
+        for k, trees in enumerate(collections):
+            t0 = time.perf_counter()
+            _construct(args.mode, trees)
+            best[k] = min(best[k], time.perf_counter() - t0)
     for n, total in zip(sizes, best):
         print(f"n={n} m={args.m} total={total:.3f}s")
     if len(sizes) > 1:

@@ -271,7 +271,7 @@ def test_criterion_7_empirical_scaling(capsys):
     """Time the spr-mode one-pass build (keys, index inserts and edges)
     over n in {64, 128, 256} with m = 200; the fitted time exponent must
     lie in the hard window [1.2, 3.0], with [1.2, 1.7] as the expected
-    band (informational; measured 1.33-1.57 on a 2-vCPU VM)."""
+    band (informational; measured 1.24-1.49 on a 2-vCPU VM)."""
     rc = cli.main(
         ["bench", "--mode", "spr", "--rooted", "--m", "200", "--sizes", "64,128,256",
          "--seed", "42"]
