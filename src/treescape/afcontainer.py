@@ -85,13 +85,15 @@ def replace_atomically(path):
         raise
 
 
-def write_snapshot(path, mode, canonical_lines):
-    """Write canonical tree strings to a reloadable snapshot file."""
-    mode = Mode(mode)
-    with replace_atomically(path) as fh:
-        fh.write(f"{_SNAPSHOT_MAGIC} {_SNAPSHOT_VERSION} {mode.value} {len(canonical_lines)}\n")
-        for text in canonical_lines:
-            fh.write(text.decode("ascii") + "\n")
+def write_snapshot(dest, mode, canonical_lines):
+    """Write canonical tree strings as a reloadable snapshot to the text
+    handle dest, or to the path dest, replaced once every line is written."""
+    if not hasattr(dest, "write"):
+        with replace_atomically(dest) as fh:
+            return write_snapshot(fh, mode, canonical_lines)
+    dest.write(f"{_SNAPSHOT_MAGIC} {_SNAPSHOT_VERSION} {Mode(mode).value} {len(canonical_lines)}\n")
+    for text in canonical_lines:
+        dest.write(text.decode("ascii") + "\n")
 
 
 def read_snapshot(path):

@@ -11,12 +11,8 @@ import sys
 import time
 
 from . import oracle
+from .errors import fail
 from .graph import _construct
-
-
-def _fail(code, message):
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 def verify(args, numbered, construct_numbered):
@@ -26,7 +22,7 @@ def verify(args, numbered, construct_numbered):
     # a list, not a stream: the trees are counted before --max-m is checked
     parsed = list(numbered)
     if len(parsed) > args.max_m:
-        return _fail(
+        return fail(
             5, f"{len(parsed)} trees exceed --max-m {args.max_m} for the quadratic check"
         )
     graph, labeling, _ = construct_numbered(args, parsed)
@@ -35,7 +31,7 @@ def verify(args, numbered, construct_numbered):
     slow_graph, slow_canon = oracle.pairwise_graph(trees, move)
 
     if labeling.canonical != slow_canon:
-        return _fail(1, "verify mismatch: vertex sets differ")
+        return fail(1, "verify mismatch: vertex sets differ")
     fast_edges = set(graph.edges())
     slow_edges = set(slow_graph.edges())
     if fast_edges != slow_edges:
@@ -43,7 +39,7 @@ def verify(args, numbered, construct_numbered):
             print(f"only fast: {edge}", file=sys.stderr)
         for edge in sorted(slow_edges - fast_edges):
             print(f"only pairwise: {edge}", file=sys.stderr)
-        return _fail(1, "verify mismatch: edge sets differ")
+        return fail(1, "verify mismatch: edge sets differ")
     print(f"verify ok: m={graph.n_vertices} edges={graph.edge_count}")
     return 0
 
@@ -54,13 +50,13 @@ def bench(args):
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
-        return _fail(2, f"bad --sizes {args.sizes!r}")
+        return fail(2, f"bad --sizes {args.sizes!r}")
     if not sizes or min(sizes) < 4:
-        return _fail(2, "--sizes needs integers of at least 4")
+        return fail(2, "--sizes needs integers of at least 4")
     if len(set(sizes)) != len(sizes):
-        return _fail(2, f"--sizes repeats a leaf count: {args.sizes!r}")
+        return fail(2, f"--sizes repeats a leaf count: {args.sizes!r}")
     if args.m < 1:
-        return _fail(2, f"--m needs at least one tree per size, got {args.m}")
+        return fail(2, f"--m needs at least one tree per size, got {args.m}")
     rng = random.Random(args.seed)
     collections = [
         [oracle.random_tree(n, rooted=args.rooted, rng=rng) for _ in range(args.m)] for n in sizes

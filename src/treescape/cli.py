@@ -34,14 +34,10 @@ from .errors import (
     ModeError,
     NewickError,
     SnapshotError,
+    fail,
 )
 from .graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
 from .tree import parse_newick
-
-
-def _fail(code, message):
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 def _warn(message):
@@ -172,7 +168,7 @@ def _path_clash(args):
 def _cmd_build(args):
     clash = _path_clash(args)
     if clash:
-        return _fail(2, clash)
+        return fail(2, clash)
     numbered = _read_trees(
         args.input, rooted=args.rooted, lenient=args.lenient, taxa=_load_taxa(args.taxa)
     )
@@ -194,17 +190,21 @@ def _cmd_build(args):
             where = f"line {first}" if first else "the snapshot"
             _warn(f"{args.input}:{linenos[k]}: duplicate of {where}")
 
-    # every file is written to its temporary file before any target is
-    # replaced, the graph's first, so a failed write or a graph path that
-    # cannot be replaced leaves the outputs as they were
-    with replace_atomically(_vertices_path(args.out)) as vertices, replace_atomically(args.out) as out:
+    # every file is written to its temporary file before any is replaced;
+    # then the graph, the vertex file and the snapshot are replaced in that
+    # order, so no failure replaces the snapshot and not the graph
+    with contextlib.ExitStack() as stack:
+        snapshot, vertices, out = [
+            path and stack.enter_context(replace_atomically(path))
+            for path in (args.snapshot, _vertices_path(args.out), args.out)
+        ]
         if args.format == "tsv":
             _write_tsv(out, args.mode, graph)
         else:
             _write_dot(out, graph, labeling)
         _write_vertices(vertices, linenos, labeling)
-        if args.snapshot:
-            write_snapshot(args.snapshot, args.container_mode, labeling.canonical)
+        if snapshot:
+            write_snapshot(snapshot, args.container_mode, labeling.canonical)
     print(f"built {args.mode} graph: m={graph.n_vertices} edges={graph.edge_count}")
     return 0
 
@@ -367,13 +367,13 @@ def main(argv=None):
         args.container_mode = Mode.of(args.mode, args.rooted)
         return args.run(args)
     except (NewickError, CanonicalError, SnapshotError) as exc:
-        return _fail(2, str(exc))
+        return fail(2, str(exc))
     except LabelSetError as exc:
-        return _fail(3, str(exc))
+        return fail(3, str(exc))
     except ModeError as exc:
-        return _fail(4, str(exc))
+        return fail(4, str(exc))
     except OSError as exc:
-        return _fail(2, str(exc))
+        return fail(2, str(exc))
 
 
 if __name__ == "__main__":

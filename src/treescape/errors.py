@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the report of an error."""
+
+import sys
+
+
+def fail(code, message):
+    """Print message as an error to stderr; returns the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 class TreescapeError(Exception):

@@ -543,7 +543,7 @@ class TestSnapshotFlow:
 
     def test_failed_snapshot_write_keeps_every_output(self, tmp_path, monkeypatch, capsys):
         # the snapshot's directory is missing, so its temporary file cannot
-        # be made; the graph and vertex files were written before it
+        # be made, and the graph and vertex files must stay as they were
         monkeypatch.chdir(tmp_path)
         write(tmp_path, "two.nwk", TRIANGLE)
         write(tmp_path, "keep.tsv", "old graph\n")
@@ -560,6 +560,20 @@ class TestSnapshotFlow:
         (tmp_path / "g").mkdir()
         assert run("build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g") == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "t.nwk"]
+
+    def test_unreplaceable_graph_path_keeps_the_snapshot(self, tmp_path, monkeypatch):
+        # after --append s.snap --snapshot s.snap, a snapshot replaced
+        # without its graph would make a rerun count the new trees as
+        # snapshot trees
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "t.nwk", TRIANGLE)
+        write(tmp_path, "s.snap", "old snapshot\n")
+        (tmp_path / "g").mkdir()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert run("build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g",
+                   "--snapshot", "s.snap") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "s.snap", "t.nwk"]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 class TestAppendSnapshotErrors:
