@@ -554,14 +554,7 @@ class TestSnapshotFlow:
         assert "No such file or directory: 'nodir/s.snap." in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    def test_unreplaceable_graph_path_keeps_the_vertex_file(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        write(tmp_path, "t.nwk", TRIANGLE)
-        (tmp_path / "g").mkdir()
-        assert run("build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g") == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "t.nwk"]
-
-    def test_unreplaceable_graph_path_keeps_the_snapshot(self, tmp_path, monkeypatch):
+    def test_unreplaceable_graph_path_keeps_every_output(self, tmp_path, monkeypatch):
         # after --append s.snap --snapshot s.snap, a snapshot replaced
         # without its graph would make a rerun count the new trees as
         # snapshot trees
