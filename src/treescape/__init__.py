@@ -17,7 +17,6 @@ _EXPORTS = {
         "Component",
         "Forest",
         "RootMarker",
-        "decode_forest",
         "decode_tree",
         "sdlnewick_forest",
         "sdlnewick_tree",

@@ -1,4 +1,4 @@
-"""Reference canonical encoding for trees and forests, plus decoding.
+"""Reference canonical encoding for trees and forests, and the tree decoder.
 
 The format is a smallest-descendant-label Newick: children are ordered by
 the smallest leaf label in their subtree, unrooted components are rooted at
@@ -22,16 +22,18 @@ Two trees (or forests) are isomorphic exactly when their encodings are
 byte-identical, which is what makes these strings usable as index keys.
 
 This module is the reference for that format: the forest model
-(``Component``, ``Forest``, ``RootMarker``), a whole-forest encoder and a
-grammar-walking decoder. Builds do not import it. They read every key and
-tree string off ``forestgen.Oriented`` and read snapshots with
-``tree.parse_newick``; the tests compare both against the functions here.
+(``Component``, ``Forest``, ``RootMarker``) and a whole-forest encoder.
+``decode_tree`` reads a canonical tree string with ``tree.parse_newick``
+and checks it against the encoder here. Builds do not import this module.
+They read every key and tree string off ``forestgen.Oriented`` and read
+snapshots with ``tree.parse_newick``; the tests compare both against the
+functions here.
 """
 
 import enum
 
-from .errors import CanonicalError
-from .tree import MAX_LABEL, RHO, Tree
+from .errors import CanonicalError, NewickError
+from .tree import MAX_LABEL, RHO, Tree, parse_newick
 
 _BIG = float("inf")
 
@@ -79,32 +81,11 @@ class Forest:
     def __init__(self, components):
         self.components = list(components)
 
-    def __len__(self):
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
     def leaf_labels(self):
         out = set()
         for comp in self.components:
             out |= comp.leaf_labels()
         return out
-
-    def validate(self):
-        originals = 0
-        seen = set()
-        for comp in self.components:
-            if comp.marker is RootMarker.ORIGINAL:
-                originals += 1
-            labs = comp.leaf_labels()
-            if labs & seen:
-                raise ValueError("components share leaf labels")
-            seen |= labs
-            if not labs and len(comp.labels) > 1:
-                raise ValueError("unlabelled multi-node component")
-        if originals > 1:
-            raise ValueError("more than one original-root component")
 
 
 def _min_labels(labels, adj, start, start_parent):
@@ -221,7 +202,7 @@ def sdlnewick_tree(tree):
 
 
 def sdlnewick_forest(forest):
-    """Canonical byte string of a forest. Inverse of decode_forest."""
+    """Canonical byte string of a forest."""
     parts = [
         _component_part(c.labels, c.neighbors, c.marker, c.root) for c in forest.components
     ]
@@ -236,270 +217,31 @@ def sdlnewick_forest(forest):
 # decoding
 
 
-def _as_text(data):
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            return data.decode("ascii")
-        except UnicodeDecodeError:
-            raise CanonicalError("canonical strings are ASCII") from None
+def decode_tree(data):
+    """Parse a canonical tree string (str, bytes or bytearray) back into a Tree.
+
+    Rootedness is inferred from a leading ``(r,``. The string is read with
+    parse_newick after dropping that ``r,``, and must equal the canonical
+    string of the tree it yields byte for byte; parse_newick refuses a
+    single leaf, so a one-leaf string such as ``1;`` is read here. Raises
+    CanonicalError otherwise, with parse_newick's message and a column into
+    data.
+    """
     if not data.isascii():
         raise CanonicalError("canonical strings are ASCII")
-    return data
-
-
-def _read_label(s, i):
-    j = i
-    n = len(s)
-    while j < n and "0" <= s[j] <= "9":
-        j += 1
-    run = s[i:j]
-    if not run:
-        raise CanonicalError(f"expected a label (column {i + 1})")
-    if run[0] == "0":
-        raise CanonicalError(f"bad label {run!r}: zero or leading zero (column {i + 1})")
-    value = int(run[:21])  # 21 digits already exceed the limit; int() refuses very long runs
-    if value > MAX_LABEL:
-        raise CanonicalError(f"label {run} exceeds the 64-bit limit (column {i + 1})")
-    return value, j
-
-
-def _parse_subtree(s, i, labels, adj):
-    """Parse one binary subtree; returns (root index, next offset)."""
-
-    def new(lab):
-        labels.append(lab)
-        adj.append([])
-        return len(labels) - 1
-
-    n = len(s)
-    if i < n and s[i].isdigit():
-        lab, i = _read_label(s, i)
-        return new(lab), i
-    if i >= n or s[i] != "(":
-        raise CanonicalError(f"expected a subtree (column {i + 1})")
-
-    stack = []
-    counts = []
-    expect_item = True
-    while True:
-        if i >= n:
-            raise CanonicalError("unexpected end of canonical string")
-        c = s[i]
-        if expect_item:
-            if c == "(":
-                idx = new(None)
-                if stack:
-                    adj[stack[-1]].append(idx)
-                    adj[idx].append(stack[-1])
-                    counts[-1] += 1
-                stack.append(idx)
-                counts.append(0)
-                i += 1
-            elif c.isdigit():
-                lab, i = _read_label(s, i)
-                idx = new(lab)
-                adj[stack[-1]].append(idx)
-                adj[idx].append(stack[-1])
-                counts[-1] += 1
-                expect_item = False
-            else:
-                raise CanonicalError(f"unexpected {c!r} in subtree (column {i + 1})")
-        else:
-            if c == ",":
-                i += 1
-                expect_item = True
-            elif c == ")":
-                node = stack.pop()
-                cnt = counts.pop()
-                if cnt != 2:
-                    raise CanonicalError(
-                        f"subtree nodes take exactly two children, found {cnt} (column {i + 1})"
-                    )
-                i += 1
-                if not stack:
-                    return node, i
-            else:
-                raise CanonicalError(f"unexpected {c!r} in subtree (column {i + 1})")
-
-
-def _parse_component(s, i):
-    """Parse one component; returns (Component, next offset)."""
-    labels = []
-    adj = []
-    n = len(s)
-
-    def new(lab):
-        labels.append(lab)
-        adj.append([])
-        return len(labels) - 1
-
-    def link(a, b):
-        adj[a].append(b)
-        adj[b].append(a)
-
-    if i < n and s[i].isdigit():
-        lab, i = _read_label(s, i)
-        new(lab)
-        return Component(labels, adj, None, None), i
-    if i >= n or s[i] != "(":
-        raise CanonicalError(f"expected a component (column {i + 1})")
-    i += 1
-    has_marker = i < n and s[i] == "r"
-    if has_marker:
-        i += 1
-    children = []
-    if has_marker:
-        while i < n and s[i] == ",":
-            node, i = _parse_subtree(s, i + 1, labels, adj)
-            children.append(node)
-    else:
-        node, i = _parse_subtree(s, i, labels, adj)
-        children.append(node)
-        while i < n and s[i] == ",":
-            node, i = _parse_subtree(s, i + 1, labels, adj)
-            children.append(node)
-    if i >= n or s[i] != ")":
-        raise CanonicalError(f"expected ')' (column {i + 1})")
-    i += 1
-    pruned = i < n and s[i] == "p"
-    if pruned:
-        i += 1
-
-    c = len(children)
-    if has_marker:
-        if pruned:
-            raise CanonicalError("a component cannot carry both r and p markers")
-        rho = new(RHO)
-        if c == 0:
-            pass
-        elif c == 1:
-            if labels[children[0]] is None:
-                raise CanonicalError("rooted component with one internal child is not canonical")
-            link(rho, children[0])
-        elif c == 2:
-            anchor = new(None)
-            link(anchor, rho)
-            link(anchor, children[0])
-            link(anchor, children[1])
-        else:
-            raise CanonicalError(f"rooted component with {c} subtrees is not binary")
-        return Component(labels, adj, RootMarker.ORIGINAL, rho), i
-    if pruned:
-        if c == 1:
-            if labels[children[0]] is None:
-                raise CanonicalError("pruned component with one internal subtree is invalid")
-            return Component(labels, adj, RootMarker.COMPONENT, children[0]), i
-        if c == 2:
-            w = new(None)
-            link(w, children[0])
-            link(w, children[1])
-            return Component(labels, adj, RootMarker.COMPONENT, w), i
-        raise CanonicalError(f"pruned component takes one or two subtrees, found {c}")
-    if c == 2:
-        link(children[0], children[1])
-        return Component(labels, adj, None, None), i
-    if c == 3:
-        anchor = new(None)
-        for ch in children:
-            link(anchor, ch)
-        return Component(labels, adj, None, None), i
-    raise CanonicalError(f"unrooted component takes two or three subtrees, found {c}")
-
-
-def decode_forest(data):
-    """Parse a canonical forest string back into a Forest. The input must
-    be in canonical form: re-encoding the result must reproduce its bytes.
-    """
-    s = _as_text(data)
-    if not s or s[-1] != ";":
-        raise CanonicalError("canonical strings end with ';'")
-    comps = []
-    i = 0
-    n = len(s)
-    while True:
-        comp, i = _parse_component(s, i)
-        comps.append(comp)
-        if i >= n:
-            raise CanonicalError("missing ';'")
-        if s[i] == ";":
-            if i + 1 != n:
-                raise CanonicalError("trailing characters after ';'")
-            break
-        if s[i] == " ":
-            i += 1
-            continue
-        raise CanonicalError(f"unexpected {s[i]!r} between components (column {i + 1})")
-
-    forest = Forest(comps)
+    text = data.encode("ascii") if isinstance(data, str) else data
+    label = text[:-1]
+    if label.isdigit() and text.endswith(b";"):
+        if label[0] == ord("0") or len(label) > 20 or int(label) > MAX_LABEL:
+            raise CanonicalError(f"bad label {label.decode()}: zero, leading zero or over 2**64-1")
+        return Tree([int(label)], [[]], False)
+    rooted = text.startswith(b"(r,")
     try:
-        forest.validate()
-    except ValueError as exc:
+        tree = parse_newick(b"(" + text[3:] if rooted else text, rooted=rooted)
+    except NewickError as exc:
+        if rooted and exc.pos is not None:
+            exc = NewickError(exc.reason, exc.pos + 2)
         raise CanonicalError(str(exc)) from None
-    if sdlnewick_forest(forest) != s.encode("ascii"):
-        raise CanonicalError(f"{s!r} is not in canonical form")
-    return forest
-
-
-def validate_tree(tree):
-    """Check a tree's structural invariants; raises ValueError on violation."""
-    labels, adj = tree.labels, tree.neighbors
-    n = len(labels)
-    if n == 0:
-        raise ValueError("empty tree")
-    for u, nbrs in enumerate(adj):
-        if len(set(nbrs)) != len(nbrs) or u in nbrs:
-            raise ValueError(f"node {u}: bad adjacency {nbrs}")
-        for v in nbrs:
-            if u not in adj[v]:
-                raise ValueError(f"asymmetric edge ({u}, {v})")
-        deg = len(nbrs)
-        want = (1, 3) if n > 1 else (0,)
-        if deg not in want:
-            raise ValueError(f"node {u} has degree {deg}")
-        if labels[u] is not None and deg > 1:
-            raise ValueError(f"labelled node {u} is not a leaf")
-    seen = set()
-    for lab in labels:
-        if lab is None:
-            continue
-        if lab in seen:
-            raise ValueError(f"duplicate label {lab}")
-        seen.add(lab)
-    markers = [i for i, lab in enumerate(labels) if lab == RHO]
-    if tree.rooted:
-        if len(markers) != 1:
-            raise ValueError("rooted tree must have exactly one root marker")
-        if not adj[markers[0]] or labels[adj[markers[0]][0]] is not None:
-            raise ValueError("root marker must attach to an internal node")
-    elif markers:
-        raise ValueError("unrooted tree carries a root marker")
-    # connectivity
-    reach = {0}
-    work = [0]
-    while work:
-        for w in adj[work.pop()]:
-            if w not in reach:
-                reach.add(w)
-                work.append(w)
-    if len(reach) != n:
-        raise ValueError("tree is not connected")
-
-
-def decode_tree(data):
-    """Parse a canonical tree string back into a Tree.
-
-    The string must hold exactly one component; rootedness is inferred from
-    the presence of the r token. Raises CanonicalError otherwise.
-    """
-    forest = decode_forest(data)
-    if len(forest) != 1:
-        raise CanonicalError(f"expected one component, found {len(forest)}")
-    comp = forest.components[0]
-    if comp.marker is RootMarker.COMPONENT:
-        raise CanonicalError("a pruned component is not a standalone tree")
-    tree = Tree(comp.labels, comp.neighbors, comp.marker is RootMarker.ORIGINAL)
-    try:
-        validate_tree(tree)
-    except ValueError as exc:
-        raise CanonicalError(f"not a valid tree: {exc}") from None
+    if sdlnewick_tree(tree) != text:
+        raise CanonicalError(f"{text.decode()!r} is not in canonical form")
     return tree

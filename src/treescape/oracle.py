@@ -3,11 +3,12 @@
 Everything here is deliberately naive: neighborhoods come from exhaustively
 applying every candidate move and comparing canonical strings, and pairwise
 graphs cost O(m^2) string lookups. The tree walks only reference code and
-tests need live here: edges lists a tree's edges and to_newick writes plain
-Newick. So does the move surgery: yield_forest cuts edges out of a tree
-into a canonical.Forest, and apply_spr and apply_tbr rebuild the tree after
-one move. nni_moves lists interchange results directly, a cross-check on
-the contracted-edge keys the interchange graph indexes (forestgen.nni_keys).
+tests need live here: edges lists a tree's edges, to_newick writes plain
+Newick and validate_tree checks a tree's structural invariants. So does
+the move surgery: yield_forest cuts edges out of a tree into a
+canonical.Forest, and apply_spr and apply_tbr rebuild the tree after one
+move. nni_moves lists interchange results directly, a cross-check on the
+contracted-edge keys the interchange graph indexes (forestgen.nni_keys).
 reference_forest_keys cuts and re-encodes the whole tree for every key, the
 construction the spliced keys of forestgen must match byte for byte. None
 of the indexing machinery is used, so agreement between this module and
@@ -73,6 +74,51 @@ def to_newick(tree):
         stack.append((kids[0], node))
     out.append(";")
     return "".join(out)
+
+
+def validate_tree(tree):
+    """Check a tree's structural invariants; raises ValueError on violation."""
+    labels, adj = tree.labels, tree.neighbors
+    n = len(labels)
+    if n == 0:
+        raise ValueError("empty tree")
+    for u, nbrs in enumerate(adj):
+        if len(set(nbrs)) != len(nbrs) or u in nbrs:
+            raise ValueError(f"node {u}: bad adjacency {nbrs}")
+        for v in nbrs:
+            if u not in adj[v]:
+                raise ValueError(f"asymmetric edge ({u}, {v})")
+        deg = len(nbrs)
+        want = (1, 3) if n > 1 else (0,)
+        if deg not in want:
+            raise ValueError(f"node {u} has degree {deg}")
+        if labels[u] is not None and deg > 1:
+            raise ValueError(f"labelled node {u} is not a leaf")
+    seen = set()
+    for lab in labels:
+        if lab is None:
+            continue
+        if lab in seen:
+            raise ValueError(f"duplicate label {lab}")
+        seen.add(lab)
+    markers = [i for i, lab in enumerate(labels) if lab == RHO]
+    if tree.rooted:
+        if len(markers) != 1:
+            raise ValueError("rooted tree must have exactly one root marker")
+        if not adj[markers[0]] or labels[adj[markers[0]][0]] is not None:
+            raise ValueError("root marker must attach to an internal node")
+    elif markers:
+        raise ValueError("unrooted tree carries a root marker")
+    # connectivity
+    reach = {0}
+    work = [0]
+    while work:
+        for w in adj[work.pop()]:
+            if w not in reach:
+                reach.add(w)
+                work.append(w)
+    if len(reach) != n:
+        raise ValueError("tree is not connected")
 
 
 # ---------------------------------------------------------------------------

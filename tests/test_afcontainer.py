@@ -419,6 +419,10 @@ def test_snapshot_decoder_agrees_with_reference(shape, rooted):
                     except SnapshotError:
                         got = None
                     assert (got is None) == (want is None), (mode, text)
+                    # both readers use parse_newick, so agreement alone would
+                    # not catch one that refuses a valid line
+                    if text == line and mode.rooted == rooted:
+                        assert got is not None, (mode, text)
                     verdicts[got is not None] += 1
                     if got is not None:
                         assert got.rooted == mode.rooted

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from treescape.afcontainer import AFContainer
-from treescape.canonical import decode_forest, decode_tree, sdlnewick_tree
+from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.errors import ModeError
 from treescape.forestgen import Oriented, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
 from treescape.oracle import edges as tree_edges
@@ -88,12 +88,16 @@ class TestKeyCounts:
 
 class TestKeyShape:
     def test_every_key_is_a_two_component_forest(self):
-        for key in (
-            rspr_forest_keys(ROOTED5) + uspr_forest_keys(UNROOTED5) + tbr_forest_keys(UNROOTED5)
+        for keys, t, move in (
+            (rspr_forest_keys, ROOTED5, "rspr"),
+            (uspr_forest_keys, UNROOTED5, "uspr"),
+            (tbr_forest_keys, UNROOTED5, "tbr"),
         ):
-            forest = decode_forest(key)
-            assert len(forest.components) == 2
-            assert forest.leaf_labels() == {1, 2, 3, 4, 5}
+            ref = reference_forest_keys(t, move)
+            for key in keys(t):
+                assert key in ref
+                assert len(key[:-1].split(b" ")) == 2
+                assert sorted(map(int, re.findall(rb"[0-9]+", key))) == [1, 2, 3, 4, 5]
 
     def test_worked_key_values(self):
         rk = rspr_forest_keys(ROOTED5)

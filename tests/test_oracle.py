@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from treescape.canonical import sdlnewick_tree, validate_tree
+from treescape.canonical import sdlnewick_tree
 from treescape.errors import ModeError
 from treescape.oracle import (
     MOVES,
@@ -11,6 +11,7 @@ from treescape.oracle import (
     nni_moves,
     pairwise_graph,
     random_tree,
+    validate_tree,
 )
 from treescape.tree import parse_newick
 

@@ -4,8 +4,16 @@ import re
 import pytest
 
 from treescape.errors import MoveError, NewickError
-from treescape.canonical import RootMarker, sdlnewick_forest, sdlnewick_tree, validate_tree
-from treescape.oracle import apply_spr, apply_tbr, parents, random_tree, to_newick, yield_forest
+from treescape.canonical import RootMarker, sdlnewick_forest, sdlnewick_tree
+from treescape.oracle import (
+    apply_spr,
+    apply_tbr,
+    parents,
+    random_tree,
+    to_newick,
+    validate_tree,
+    yield_forest,
+)
 from treescape.oracle import edges as tree_edges
 from treescape.tree import RHO, Tree, parse_newick
 
@@ -178,7 +186,10 @@ class TestYieldForest:
                 f = yield_forest(t, (edge,))
             else:
                 f = yield_forest(t, (edge,), keep_roots=(edge[0],))
-            f.validate()
+            labels = [c.leaf_labels() for c in f.components]
+            assert sum(map(len, labels)) == len(f.leaf_labels())  # disjoint
+            assert all(labs or len(c.labels) == 1 for labs, c in zip(labels, f.components))
+            assert sum(c.marker is RootMarker.ORIGINAL for c in f.components) == rooted
             assert f.leaf_labels() == t.leaf_labels()
             assert len(f.components) == 2
 
