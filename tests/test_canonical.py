@@ -91,13 +91,37 @@ class TestDecode:
     @pytest.mark.parametrize(
         "text",
         [
+            "(r,1,(2,3)) (4,5)p;",
+            "(1,2,3) (4,5);",
+            "(1,2,3) (4,5)p;",
+            "((1,2),3)p (4,5);",
+            "(r) ((1,2),(3,4))p;",
+            "(r,1) (2)p (3)p;",
+            "1 (2,3);",
+        ],
+    )
+    def test_decode_tree_rejects_canonical_forests(self, text):
+        # each is a canonical forest string; none of them is a tree
+        with pytest.raises(CanonicalError):
+            decode_tree(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
             "",
             ";",
             "(1,2,(3,4))",
             "(2,1,(3,4));",
             "(1,2,(4,3));",
+            "(4,5) (r,1,(2,3))p;",
+            "(1,2)  (3,4);",
+            "(r,1,(2,3)) (4,5)p ;",
+            "(r,(1,2)) (3,4)p;",
+            "((1,2))p (3,4);",
             "(1,2,3,4);",
             "(r,1,2,3);",
+            "(1,2) (2,3);",
+            "(r,1,2) (r,3,4);",
             "(1,0);",
             "(1,2x);",
             "(r,1,2)p;",
