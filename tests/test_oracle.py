@@ -1,17 +1,22 @@
+import hashlib
 import random
 
 import pytest
 
-from treescape.canonical import sdlnewick_tree
-from treescape.errors import ModeError
+from treescape.canonical import sdlnewick_forest, sdlnewick_tree
+from treescape.errors import ModeError, MoveError
 from treescape.oracle import (
     MOVES,
+    edges,
     enumerate_all_trees,
     enumerate_neighbors,
     nni_moves,
     pairwise_graph,
     random_tree,
+    reference_forest_keys,
+    to_newick,
     validate_tree,
+    yield_forest,
 )
 from treescape.tree import parse_newick
 
@@ -175,3 +180,58 @@ class TestNniMoves:
     def test_tiny_trees_have_no_moves(self):
         assert nni_moves(parse_newick("(1,2,3);", rooted=False)) == []
         assert nni_moves(parse_newick("(1,2);", rooted=False)) == []
+
+
+def reference_digest():
+    """sha256 over the reference's outputs and errors on a fixed corpus."""
+    h = hashlib.sha256()
+
+    def put(item):
+        h.update(item if isinstance(item, bytes) else item.encode())
+        h.update(b"\n")
+
+    for rooted, sizes in ((True, range(2, 6)), (False, range(3, 7))):
+        for n in sizes:
+            for t in enumerate_all_trees(n, rooted=rooted):
+                put(sdlnewick_tree(t))
+                put(to_newick(t))
+                for move in MOVES:
+                    try:
+                        nbrs = enumerate_neighbors(t, move)
+                    except ModeError as exc:
+                        put(str(exc))
+                        continue
+                    put(move)
+                    for c in sorted(nbrs):
+                        put(c)
+                for move in ("rspr", "uspr", "tbr"):
+                    try:
+                        keys = reference_forest_keys(t, move)
+                    except ModeError as exc:
+                        keys = [str(exc)]
+                    for key in keys:
+                        put(key)
+                moved = nni_moves(t)
+                for c in sorted(sdlnewick_tree(m) for m in moved):
+                    put(c)
+                for m in moved:
+                    put(to_newick(m))
+    rng = random.Random(1606)
+    for i in range(60):
+        rooted = i % 2 == 0
+        t = random_tree(rng.randint(4, 40), rooted=rooted, rng=rng)
+        put(to_newick(t))
+        for _ in range(4):
+            cut = rng.sample(edges(t), 3)
+            keep = () if rooted else [rng.choice(e) for e in cut if rng.random() < 0.5]
+            try:
+                put(sdlnewick_forest(yield_forest(t, cut, keep_roots=keep)))
+            except MoveError as exc:
+                put(str(exc))
+    return h.hexdigest()
+
+
+def test_reference_outputs_are_pinned():
+    # every output and error message of the reference, byte for byte
+    want = "8dc10318e7bca837aa09e71b981a514935766326130bef6a811e59ffbf6bacd0"
+    assert reference_digest() == want
