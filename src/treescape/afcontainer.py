@@ -127,10 +127,11 @@ def read_snapshot(path):
     return mode, lines
 
 
-def decode_snapshot(mode, lines):
-    """Lazily yield the Oriented tree of each line read_snapshot returned,
-    checking, when its tree is taken, that the line fits the snapshot's
-    mode, is canonical and repeats no earlier line. Errors name the line.
+def decode_snapshot(path, mode, lines):
+    """Lazily yield the Oriented tree of each line read_snapshot(path)
+    returned, checking, when its tree is taken, that the line fits the
+    snapshot's mode, is canonical and repeats no earlier line. Errors name
+    the file and the line.
 
     A line is read with the input parser, after dropping the ``r,`` that
     opens a rooted line, and must equal its tree's canonical string byte
@@ -142,15 +143,15 @@ def decode_snapshot(mode, lines):
         rooted = text.startswith(b"(r,")
         if rooted != mode.rooted:
             kind = "rooted" if rooted else "unrooted"
-            raise SnapshotError(f"snapshot line {lineno}: {kind} tree in a {mode.value} snapshot")
+            raise SnapshotError(f"{path}:{lineno}: {kind} tree in a {mode.value} snapshot")
         try:
             tree = Oriented(parse_newick(b"(" + text[3:] if rooted else text, rooted=rooted))
         except NewickError:
             tree = None
         if tree is None or tree.canonical() != text:
-            raise SnapshotError(f"snapshot line {lineno}: not a canonical {mode.value} tree")
+            raise SnapshotError(f"{path}:{lineno}: not a canonical {mode.value} tree")
         if text in seen:
-            raise SnapshotError(f"duplicate tree at snapshot line {lineno}")
+            raise SnapshotError(f"{path}:{lineno}: duplicate tree in snapshot")
         seen.add(text)
         yield tree
 
@@ -287,6 +288,6 @@ class AFContainer:
     def load(cls, path):
         mode, lines = read_snapshot(path)
         container = cls(mode)
-        for tree in decode_snapshot(mode, lines):
+        for tree in decode_snapshot(path, mode, lines):
             container.insert(tree)
         return container

@@ -176,10 +176,10 @@ def _cmd_build(args):
         snap_mode, lines = read_snapshot(args.append)
         if snap_mode is not args.container_mode:
             raise ModeError(
-                f"snapshot mode {snap_mode.value} does not fit "
+                f"{args.append}:1: snapshot mode {snap_mode.value} does not fit "
                 f"{'rooted' if args.rooted else 'unrooted'} {args.mode}"
             )
-        snapshot = ((0, tree) for tree in decode_snapshot(snap_mode, lines))
+        snapshot = ((0, tree) for tree in decode_snapshot(args.append, snap_mode, lines))
         numbered = itertools.chain(snapshot, numbered)
     graph, labeling, linenos = _construct_numbered(args, numbered)
     if not any(linenos):

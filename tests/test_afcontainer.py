@@ -314,22 +314,22 @@ class TestSnapshot:
     )
     def test_decode_messages(self, mode, line, message):
         with pytest.raises(SnapshotError) as err:
-            list(decode_snapshot(mode, [line]))
-        assert str(err.value) == f"snapshot line 2: {message}"
+            list(decode_snapshot("c.snap", mode, [line]))
+        assert str(err.value) == f"c.snap:2: {message}"
 
     def test_one_leaf_line_is_refused(self):
         # the reference decoder reads "1;" as a lone leaf, but the input
         # parser refuses a single leaf and a build never writes one
         assert decode_tree(b"1;").n_leaves == 1
-        with pytest.raises(SnapshotError, match=r"^snapshot line 2: not a canonical uspr tree$"):
-            list(decode_snapshot(Mode.USPR, [b"1;"]))
+        with pytest.raises(SnapshotError, match=r"^c\.snap:2: not a canonical uspr tree$"):
+            list(decode_snapshot("c.snap", Mode.USPR, [b"1;"]))
 
     def test_decoding_is_lazy(self):
         lines = [b"(r,(1,2),(3,4));", b"(r,(1,3),(2,4));", b"(r,(2,1),(3,4));"]
-        trees = decode_snapshot(Mode.RSPR, lines)
+        trees = decode_snapshot("c.snap", Mode.RSPR, lines)
         assert next(trees).canonical() == lines[0]
         assert next(trees).canonical() == lines[1]
-        with pytest.raises(SnapshotError, match=r"^snapshot line 4: not a canonical rspr tree$"):
+        with pytest.raises(SnapshotError, match=r"^c\.snap:4: not a canonical rspr tree$"):
             next(trees)
 
 
@@ -415,7 +415,7 @@ def test_snapshot_decoder_agrees_with_reference(shape, rooted):
                 for mode in (Mode.RSPR, Mode.USPR, Mode.TBR):
                     want = reference_decode(mode, text)
                     try:
-                        [got] = decode_snapshot(mode, [text])
+                        [got] = decode_snapshot("c.snap", mode, [text])
                     except SnapshotError:
                         got = None
                     assert (got is None) == (want is None), (mode, text)

@@ -584,16 +584,16 @@ class TestAppendSnapshotErrors:
 
     def test_rooted_tree_in_unrooted_snapshot(self, tmp_path, capsys):
         assert self.append(tmp_path, b"afcontainer v1 uspr 1\n(r,1,2);\n", "spr", "--unrooted") == 2
-        assert "snapshot line 2: rooted tree" in capsys.readouterr().err
+        assert f"{tmp_path / 'c.snap'}:2: rooted tree" in capsys.readouterr().err
 
     def test_repeated_tree(self, tmp_path, capsys):
         text = b"afcontainer v1 rspr 3\n(r,1,(2,3));\n(r,(1,2),3);\n(r,1,(2,3));\n"
         assert self.append(tmp_path, text, "spr", "--rooted") == 2
-        assert "duplicate tree at snapshot line 4" in capsys.readouterr().err
+        assert f"{tmp_path / 'c.snap'}:4: duplicate tree" in capsys.readouterr().err
 
     def test_noncanonical_line(self, tmp_path, capsys):
         assert self.append(tmp_path, b"afcontainer v1 rspr 1\n(r,2,1);\n", "spr", "--rooted") == 2
-        assert "snapshot line 2" in capsys.readouterr().err
+        assert f"{tmp_path / 'c.snap'}:2: not a canonical" in capsys.readouterr().err
 
     def test_first_faulty_snapshot_line_decides_the_exit_code(self, tmp_path, capsys):
         # line 3 has another leaf set, line 4 is not canonical
@@ -664,7 +664,8 @@ def test_snapshot_fits_each_build_kind_of_its_mode(tmp_path, capsys, saved, appe
     else:
         assert code == 4
         assert capsys.readouterr().err == (
-            f"error: snapshot mode {BUILD_KINDS[saved]} does not fit {rooted[2:]} {move}\n"
+            f"error: {snap}:1: snapshot mode {BUILD_KINDS[saved]} "
+            f"does not fit {rooted[2:]} {move}\n"
         )
         assert not out.exists()
 

@@ -108,5 +108,7 @@ def test_rooted_snapshot_refused_by_unrooted_nni(tmp_path, capsys):
     argv = ["build", str(rest), "--mode", "nni", "--unrooted", "--out", str(tmp_path / "g.tsv"),
             "--append", snap]
     assert cli.main(argv) == 4
-    assert capsys.readouterr().err == "error: snapshot mode rspr does not fit unrooted nni\n"
+    assert capsys.readouterr().err == (
+        f"error: {snap}:1: snapshot mode rspr does not fit unrooted nni\n"
+    )
     assert os.listdir(tmp_path) == ["rest.nwk"]
