@@ -22,7 +22,8 @@ Two trees (or forests) are isomorphic exactly when their encodings are
 byte-identical, which is what makes these strings usable as index keys.
 
 This module is the reference for that format: the forest model
-(``Component``, ``Forest``, ``RootMarker``) and a whole-forest encoder.
+(``Component``, ``Forest``, ``RootMarker``) and a whole-forest encoder,
+whose tree walk and Newick emitter ``oracle`` uses too.
 ``decode_tree`` reads a canonical tree string with ``tree.parse_newick``
 and checks it against the encoder here. Builds do not import this module.
 They read every key and tree string off ``forestgen.Oriented`` and read
@@ -88,18 +89,25 @@ class Forest:
         return out
 
 
-def _min_labels(labels, adj, start, start_parent):
-    """Smallest label in the subtree at each node, oriented away from start_parent."""
+def _walk(adj, start, parent=-1):
+    """(node, parent) pairs of the tree at start, entered from parent, in
+    preorder; the walk never steps back into a node's parent."""
     order = []
-    stack = [(start, start_parent)]
+    stack = [(start, parent)]
     while stack:
-        node, parent = stack.pop()
-        order.append((node, parent))
+        item = stack.pop()
+        order.append(item)
+        node, par = item
         for w in adj[node]:
-            if w != parent:
+            if w != par:
                 stack.append((w, node))
+    return order
+
+
+def _min_labels(labels, adj, start):
+    """Smallest label in the subtree at each node, oriented away from start."""
     mins = [_BIG] * len(labels)
-    for node, parent in reversed(order):
+    for node, parent in reversed(_walk(adj, start)):
         lab = labels[node]
         m = mins[node]
         if lab is not None and lab < m:
@@ -110,8 +118,9 @@ def _min_labels(labels, adj, start, start_parent):
     return mins
 
 
-def _emit(labels, adj, start, parent, mins, out):
-    """Append the subtree tokens for start (entered from parent) to out."""
+def _emit(labels, adj, start, parent, rank, out):
+    """Append the subtree tokens for start (entered from parent) to out,
+    each node's two children in the order of their rank."""
     stack = [(start, parent)]
     while stack:
         item = stack.pop()
@@ -128,7 +137,7 @@ def _emit(labels, adj, start, parent, mins, out):
             raise CanonicalError(
                 f"subtree node below the top level has {len(kids)} children, not two"
             )
-        kids.sort(key=mins.__getitem__)
+        kids.sort(key=rank.__getitem__)
         out.append("(")
         stack.append(")")
         stack.append((kids[1], node))
@@ -136,68 +145,46 @@ def _emit(labels, adj, start, parent, mins, out):
         stack.append((kids[0], node))
 
 
-def _component_part(labels, adj, marker, root):
-    """Render one component; returns (ordering_key, text)."""
-    if marker is RootMarker.ORIGINAL:
-        rho = root
-        if len(labels) == 1:
-            return -1, "(r)"
-        anchor = adj[rho][0]
-        if labels[anchor] is not None:
-            return -1, f"(r,{labels[anchor]})"
-        mins = _min_labels(labels, adj, rho, -1)
-        kids = [w for w in adj[anchor] if w != rho]
-        kids.sort(key=mins.__getitem__)
-        out = ["(", "r"]
-        for kid in kids:
-            out.append(",")
-            _emit(labels, adj, kid, anchor, mins, out)
-        out.append(")")
-        return -1, "".join(out)
-
-    if marker is RootMarker.COMPONENT:
-        w = root
-        if labels[w] is not None:
-            return labels[w], f"({labels[w]})p"
-        mins = _min_labels(labels, adj, w, -1)
-        kids = sorted(adj[w], key=mins.__getitem__)
-        out = ["("]
-        for k, kid in enumerate(kids):
-            if k:
-                out.append(",")
-            _emit(labels, adj, kid, w, mins, out)
-        out.append(")p")
-        return mins[w], "".join(out)
-
-    # unrooted component
-    if len(labels) == 1:
-        return labels[0], str(labels[0])
-    if len(labels) == 2:
-        a, b = sorted(labels)
-        return a, f"({a},{b})"
-    small = min(
-        (i for i, lab in enumerate(labels) if lab is not None), key=labels.__getitem__
-    )
-    anchor = adj[small][0]
-    mins = _min_labels(labels, adj, anchor, -1)
-    kids = sorted(adj[anchor], key=mins.__getitem__)
+def _render(labels, adj, start, skip, rank):
+    """The subtrees around start, but for skip's, in the order of their
+    rank, comma-separated in parentheses. A labelled start is one of them:
+    it is a leaf whose only neighbour, if any, ties with it and comes first.
+    """
+    kids = [w for w in adj[start] if w != skip]
+    if labels[start] is not None:
+        kids.append(start)
+    kids.sort(key=rank.__getitem__)
     out = ["("]
     for k, kid in enumerate(kids):
         if k:
             out.append(",")
-        _emit(labels, adj, kid, anchor, mins, out)
+        _emit(labels, adj, kid, start, rank, out)
     out.append(")")
-    return mins[anchor], "".join(out)
+    return "".join(out)
+
+
+def _component_part(labels, adj, marker, root):
+    """Render one component; returns (ordering_key, text).
+
+    A pruned component renders from its kept root. Any other renders from
+    the neighbour of its top leaf: the root marker, or else the smallest
+    leaf. A lone leaf renders from itself, and bare when unrooted.
+    """
+    if marker is None:
+        if len(labels) == 1:
+            return labels[0], str(labels[0])
+        root = min((i for i, lab in enumerate(labels) if lab is not None), key=labels.__getitem__)
+    if marker is not RootMarker.COMPONENT and adj[root]:
+        root = adj[root][0]
+    mins = _min_labels(labels, adj, root)
+    text = _render(labels, adj, root, -1, mins)
+    return mins[root], (text + "p" if marker is RootMarker.COMPONENT else text)
 
 
 def sdlnewick_tree(tree):
     """Canonical byte string of a tree. Inverse of decode_tree."""
-    if tree.rooted:
-        _, text = _component_part(
-            tree.labels, tree.neighbors, RootMarker.ORIGINAL, tree.rho_index()
-        )
-    else:
-        _, text = _component_part(tree.labels, tree.neighbors, None, None)
+    marker, root = (RootMarker.ORIGINAL, tree.rho_index()) if tree.rooted else (None, None)
+    _, text = _component_part(tree.labels, tree.neighbors, marker, root)
     return (text + ";").encode("ascii")
 
 

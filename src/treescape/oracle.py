@@ -4,7 +4,8 @@ Everything here is deliberately naive: neighborhoods come from exhaustively
 applying every candidate move and comparing canonical strings, and pairwise
 graphs cost O(m^2) string lookups. The tree walks only reference code and
 tests need live here: edges lists a tree's edges, to_newick writes plain
-Newick and validate_tree checks a tree's structural invariants. So does
+Newick through canonical's emitter and validate_tree checks a tree's
+structural invariants. So does
 the move surgery: yield_forest cuts edges out of a tree into a
 canonical.Forest, and apply_spr and apply_tbr rebuild the tree after one
 move. nni_moves lists interchange results directly, a cross-check on the
@@ -18,7 +19,15 @@ this module.
 
 from collections import deque
 
-from .canonical import Component, Forest, RootMarker, sdlnewick_forest, sdlnewick_tree
+from .canonical import (
+    Component,
+    Forest,
+    RootMarker,
+    _render,
+    _walk,
+    sdlnewick_forest,
+    sdlnewick_tree,
+)
 from .errors import MoveError, ModeError, TreescapeError
 from .graph import AdjacencyGraph
 from .tree import RHO, Tree, _compact, _splice_degree2
@@ -45,35 +54,13 @@ def to_newick(tree):
     follows adjacency order, so the output is deterministic but not
     canonical.
     """
-    labels, adj = tree.labels, tree.neighbors
+    labels = tree.labels
     if tree.rooted:
         start, skip = tree.root_index(), tree.rho_index()
-    else:
-        if len(labels) == 2:  # two-leaf tree: no internal node to anchor at
-            return f"({labels[0]},{labels[1]});"
-        start = next(i for i, lab in enumerate(labels) if lab is None)
-        skip = -1
-    out = []
-    stack = [(start, skip)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        node, parent = item
-        lab = labels[node]
-        if lab is not None:
-            out.append(str(lab))
-            continue
-        kids = [w for w in adj[node] if w != parent]
-        out.append("(")
-        stack.append(")")
-        for k in range(len(kids) - 1, 0, -1):
-            stack.append((kids[k], node))
-            stack.append(",")
-        stack.append((kids[0], node))
-    out.append(";")
-    return "".join(out)
+    else:  # the first internal node; a two-leaf tree has none, so its second leaf
+        start, skip = (labels.index(None) if len(labels) > 2 else 1), -1
+    # every node ranks alike, so the stable sorts keep adjacency order
+    return _render(labels, tree.neighbors, start, skip, [0] * len(labels)) + ";"
 
 
 def validate_tree(tree):
@@ -127,15 +114,9 @@ def validate_tree(tree):
 
 def _orient(adj, start):
     """Parent array of the tree rooted at start; parent[start] = -1."""
-    par = [-2] * len(adj)
-    par[start] = -1
-    work = deque([start])
-    while work:
-        u = work.popleft()
-        for w in adj[u]:
-            if par[w] == -2:
-                par[w] = u
-                work.append(w)
+    par = [-1] * len(adj)
+    for node, parent in _walk(adj, start):
+        par[node] = parent
     return par
 
 
@@ -149,15 +130,7 @@ def parents(tree):
 
 def _side_nodes(adj, u, v):
     """Nodes reachable from u without crossing the edge (u, v)."""
-    side = {u}
-    work = [u]
-    while work:
-        x = work.pop()
-        for w in adj[x]:
-            if w not in side and not (x == u and w == v):
-                side.add(w)
-                work.append(w)
-    return side
+    return {node for node, _ in _walk(adj, u, v)}
 
 
 def _require_edge(tree, a, b, what):
@@ -173,6 +146,17 @@ def _unlink(adj, a, b):
 def _link(adj, a, b):
     adj[a].append(b)
     adj[b].append(a)
+
+
+def _subdivide(labels, adj, a, b):
+    """Put a new unlabelled node on the edge (a, b); returns its index."""
+    w = len(labels)
+    labels.append(None)
+    adj.append([])
+    _unlink(adj, a, b)
+    _link(adj, w, a)
+    _link(adj, w, b)
+    return w
 
 
 def yield_forest(tree, cut_edges, keep_roots=()):
@@ -238,20 +222,12 @@ def yield_forest(tree, cut_edges, keep_roots=()):
             raise MoveError("cut combination leaves a kept component root below degree two")
 
     components = []
-    assigned = [False] * n
     for start in range(n):
-        if removed[start] or assigned[start]:
+        if removed[start]:  # suppressed, or in a component already taken
             continue
-        nodes = [start]
-        assigned[start] = True
-        work2 = [start]
-        while work2:
-            for w in adj[work2.pop()]:
-                if not assigned[w]:
-                    assigned[w] = True
-                    nodes.append(w)
-                    work2.append(w)
-        nodes.sort()
+        nodes = sorted(node for node, _ in _walk(adj, start))
+        for v in nodes:
+            removed[v] = True
         remap = {old: new for new, old in enumerate(nodes)}
         clabels = [labels[old] for old in nodes]
         cadj = [[remap[w] for w in adj[old]] for old in nodes]
@@ -301,18 +277,11 @@ def apply_spr(tree, prune, regraft):
     labels = list(tree.labels)
     adj = [list(nbrs) for nbrs in tree.neighbors]
     _unlink(adj, u, v)
-    w = len(labels)
-    labels.append(None)
-    adj.append([])
-    _unlink(adj, x, y)
-    _link(adj, w, x)
-    _link(adj, w, y)
-    _link(adj, w, u)
+    _link(adj, _subdivide(labels, adj, x, y), u)
     removed = [False] * len(labels)
     _splice_degree2(labels, adj, v, removed)
     new_labels, new_adj = _compact(labels, adj, removed)
-    out = Tree(new_labels, new_adj, tree.rooted)
-    return out
+    return Tree(new_labels, new_adj, tree.rooted)
 
 
 def apply_tbr(tree, bisect, reattach_u=None, reattach_v=None):
@@ -346,21 +315,8 @@ def apply_tbr(tree, bisect, reattach_u=None, reattach_v=None):
     labels = list(tree.labels)
     adj = [list(nbrs) for nbrs in tree.neighbors]
     _unlink(adj, u, v)
-
-    def attach_point(reattach, endpoint):
-        if reattach is None:
-            return endpoint
-        a, b = reattach
-        w = len(labels)
-        labels.append(None)
-        adj.append([])
-        _unlink(adj, a, b)
-        _link(adj, w, a)
-        _link(adj, w, b)
-        return w
-
-    up = attach_point(reattach_u, u)
-    vp = attach_point(reattach_v, v)
+    up = u if reattach_u is None else _subdivide(labels, adj, *reattach_u)
+    vp = v if reattach_v is None else _subdivide(labels, adj, *reattach_v)
     _link(adj, up, vp)
     removed = [False] * len(labels)
     _splice_degree2(labels, adj, u, removed)
@@ -388,43 +344,41 @@ def _oriented_prunes(tree):
     return prunes
 
 
-def _spr_like(tree, prunes, regraft_ok):
-    self_c = sdlnewick_tree(tree)
-    regrafts = edges(tree)
-    out = set()
-    for prune in prunes:
-        for regraft in regrafts:
-            if not regraft_ok(prune, regraft):
-                continue
-            try:
-                moved = apply_spr(tree, prune, regraft)
-            except MoveError:
-                continue
-            c = sdlnewick_tree(moved)
-            if c != self_c:
-                out.add(c)
-    return out
-
-
-def _tbr_neighbors(tree):
-    self_c = sdlnewick_tree(tree)
+def _spr_moves(tree, nni):
+    """(prune, regraft) pairs; an interchange's regraft edge touches a
+    neighbour of the prune's fixed endpoint."""
     adj = tree.neighbors
+    regrafts = edges(tree)
+    for u, v in _oriented_prunes(tree):
+        near = set(adj[v]) - {u}
+        for x, y in regrafts:
+            if not nni or x in near or y in near:
+                yield (u, v), (x, y)
+
+
+def _tbr_moves(tree):
+    """(bisect, reattach_u, reattach_v) for every edge pair, one per side."""
     all_edges = edges(tree)
-    out = set()
-    for bisect in all_edges:
-        u, v = bisect
-        u_side = _side_nodes(adj, u, v)
-        u_edges = [e for e in all_edges if e[0] in u_side and e[1] in u_side]
-        v_edges = [e for e in all_edges if e[0] not in u_side and e[1] not in u_side]
+    for u, v in all_edges:
+        side = _side_nodes(tree.neighbors, u, v)
+        u_edges = [e for e in all_edges if e[0] in side and e[1] in side]
+        v_edges = [e for e in all_edges if e[0] not in side and e[1] not in side]
         for ru in u_edges or [None]:
             for rv in v_edges or [None]:
-                try:
-                    moved = apply_tbr(tree, bisect, ru, rv)
-                except MoveError:
-                    continue
-                c = sdlnewick_tree(moved)
-                if c != self_c:
-                    out.add(c)
+                yield (u, v), ru, rv
+
+
+def _collect(tree, apply, moves):
+    """Canonical strings of apply(tree, *move) over moves, skipping refused
+    moves, without the tree's own."""
+    out = set()
+    for move in moves:
+        try:
+            moved = apply(tree, *move)
+        except MoveError:
+            continue
+        out.add(sdlnewick_tree(moved))
+    out.discard(sdlnewick_tree(tree))
     return out
 
 
@@ -436,28 +390,15 @@ def enumerate_neighbors(tree, move):
     fixed prune endpoint, which lands the pruned part across exactly one
     internal edge.
     """
-    if move == "rspr":
-        if not tree.rooted:
-            raise ModeError("rspr neighborhoods are defined on rooted trees")
-        return _spr_like(tree, _oriented_prunes(tree), lambda p, e: True)
-    if move == "uspr":
-        if tree.rooted:
-            raise ModeError("uspr neighborhoods are defined on unrooted trees")
-        return _spr_like(tree, _oriented_prunes(tree), lambda p, e: True)
-    if move == "nni":
-        adj = tree.neighbors
-
-        def regraft_ok(prune, regraft):
-            u, v = prune
-            allowed = set(adj[v]) - {u}
-            return regraft[0] in allowed or regraft[1] in allowed
-
-        return _spr_like(tree, _oriented_prunes(tree), regraft_ok)
+    if move not in MOVES:
+        raise ValueError(f"unknown move {move!r}")
+    if move != "nni" and tree.rooted != (move == "rspr"):
+        raise ModeError(
+            f"{move} neighborhoods are defined on {'unrooted' if tree.rooted else 'rooted'} trees"
+        )
     if move == "tbr":
-        if tree.rooted:
-            raise ModeError("tbr neighborhoods are defined on unrooted trees")
-        return _tbr_neighbors(tree)
-    raise ValueError(f"unknown move {move!r}")
+        return _collect(tree, apply_tbr, _tbr_moves(tree))
+    return _collect(tree, apply_spr, _spr_moves(tree, move == "nni"))
 
 
 def nni_moves(tree):
