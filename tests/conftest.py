@@ -42,10 +42,12 @@ def _line_count(path):
 
 
 def _line_counts():
-    """(lines of src/, lines of the treescape modules an --append build
-    imports, the other modules it imports beyond a bare interpreter)."""
+    """(lines of src/, lines of the reference modules canonical and oracle,
+    lines of the treescape modules an --append build imports, the other
+    modules it imports beyond a bare interpreter)."""
     package = os.path.join(SRC, "treescape")
     src = sum(_line_count(os.path.join(package, f)) for f in os.listdir(package) if f.endswith(".py"))
+    reference = sum(_line_count(os.path.join(package, f)) for f in ("canonical.py", "oracle.py"))
     with tempfile.TemporaryDirectory() as tmp:
         out = subprocess.run(
             [sys.executable, "-c", _BUILD_PATH_PROBE],
@@ -58,7 +60,7 @@ def _line_counts():
     lines = [line.partition(" ") for line in out.splitlines()]
     modules = [value for kind, _, value in lines if kind == "module"]
     others = [value for kind, _, value in lines if kind == "other"]
-    return src, sum(map(_line_count, modules)), others
+    return src, reference, sum(map(_line_count, modules)), others
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus):
@@ -69,11 +71,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus):
     # informational: a failure to count is reported, never raised
     terminalreporter.section("line counts")
     try:
-        src, build_path, others = _line_counts()
+        src, reference, build_path, others = _line_counts()
     except (OSError, subprocess.SubprocessError) as exc:
         terminalreporter.write_line(f"unavailable: {exc}")
     else:
-        terminalreporter.write_line(f"src/: {src} lines; an --append build imports {build_path}")
+        terminalreporter.write_line(
+            f"src/: {src} lines; the reference (canonical, oracle) {reference}; "
+            f"an --append build imports {build_path}"
+        )
         terminalreporter.write_line(
             f"modules outside treescape it imports beyond a bare interpreter: "
             f"{', '.join(others) or 'none'}"
