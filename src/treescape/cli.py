@@ -376,5 +376,17 @@ def main(argv=None):
         return fail(2, str(exc))
 
 
+def entry():
+    """The treescape command: main, then, once stdout and stderr flush, the
+    end of the process without interpreter teardown."""
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except OSError:
+        return code  # the interpreter's exit reports the fault
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())
