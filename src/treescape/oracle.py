@@ -55,6 +55,8 @@ def to_newick(tree):
     canonical.
     """
     labels = tree.labels
+    if len(labels) == 1:
+        raise ValueError("a single leaf has no Newick text that parse_newick accepts")
     if tree.rooted:
         start, skip = tree.root_index(), tree.rho_index()
     else:  # the first internal node; a two-leaf tree has none, so its second leaf

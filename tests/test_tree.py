@@ -4,7 +4,7 @@ import re
 import pytest
 
 from treescape.errors import MoveError, NewickError
-from treescape.canonical import RootMarker, sdlnewick_forest, sdlnewick_tree
+from treescape.canonical import RootMarker, decode_tree, sdlnewick_forest, sdlnewick_tree
 from treescape.oracle import (
     apply_spr,
     apply_tbr,
@@ -149,6 +149,14 @@ class TestTree:
             t = random_tree(rng.randint(2 if rooted else 3, 12), rooted=rooted, rng=rng)
             back = parse_newick(to_newick(t), rooted=rooted)
             assert sdlnewick_tree(back) == sdlnewick_tree(t)
+
+    def test_to_newick_refuses_a_single_leaf(self):
+        # decode_tree accepts a lone leaf, but parse_newick reads no text as one
+        lone = decode_tree(b"1;")
+        with pytest.raises(NewickError, match="a single leaf is not a valid tree"):
+            parse_newick("1;", rooted=False)
+        with pytest.raises(ValueError, match="^a single leaf has no Newick text"):
+            to_newick(lone)
 
     def test_validate_rejects_broken_structures(self):
         with pytest.raises(ValueError):
