@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 _acceptance_lines = []
 
@@ -63,6 +64,35 @@ def _line_counts():
     return src, reference, sum(map(_line_count, modules)), others
 
 
+# the commands whose wall the start-up line reports, each run in a fresh
+# interpreter in a directory that holds t.nwk
+_START_UP = {
+    "python -c pass": ["-c", "pass"],
+    "import treescape.cli": ["-c", "import treescape.cli"],
+    "a 4-tree build": [
+        "-m", "treescape.cli", "build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g.tsv"
+    ],
+}
+
+
+def _start_up_walls(rounds=5):
+    """The best wall of each _START_UP command over rounds alternating
+    rounds, in seconds."""
+    best = dict.fromkeys(_START_UP, float("inf"))
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "t.nwk"), "w") as fh:
+            fh.write("((1,2),(3,4));\n((1,3),(2,4));\n((1,4),(2,3));\n(((1,2),3),4);\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        for _ in range(rounds):
+            for name, argv in _START_UP.items():
+                t0 = time.perf_counter()
+                subprocess.run(
+                    [sys.executable, *argv], cwd=tmp, env=env, stdout=subprocess.DEVNULL, check=True
+                )
+                best[name] = min(best[name], time.perf_counter() - t0)
+    return best
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus):
     if _acceptance_lines:
         terminalreporter.section("acceptance criteria")
@@ -82,4 +112,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus):
         terminalreporter.write_line(
             f"modules outside treescape it imports beyond a bare interpreter: "
             f"{', '.join(others) or 'none'}"
+        )
+    # informational, as the line counts are: the fixed cost of a process
+    terminalreporter.section("start-up")
+    try:
+        walls = _start_up_walls()
+    except (OSError, subprocess.SubprocessError) as exc:
+        terminalreporter.write_line(f"unavailable: {exc}")
+    else:
+        terminalreporter.write_line(
+            "best of 5: " + "; ".join(f"{name} {wall * 1000:.1f} ms" for name, wall in walls.items())
         )
