@@ -75,15 +75,15 @@ _START_UP = {
 }
 
 
-def _start_up_walls(rounds=5):
-    """The best wall of each _START_UP command over rounds alternating
-    rounds, in seconds."""
+def _start_up_walls():
+    """The best wall of each _START_UP command over 5 rounds that run each
+    once, in seconds."""
     best = dict.fromkeys(_START_UP, float("inf"))
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "t.nwk"), "w") as fh:
             fh.write("((1,2),(3,4));\n((1,3),(2,4));\n((1,4),(2,3));\n(((1,2),3),4);\n")
         env = dict(os.environ, PYTHONPATH=SRC)
-        for _ in range(rounds):
+        for _ in range(5):
             for name, argv in _START_UP.items():
                 t0 = time.perf_counter()
                 subprocess.run(

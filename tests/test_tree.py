@@ -152,11 +152,8 @@ class TestTree:
 
     def test_to_newick_refuses_a_single_leaf(self):
         # decode_tree accepts a lone leaf, but parse_newick reads no text as one
-        lone = decode_tree(b"1;")
-        with pytest.raises(NewickError, match="a single leaf is not a valid tree"):
-            parse_newick("1;", rooted=False)
         with pytest.raises(ValueError, match="^a single leaf has no Newick text"):
-            to_newick(lone)
+            to_newick(decode_tree(b"1;"))
 
     def test_validate_rejects_broken_structures(self):
         with pytest.raises(ValueError):
