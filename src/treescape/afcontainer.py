@@ -73,15 +73,18 @@ _SNAPSHOT_VERSION = "v1"
 def replace_atomically(path):
     """Yield a text handle on a temporary file beside path, which replaces
     path once the block completes. If the block raises, path keeps its old
-    content and the temporary file is removed."""
+    content and the temporary file is removed; a failure to make or rename
+    that file raises an OSError that names path."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -19,6 +19,8 @@ def verify(args, numbered, construct_numbered):
     """treescape verify: build the (lineno, Tree) pairs numbered with
     construct_numbered, as build does, and compare the graph with the one
     all-pairs comparison gives."""
+    if args.max_m < 0:
+        return fail(2, f"--max-m needs a tree count of at least 0, got {args.max_m}")
     # a list, not a stream: the trees are counted before --max-m is checked
     parsed = list(numbered)
     if len(parsed) > args.max_m:

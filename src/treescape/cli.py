@@ -9,10 +9,11 @@ clashing build paths or a usage error, 3 mixed leaf label sets, 4
 move/rootedness conflict, 5 verify refused (too many trees for the
 quadratic check).
 
-The grammar of every command is one table, COMMANDS, read by one parser,
-parse_args. A build imports no more than it runs: verify and bench live in
-checks, the --taxa reader in taxa and the help and usage-error text in
-usage, each imported only when it is used.
+The grammar of every command is one table, COMMANDS. parse_args reads the
+argv a build is normally given and hands any other to the argparse parser
+that usage builds from the table. A build imports no more than it runs:
+verify and bench live in checks, the --taxa reader in taxa and that parser
+in usage, each imported only when it is used.
 """
 
 import contextlib
@@ -47,14 +48,18 @@ def _warn(message):
 def _read_lines(path):
     """Yield the lines of a UTF-8 text file, or of stdin for -, one at a
     time, split only at line ends: LF, CR LF or CR."""
+    if path == "-" and sys.stdin is None:
+        raise NewickError("-: stdin is closed")
     source = contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
     try:
         with source as fh:
             for line in fh:
+                if path == "-":
+                    line.encode()  # stdin may decode bytes that are not UTF-8 to surrogates
                 # a file is read with universal newlines; stdin may still
                 # hold \r, so split there too
                 yield from line.removesuffix("\n").removesuffix("\r").split("\r")
-    except UnicodeDecodeError:
+    except (UnicodeDecodeError, UnicodeEncodeError):
         raise NewickError(f"{path}: not UTF-8 text") from None
 
 
@@ -224,13 +229,13 @@ def _cmd_bench(args):
     return bench(args)
 
 
-# The grammar, which parse_args reads and the usage module renders. Each
-# command has a help line, its handler, whether it reads an input file, and
-# its options. An option is (flag, dest, value, default, help), where value
-# is a tuple of choices, int, a metavar for any string, or, for a flag that
-# takes no value, the bool it stores. Flags that share a dest are
-# either-or, and a default of ... makes the option, or one flag of the
-# pair, required.
+# The grammar, which parse_args reads and the usage module builds an
+# argparse parser from. Each command has a help line, its handler, whether
+# it reads an input file, and its options. An option is (flag, dest, value,
+# default, help), where value is a tuple of choices, int, a metavar for any
+# string, or, for a flag that takes no value, the bool it stores. Flags
+# that share a dest are either-or, and a default of ... makes the option,
+# or one flag of the pair, required.
 _COMMON = [
     ("--mode", "mode", ("spr", "nni", "tbr"), ..., "move family"),
     ("--rooted", "rooted", True, ..., "trees are rooted"),
@@ -262,101 +267,74 @@ COMMANDS = {
 }
 
 
-def _usage_exit(command, reason=None):
-    """Print the help of command, or of the program for None, and exit 0;
-    or, given a reason, print the usage error and exit 2. The usage module
-    renders both from COMMANDS, and is imported only then."""
-    from .usage import exit_with
-
-    exit_with(COMMANDS, command, reason)
-
-
 def _is_flag(arg):
     # - names stdin, and a negative number is a value, as in --m -1
     return arg.startswith("-") and arg != "-" and not arg[1:].isdecimal()
 
 
-def parse_args(argv):
-    """The namespace of argv under COMMANDS: command, run (its handler),
-    input if it reads one, and one attribute per option dest. An option is
-    given as --x v or --x=v, or by a unique prefix of its flag; the last of
-    a repeated option wins, and -- ends the options. -h or --help prints
-    the help to stdout and exits 0; a usage error exits 2."""
+def _read_spelled(argv):
+    """The namespace of argv if it is a command with every flag spelled in
+    full and no usage error, else None."""
     if not argv or argv[0] not in COMMANDS:
-        if argv and argv[0] in ("-h", "--help"):
-            _usage_exit(None)
-        if not argv:
-            _usage_exit(None, "the following arguments are required: command")
-        choices = ", ".join(map(repr, COMMANDS))
-        _usage_exit(None, f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
-    command, rest = argv[0], argv[1:]
-    _, run, reads_input, options = COMMANDS[command]
+        return None
+    _, run, reads_input, options = COMMANDS[argv[0]]
     flags = {option[0]: option for option in options}
-    args = types.SimpleNamespace(command=command, run=run)
+    args = types.SimpleNamespace(command=argv[0], run=run)
     for _, dest, _, default, _ in options:
         setattr(args, dest, None if default is ... else default)
     given = {}  # dest: the flag that set it
     inputs = []
-    k = 0
-    while k < len(rest):
-        arg = rest[k]
-        k += 1
+    rest = iter(argv[1:])
+    for arg in rest:
         if arg == "--":
-            inputs += rest[k:]
+            inputs += rest
             break
         if not _is_flag(arg):
             inputs.append(arg)
             continue
         flag, has_text, text = arg.partition("=")
-        if flag != "-h" and flag not in flags:
-            matches = [f for f in (*flags, "--help") if f.startswith(flag)]
-            if len(matches) > 1:
-                _usage_exit(command, f"ambiguous option: {flag} could match {', '.join(matches)}")
-            if not matches:
-                _usage_exit(command, f"unrecognized arguments: {arg}")
-            flag = matches[0]
-        if flag in ("-h", "--help"):
-            _usage_exit(command)
+        if flag not in flags:
+            return None
         _, dest, value, _, _ = flags[flag]
         if isinstance(value, bool):
-            if has_text:
-                _usage_exit(command, f"argument {flag}: ignored explicit argument {text!r}")
-            if given.get(dest, flag) != flag:
-                _usage_exit(command, f"argument {flag}: not allowed with argument {given[dest]}")
+            if has_text or given.get(dest, flag) != flag:
+                return None
         else:
             if not has_text:
-                if k == len(rest) or _is_flag(rest[k]):
-                    _usage_exit(command, f"argument {flag}: expected one argument")
-                text = rest[k]
-                k += 1
+                text = next(rest, None)
+                if text is None or _is_flag(text):
+                    return None
             if value is int:
                 try:
                     text = int(text)
                 except ValueError:
-                    _usage_exit(command, f"argument {flag}: invalid int value: {text!r}")
+                    return None
             elif isinstance(value, tuple) and text not in value:
-                choices = ", ".join(map(repr, value))
-                _usage_exit(command, f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+                return None
             value = text
         given[dest] = flag
         setattr(args, dest, value)
-
-    missing = ["input"] if reads_input and not inputs else []
-    pairs = {}
-    for flag, dest, value, default, _ in options:
-        if default is ... and dest not in given:
-            if isinstance(value, bool):
-                pairs.setdefault(dest, []).append(flag)
-            else:
-                missing.append(flag)
-    if missing:
-        _usage_exit(command, f"the following arguments are required: {', '.join(missing)}")
-    for pair in pairs.values():
-        _usage_exit(command, f"one of the arguments {' '.join(pair)} is required")
-    if len(inputs) > reads_input:
-        _usage_exit(command, f"unrecognized arguments: {' '.join(inputs[reads_input:])}")
+    required = {dest for _, dest, _, default, _ in options if default is ...}
+    if len(inputs) != reads_input or not required <= given.keys():
+        return None
     if reads_input:
         args.input = inputs[0]
+    return args
+
+
+def parse_args(argv):
+    """The namespace of argv under COMMANDS: command, run (its handler),
+    input if it reads one, and one attribute per option dest. An option is
+    given as --x v or --x=v; the last of a repeated option wins, and --
+    ends the options. Any other argv, such as a prefix of a flag, -h or a
+    usage error, goes to the argparse parser that the usage module builds
+    from COMMANDS: it prints help and exits 0, or prints a usage error and
+    exits 2."""
+    args = _read_spelled(argv)
+    if args is None:
+        from .usage import parser
+
+        args = parser(COMMANDS).parse_args(argv)
     return args
 
 

@@ -1,60 +1,43 @@
-"""Help and usage errors of the command line, rendered from the grammar
-table cli.COMMANDS, which the caller passes. cli imports this module only
-for -h/--help or a usage error, so a build never compiles it. Nothing here
-imports cli: under python -m treescape.cli the running module is __main__,
-and importing treescape.cli would compile and run cli.py a second time."""
+"""The argparse parser of the command line, built from the grammar table
+cli.COMMANDS, which the caller passes. cli.parse_args reads the argv a
+build is normally given itself and hands any other argv to this parser, so
+help, abbreviations and usage errors are argparse's own, and a build
+imports neither this module nor argparse. Nothing here imports cli: under
+python -m treescape.cli the running module is __main__, and importing
+treescape.cli would compile and run cli.py a second time."""
 
-import sys
-
-
-def _spelling(flag, value):
-    if isinstance(value, bool):
-        return flag
-    if isinstance(value, tuple):
-        return f"{flag} {{{','.join(value)}}}"
-    return f"{flag} {'N' if value is int else value}"
+import argparse
 
 
-def _usage(commands, command):
-    if command is None:
-        return "usage: treescape {" + ",".join(commands) + "} ..."
-    _, _, reads_input, options = commands[command]
-    words = ["usage: treescape", command] + (["INPUT"] if reads_input else [])
-    # one group per dest: a lone option, or an either-or pair of flags
-    groups = {}
-    for flag, dest, value, default, _ in options:
-        groups.setdefault(dest, (default is ..., []))[1].append(_spelling(flag, value))
-    for required, spellings in groups.values():
-        text = " | ".join(spellings)
-        if not required:
-            text = f"[{text}]"
-        elif len(spellings) > 1:
-            text = f"({text})"
-        words.append(text)
-    return " ".join(words)
-
-
-def _help(commands, command):
-    if command is None:
-        lines = ["SPR, NNI, and TBR adjacency graphs over tree collections", "", "commands:"]
-        return lines + [f"  {name:8}{entry[0]}" for name, entry in commands.items()]
-    text, _, reads_input, options = commands[command]
-    rows = [("INPUT", "newline-delimited Newick tree file, - for stdin")] if reads_input else []
-    for flag, _, value, default, line in options:
-        if not isinstance(value, bool) and default not in (None, ...):
-            line = f"{line} (default {default})"
-        rows.append((_spelling(flag, value), line))
-    rows.append(("-h, --help", "show this help and exit"))
-    return [text, ""] + [f"  {spelling:20}  {line}" for spelling, line in rows]
-
-
-def exit_with(commands, command, reason=None):
-    """Print the help of command, or of the program for None, to stdout and
-    exit 0; or, given a reason, print the usage line and
-    'treescape <command>: error: <reason>' to stderr and exit 2."""
-    if reason is None:
-        print("\n".join([_usage(commands, command), ""] + _help(commands, command)))
-        raise SystemExit(0)
-    print(_usage(commands, command), file=sys.stderr)
-    print(f"treescape{' ' + command if command else ''}: error: {reason}", file=sys.stderr)
-    raise SystemExit(2)
+def parser(commands):
+    """The argparse.ArgumentParser of commands, laid out as cli.COMMANDS."""
+    top = argparse.ArgumentParser(
+        prog="treescape",
+        usage="treescape {" + ",".join(commands) + "} ...",
+        description="SPR, NNI, and TBR adjacency graphs over tree collections",
+    )
+    # without prog, each command's usage would start with the one above
+    subparsers = top.add_subparsers(dest="command", required=True, prog="treescape")
+    for command, (text, run, reads_input, options) in commands.items():
+        sub = subparsers.add_parser(command, help=text, description=text)
+        sub.set_defaults(run=run)
+        if reads_input:
+            sub.add_argument("input", help="newline-delimited Newick tree file, - for stdin")
+        pairs = {}  # dest: the group of an either-or pair
+        for flag, dest, value, default, line in options:
+            required, default = default is ..., None if default is ... else default
+            if isinstance(value, bool):
+                if dest not in pairs:
+                    pairs[dest] = sub.add_mutually_exclusive_group(required=required)
+                pairs[dest].add_argument(
+                    flag, dest=dest, action="store_const", const=value, default=default, help=line
+                )
+                continue
+            if default is not None:
+                line = f"{line} (default {default})"
+            if value is int:
+                kind = {"type": int}
+            else:
+                kind = {"choices": value} if isinstance(value, tuple) else {"metavar": value}
+            sub.add_argument(flag, dest=dest, required=required, default=default, help=line, **kind)
+    return top

@@ -112,7 +112,8 @@ def fresh_interpreter(code):
 def test_build_loads_neither_reference_modules_nor_dataclasses(tmp_path, append):
     # a build compiles every module it imports, so the reference encoder and
     # decoder, the all-pairs oracle, dataclasses, argparse and the modules of
-    # verify, bench and --taxa stay out of it, also when it reads a snapshot
+    # verify, bench, --taxa and the argparse parser stay out of it, also when
+    # it reads a snapshot
     inp = write(tmp_path, "t.nwk", TRIANGLE)
     snap = str(tmp_path / "c.snap")
     build = ["build", inp, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g.tsv")]
@@ -128,9 +129,10 @@ def test_build_loads_neither_reference_modules_nor_dataclasses(tmp_path, append)
         "print('treescape.canonical' in sys.modules, 'treescape.oracle' in sys.modules,\n"
         "      not had_dataclasses and 'dataclasses' in sys.modules,\n"
         "      not had_argparse and 'argparse' in sys.modules,\n"
-        "      'treescape.checks' in sys.modules, 'treescape.taxa' in sys.modules)\n"
+        "      'treescape.checks' in sys.modules, 'treescape.taxa' in sys.modules,\n"
+        "      'treescape.usage' in sys.modules)\n"
     )
-    assert fresh_interpreter(code) == "False False False False False False"
+    assert fresh_interpreter(code) == "False False False False False False False"
 
 
 def test_package_names_resolve_lazily():
@@ -251,6 +253,23 @@ class TestBuildErrors:
         inp = write(tmp_path, "t.nwk", TRIANGLE)
         with pytest.raises(SystemExit):
             run("build", inp, "--mode", "spr", "--out", str(tmp_path / "g"))
+
+    @pytest.mark.parametrize(
+        "out, message",
+        [("nodir/g.tsv", "[Errno 2] No such file or directory: 'nodir/g.vertices.tsv'"),
+         ("gdir", "[Errno 21] Is a directory: 'gdir'")],
+        ids=["temporary-file-not-made", "not-renamed"],
+    )
+    def test_unwritable_output_names_the_output_not_its_temporary_file(
+        self, tmp_path, monkeypatch, capsys, out, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "t.nwk", TRIANGLE)
+        (tmp_path / "gdir").mkdir()
+        assert run("build", "t.nwk", "--mode", "spr", "--rooted", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert ".tmp" not in err
 
 
 class TestPathClashes:
@@ -551,7 +570,7 @@ class TestSnapshotFlow:
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert run("build", "two.nwk", "--mode", "spr", "--rooted", "--out", "keep.tsv",
                    "--snapshot", "nodir/s.snap") == 2
-        assert "No such file or directory: 'nodir/s.snap." in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith("No such file or directory: 'nodir/s.snap'\n")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_unreplaceable_graph_path_keeps_every_output(self, tmp_path, monkeypatch):
@@ -695,6 +714,19 @@ class TestVerify:
         inp = write(tmp_path, "t.nwk", TRIANGLE)
         assert run("verify", inp, "--mode", "spr", "--rooted", "--max-m", "2") == 5
         assert "--max-m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "((1,2),(3,4);\n"], ids=["empty", "faulty-tree"])
+    def test_negative_max_m_is_refused_before_any_tree_is_read(self, tmp_path, capsys, text):
+        inp = write(tmp_path, "t.nwk", text)
+        assert run("verify", inp, "--mode", "spr", "--rooted", "--max-m", "-1") == 2
+        assert capsys.readouterr().err == "error: --max-m needs a tree count of at least 0, got -1\n"
+
+    def test_max_m_0_is_valid(self, tmp_path, capsys):
+        inp = write(tmp_path, "t.nwk", "")
+        assert run("verify", inp, "--mode", "spr", "--rooted", "--max-m", "0") == 0
+        assert "verify ok: m=0 edges=0" in capsys.readouterr().out
+        inp = write(tmp_path, "t.nwk", TRIANGLE)
+        assert run("verify", inp, "--mode", "spr", "--rooted", "--max-m", "0") == 5
 
     def test_injected_fault_is_caught(self, tmp_path, capsys, monkeypatch):
         inp = write(tmp_path, "t.nwk", TRIANGLE)

@@ -1,9 +1,16 @@
 """The command-line grammar: the forms main() accepts, and the usage errors
 it refuses with, as argparse gives them."""
 
+import ast
+import contextlib
 import io
+import os
+import pathlib
 import random
 import re
+import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +19,53 @@ from treescape import cli
 TREES = "(((4,5),1),(2,3));\n((((4,5),2),3),1);\n(1,(2,((4,5),3)));\n"
 TAXA_TREES = "(((d,e),a),(b,c));\n((((d,e),b),c),a);\n(a,(b,((d,e),c)));\n"
 TAXA = "a 1\nb 2\nc 3\nd 4\ne 5\n"
+
+
+HELP = [
+    (["-h"], "usage: treescape "),
+    (["--help"], "usage: treescape "),
+    (["build", "-h"], "usage: treescape build "),
+    (["build", "--mode", "spr", "--help"], "usage: treescape build "),
+    (["verify", "--help"], "usage: treescape verify "),
+    (["bench", "-h"], "usage: treescape bench "),
+]
+
+USAGE_ERRORS = [
+    ([], "command"),
+    (["frob"], "frob"),
+    (["build", "--mode", "spr", "--rooted", "--out", "g"], "input"),
+    (["build", "t.nwk", "--rooted", "--out", "g"], "--mode"),
+    (["build", "t.nwk", "--mode", "spr", "--rooted"], "--out"),
+    (["build", "t.nwk", "--mode", "spr", "--out", "g"], "--rooted"),
+    (["verify", "t.nwk", "--mode", "spr"], "--unrooted"),
+    (["bench", "--mode", "spr"], "--rooted"),
+    (["build", "t.nwk", "--mode", "spr", "--rooted", "--unrooted", "--out", "g"], "--unrooted"),
+    (["build", "t.nwk", "--mode", "spr", "--rooted", "--strict", "--lenient", "--out", "g"],
+     "--lenient"),
+    (["build", "t.nwk", "--mode", "xyz", "--rooted", "--out", "g"], "xyz"),
+    (["build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g", "--format", "png"], "png"),
+    (["verify", "t.nwk", "--mode", "spr", "--rooted", "--max-m", "x"], "'x'"),
+    (["verify", "t.nwk", "--mode", "spr", "--rooted", "--max-m=1.5"], "1.5"),
+    (["bench", "--mode", "spr", "--rooted", "--m", "x"], "'x'"),
+    (["bench", "--mode", "spr", "--rooted", "--seed", "y"], "'y'"),
+    (["build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g", "--bogus"], "--bogus"),
+    (["build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g", "--s", "x"], "--s"),
+    (["bench", "--mode", "spr", "--rooted", "--s", "8"], "--s"),
+    (["bench", "--mode", "spr", "--rooted", "--taxa", "m.tsv"], "--taxa"),
+    (["build", "t.nwk", "u.nwk", "--mode", "spr", "--rooted", "--out", "g"], "u.nwk"),
+    (["bench", "t.nwk", "--mode", "spr", "--rooted"], "t.nwk"),
+    (["build", "t.nwk", "--mode", "spr", "--rooted", "--out"], "--out"),
+    (["build", "t.nwk", "--mode", "--rooted", "--out", "g"], "--mode"),
+    (["build", "t.nwk", "--mode", "spr", "--rooted=yes", "--out", "g"], "--rooted"),
+]
+USAGE_ERROR_IDS = [
+    "no-command", "unknown-command", "no-input", "no-mode", "no-out", "no-rootedness",
+    "verify-no-rootedness", "bench-no-rootedness", "rooted-and-unrooted", "strict-and-lenient",
+    "bad-mode", "bad-format", "max-m-not-int", "max-m-float", "m-not-int", "seed-not-int",
+    "unknown-option", "ambiguous-build", "ambiguous-bench", "bench-has-no-taxa",
+    "extra-input", "bench-has-no-input", "no-value-at-end", "no-value-before-option",
+    "value-for-a-flag",
+]
 
 
 def write(tmp_path, name, text):
@@ -142,17 +196,7 @@ class TestAccepted:
         assert not (tmp_path / "a").exists()
         assert (tmp_path / "b").read_text().startswith("# treescape nni m=3\n")
 
-    @pytest.mark.parametrize(
-        "argv, usage",
-        [
-            (["-h"], "usage: treescape "),
-            (["--help"], "usage: treescape "),
-            (["build", "-h"], "usage: treescape build "),
-            (["build", "--mode", "spr", "--help"], "usage: treescape build "),
-            (["verify", "--help"], "usage: treescape verify "),
-            (["bench", "-h"], "usage: treescape bench "),
-        ],
-    )
+    @pytest.mark.parametrize("argv, usage", HELP)
     def test_help_exits_0_with_usage_on_stdout(self, capsys, argv, usage):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -166,45 +210,7 @@ class TestAccepted:
 ERROR_LINE = re.compile(r"treescape(?: (?:build|verify|bench))?: error: (.+)")
 
 
-@pytest.mark.parametrize(
-    "argv, mentions",
-    [
-        ([], "command"),
-        (["frob"], "frob"),
-        (["build", "--mode", "spr", "--rooted", "--out", "g"], "input"),
-        (["build", "t.nwk", "--rooted", "--out", "g"], "--mode"),
-        (["build", "t.nwk", "--mode", "spr", "--rooted"], "--out"),
-        (["build", "t.nwk", "--mode", "spr", "--out", "g"], "--rooted"),
-        (["verify", "t.nwk", "--mode", "spr"], "--unrooted"),
-        (["bench", "--mode", "spr"], "--rooted"),
-        (["build", "t.nwk", "--mode", "spr", "--rooted", "--unrooted", "--out", "g"], "--unrooted"),
-        (["build", "t.nwk", "--mode", "spr", "--rooted", "--strict", "--lenient", "--out", "g"],
-         "--lenient"),
-        (["build", "t.nwk", "--mode", "xyz", "--rooted", "--out", "g"], "xyz"),
-        (["build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g", "--format", "png"], "png"),
-        (["verify", "t.nwk", "--mode", "spr", "--rooted", "--max-m", "x"], "'x'"),
-        (["verify", "t.nwk", "--mode", "spr", "--rooted", "--max-m=1.5"], "1.5"),
-        (["bench", "--mode", "spr", "--rooted", "--m", "x"], "'x'"),
-        (["bench", "--mode", "spr", "--rooted", "--seed", "y"], "'y'"),
-        (["build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g", "--bogus"], "--bogus"),
-        (["build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g", "--s", "x"], "--s"),
-        (["bench", "--mode", "spr", "--rooted", "--s", "8"], "--s"),
-        (["bench", "--mode", "spr", "--rooted", "--taxa", "m.tsv"], "--taxa"),
-        (["build", "t.nwk", "u.nwk", "--mode", "spr", "--rooted", "--out", "g"], "u.nwk"),
-        (["bench", "t.nwk", "--mode", "spr", "--rooted"], "t.nwk"),
-        (["build", "t.nwk", "--mode", "spr", "--rooted", "--out"], "--out"),
-        (["build", "t.nwk", "--mode", "--rooted", "--out", "g"], "--mode"),
-        (["build", "t.nwk", "--mode", "spr", "--rooted=yes", "--out", "g"], "--rooted"),
-    ],
-    ids=[
-        "no-command", "unknown-command", "no-input", "no-mode", "no-out", "no-rootedness",
-        "verify-no-rootedness", "bench-no-rootedness", "rooted-and-unrooted", "strict-and-lenient",
-        "bad-mode", "bad-format", "max-m-not-int", "max-m-float", "m-not-int", "seed-not-int",
-        "unknown-option", "ambiguous-build", "ambiguous-bench", "bench-has-no-taxa",
-        "extra-input", "bench-has-no-input", "no-value-at-end", "no-value-before-option",
-        "value-for-a-flag",
-    ],
-)
+@pytest.mark.parametrize("argv, mentions", USAGE_ERRORS, ids=USAGE_ERROR_IDS)
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, argv, mentions):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -219,3 +225,118 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, argv, mentions):
     assert error, last
     assert mentions in error.group(1)
     assert list(tmp_path.iterdir()) == []
+
+
+# the argv of each command with its required options only, which the
+# differential corpus mutates
+MINIMAL = [
+    ["build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g.tsv"],
+    ["verify", "t.nwk", "--mode", "nni", "--unrooted"],
+    ["bench", "--mode", "tbr", "--unrooted"],
+]
+FLAGS = sorted({option[0] for _, _, _, options in cli.COMMANDS.values() for option in options})
+TOKENS = [
+    *FLAGS,
+    *(flag[:k] for flag in FLAGS for k in range(3, len(flag))),
+    "spr", "nni", "tbr", "xyz", "tsv", "dot", "5", "0", "-1", "1.5", "x", "8,16",
+    "t.nwk", "u.nwk", "g.tsv", "c.snap", "-", "--", "-h", "--help", "build", "",
+    "--out=o.tsv", "--mode=nni", "--m=-1", "--max-m=7", "--rooted=yes", "--format=dot",
+]
+
+
+def mutated(rng, argv):
+    """argv after 1 to 4 random edits: an insert of a token or of an option
+    of the command with a value, a delete or a swap."""
+    argv = list(argv)
+    _, _, _, options = cli.COMMANDS[argv[0]]
+    for _ in range(rng.randint(1, 4)):
+        op = rng.randrange(4)
+        where = rng.randint(1, len(argv))
+        if op == 0:
+            argv.insert(where, rng.choice(TOKENS))
+        elif op == 1:
+            flag, _, value, _, _ = rng.choice(options)
+            if isinstance(value, tuple):
+                value = rng.choice(value)
+            elif value is int:
+                value = rng.choice(["5", "0", "-1"])
+            argv[where:where] = [flag] if isinstance(value, bool) else [flag, value]
+        elif op == 2 and len(argv) > 1:
+            del argv[rng.randrange(1, len(argv))]
+        elif len(argv) > 2:
+            i, j = rng.sample(range(len(argv)), 2)
+            argv[i], argv[j] = argv[j], argv[i]
+    return argv
+
+
+def differential_corpus():
+    tables = [argv for argv, _ in HELP + USAGE_ERRORS]
+    tables += MINIMAL + [spelled(argv, True) for argv in MINIMAL]
+    rng = random.Random(1606)
+    return tables + [mutated(rng, rng.choice(MINIMAL)) for _ in range(18000)]
+
+
+def test_spelled_reader_agrees_with_argparse():
+    # whenever the reader that a build uses returns a namespace, the
+    # argparse parser of the same table returns an equal one
+    from treescape.usage import parser
+
+    argparser = parser(cli.COMMANDS)
+    read = 0
+    for argv in differential_corpus():
+        args = cli._read_spelled(argv)
+        # the reader takes a bare -- at the end as the end of the options,
+        # as README says; under subparsers Python 3.11's argparse leaves it
+        # unconsumed and refuses it as an unrecognized argument
+        if args is None or argv[-1] == "--":
+            continue
+        read += 1
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                parsed = argparser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv}")
+        assert vars(parsed) == vars(args), argv
+    assert read > 1000
+
+
+def readme_commands():
+    text = pathlib.Path(__file__).resolve().parent.parent.joinpath("README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("treescape ")]
+
+
+def benchmark_builds():
+    """The argv of each build invocation that benchmark/run.py makes."""
+    run_py = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "run.py"
+    [mode_args] = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(run_py.read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "MODE_ARGS"
+    ]
+    builds = []
+    for mode in mode_args.values():
+        argv = ["build", "/w/trees0.nwk", *mode, "--out", "/w/graph0.tsv"]
+        builds += [argv, argv + ["--snapshot", "/w/trees.snap"],
+                   argv + ["--append", "/w/trees.snap"],
+                   argv + ["--append", "/w/trees.snap", "--snapshot", "/w/trees.snap"]]
+    return builds
+
+
+def test_benchmark_and_readme_commands_parse_without_argparse():
+    builds, readme = benchmark_builds(), readme_commands()
+    assert len(builds) == 12 and sum(argv[0] == "build" for argv in readme) == 3
+    corpus = builds + readme
+    assert all(cli._read_spelled(argv) for argv in corpus)
+    code = (
+        "import sys\n"
+        "from treescape import cli\n"
+        f"for argv in {corpus!r}:\n"
+        "    cli.parse_args(argv)\n"
+        "print('argparse' in sys.modules, 'treescape.usage' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False False\n"

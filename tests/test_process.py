@@ -98,6 +98,24 @@ def test_usage_error_and_help(workdir):
     assert proc.stdout.startswith("usage: treescape {build,verify,bench} ...\n")
 
 
+def test_closed_stdin(workdir):
+    proc = treescape(workdir, "build", "-", "--mode", "spr", "--rooted", "--out", "g.tsv",
+                     preexec_fn=lambda: os.close(0))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: -: stdin is closed\n")
+    assert not (workdir / "g.tsv").exists()
+
+
+def test_stdin_that_is_not_utf8_ends_as_a_file_does(workdir):
+    (workdir / "bad.nwk").write_bytes(b"(((4,5),1),(2,\xe9));\n")
+    # in UTF-8 mode stdin decodes bytes that are not UTF-8 to surrogates
+    env = child_env(PYTHONUTF8="1")
+    for path in ("-", "bad.nwk"):
+        with open(workdir / "bad.nwk", "rb") as fh:
+            proc = treescape(workdir, "build", path, "--mode", "spr", "--rooted", "--out", "g.tsv",
+                             env=env, stdin=fh)
+        assert (proc.returncode, proc.stderr) == (2, f"error: {path}: not UTF-8 text\n")
+
+
 def test_closed_stdout(workdir):
     proc = treescape(workdir, *BUILD, stdout=None, preexec_fn=lambda: os.close(1))
     assert proc.returncode == 0
