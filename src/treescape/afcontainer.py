@@ -88,15 +88,12 @@ def replace_atomically(path):
         raise
 
 
-def write_snapshot(dest, mode, canonical_lines):
+def write_snapshot(fh, mode, canonical_lines):
     """Write canonical tree strings as a reloadable snapshot to the text
-    handle dest, or to the path dest, replaced once every line is written."""
-    if not hasattr(dest, "write"):
-        with replace_atomically(dest) as fh:
-            return write_snapshot(fh, mode, canonical_lines)
-    dest.write(f"{_SNAPSHOT_MAGIC} {_SNAPSHOT_VERSION} {Mode(mode).value} {len(canonical_lines)}\n")
+    handle fh."""
+    fh.write(f"{_SNAPSHOT_MAGIC} {_SNAPSHOT_VERSION} {Mode(mode).value} {len(canonical_lines)}\n")
     for text in canonical_lines:
-        dest.write(text.decode("ascii") + "\n")
+        fh.write(text.decode("ascii") + "\n")
 
 
 def read_snapshot(path):
@@ -283,9 +280,11 @@ class AFContainer:
     # -- snapshot -----------------------------------------------------------
 
     def save(self, path):
-        """Write the container to a text snapshot; the forest index is
+        """Write the container as a text snapshot to a temporary file that
+        replaces path once every line is written; the forest index is
         rebuilt on load."""
-        write_snapshot(path, self.mode, self._trees)
+        with replace_atomically(path) as fh:
+            write_snapshot(fh, self.mode, self._trees)
 
     @classmethod
     def load(cls, path):

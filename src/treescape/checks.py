@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import oracle
-from .errors import fail
+from .errors import TreescapeError, fail
 from .graph import _construct
 
 
@@ -20,7 +20,7 @@ def verify(args, numbered, construct_numbered):
     construct_numbered, as build does, and compare the graph with the one
     all-pairs comparison gives."""
     if args.max_m < 0:
-        return fail(2, f"--max-m needs a tree count of at least 0, got {args.max_m}")
+        raise TreescapeError(f"--max-m needs a tree count of at least 0, got {args.max_m}")
     # a list, not a stream: the trees are counted before --max-m is checked
     parsed = list(numbered)
     if len(parsed) > args.max_m:
@@ -49,16 +49,17 @@ def verify(args, numbered, construct_numbered):
 def bench(args):
     """treescape bench: time the graph build of random trees at each size
     and fit the log-log slope of time against leaf count."""
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        return fail(2, f"bad --sizes {args.sizes!r}")
-    if not sizes or min(sizes) < 4:
-        return fail(2, "--sizes needs integers of at least 4")
+    # ASCII digits only: int() would also take " 64", "+64" and "6_4"
+    sizes = args.sizes.split(",")
+    if not all(s.isascii() and s.isdigit() for s in sizes):
+        raise TreescapeError(f"bad --sizes {args.sizes!r}")
+    sizes = list(map(int, sizes))
+    if min(sizes) < 4:
+        raise TreescapeError("--sizes needs integers of at least 4")
     if len(set(sizes)) != len(sizes):
-        return fail(2, f"--sizes repeats a leaf count: {args.sizes!r}")
+        raise TreescapeError(f"--sizes repeats a leaf count: {args.sizes!r}")
     if args.m < 1:
-        return fail(2, f"--m needs at least one tree per size, got {args.m}")
+        raise TreescapeError(f"--m needs at least one tree per size, got {args.m}")
     rng = random.Random(args.seed)
     collections = [
         [oracle.random_tree(n, rooted=args.rooted, rng=rng) for _ in range(args.m)] for n in sizes

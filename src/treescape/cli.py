@@ -7,7 +7,7 @@ treescape bench   times graph builds on random inputs
 Exit codes: 0 success, 1 verify mismatch, 2 unreadable or unparseable input,
 clashing build paths or a usage error, 3 mixed leaf label sets, 4
 move/rootedness conflict, 5 verify refused (too many trees for the
-quadratic check).
+quadratic check). An error exits with the code of its class.
 
 The grammar of every command is one table, COMMANDS. parse_args reads the
 argv a build is normally given and hands any other to the argparse parser
@@ -29,14 +29,7 @@ from .afcontainer import (
     replace_atomically,
     write_snapshot,
 )
-from .errors import (
-    CanonicalError,
-    LabelSetError,
-    ModeError,
-    NewickError,
-    SnapshotError,
-    fail,
-)
+from .errors import LabelSetError, ModeError, NewickError, TreescapeError, fail
 from .graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
 from .tree import parse_newick
 
@@ -46,46 +39,48 @@ def _warn(message):
 
 
 def _read_lines(path):
-    """Yield the lines of a UTF-8 text file, or of stdin for -, one at a
-    time, split only at line ends: LF, CR LF or CR."""
+    """Yield (lineno, line), stripped, for each line of a UTF-8 text file, or
+    of stdin for -, that is not blank or a # comment, one at a time. Lines
+    end at LF, CR LF or CR, and every line is counted."""
     if path == "-" and sys.stdin is None:
         raise NewickError("-: stdin is closed")
     source = contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
+    lineno = 0
     try:
         with source as fh:
-            for line in fh:
+            for raw in fh:
                 if path == "-":
-                    line.encode()  # stdin may decode bytes that are not UTF-8 to surrogates
+                    raw.encode()  # stdin may decode bytes that are not UTF-8 to surrogates
                 # a file is read with universal newlines; stdin may still
                 # hold \r, so split there too
-                yield from line.removesuffix("\n").removesuffix("\r").split("\r")
+                for line in raw.removesuffix("\n").removesuffix("\r").split("\r"):
+                    lineno += 1
+                    line = line.strip()
+                    if line and not line.startswith("#"):
+                        yield lineno, line
     except (UnicodeDecodeError, UnicodeEncodeError):
         raise NewickError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _load_taxa(path):
-    """The taxa.Taxa of a --taxa file, or None without one; the taxa module
-    is imported only when a file is given."""
-    if path is None:
-        return None
-    from .taxa import Taxa
+def _read_trees(args):
+    """Parse the newline-delimited tree file args.input, named through the
+    --taxa file if one is given, yielding (lineno, Tree) pairs. The taxa
+    module is imported only when a --taxa file is given."""
+    taxa = None
+    if args.taxa:
+        from .taxa import Taxa
 
-    return Taxa(path, _read_lines(path))
-
-
-def _read_trees(path, *, rooted, lenient, taxa):
-    """Parse a newline-delimited tree file, yielding (lineno, Tree) pairs."""
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        taxa = Taxa(args.taxa, _read_lines(args.taxa))
+    for lineno, line in _read_lines(args.input):
         text = taxa.translate(line) if taxa else line
         try:
-            tree = parse_newick(text, rooted=rooted, lenient=lenient)
+            tree = parse_newick(text, rooted=args.rooted, lenient=args.lenient)
         except NewickError as exc:
             if taxa and exc.pos is not None:
                 exc = NewickError(exc.reason, pos=taxa.untranslated_pos(line, exc.pos))
-            raise NewickError(f"{path}:{lineno}: {exc}") from None
+            raise NewickError(f"{args.input}:{lineno}: {exc}") from None
         yield lineno, tree
 
 
@@ -150,9 +145,9 @@ def _construct_numbered(args, numbered):
     return graph, labeling, linenos
 
 
-def _path_clash(args):
-    """Why two of a build's paths name one file that the build writes, or
-    None. --snapshot may name the --append snapshot: that updates it."""
+def _refuse_path_clash(args):
+    """Raise TreescapeError if two of a build's paths name one file that the
+    build writes. --snapshot may name the --append snapshot: that updates it."""
     written = [
         ("--out", args.out),
         ("the vertex file", _vertices_path(args.out)),
@@ -166,17 +161,12 @@ def _path_clash(args):
             if other_path in (None, "-") or {name, other} == {"--snapshot", "--append"}:
                 continue
             if os.path.realpath(path) == os.path.realpath(other_path):
-                return f"{name} {path} and {other} {other_path} are the same file"
-    return None
+                raise TreescapeError(f"{name} {path} and {other} {other_path} are the same file")
 
 
 def _cmd_build(args):
-    clash = _path_clash(args)
-    if clash:
-        return fail(2, clash)
-    numbered = _read_trees(
-        args.input, rooted=args.rooted, lenient=args.lenient, taxa=_load_taxa(args.taxa)
-    )
+    _refuse_path_clash(args)
+    numbered = _read_trees(args)
     if args.append:
         snap_mode, lines = read_snapshot(args.append)
         if snap_mode is not args.container_mode:
@@ -217,10 +207,7 @@ def _cmd_build(args):
 def _cmd_verify(args):
     from .checks import verify
 
-    numbered = _read_trees(
-        args.input, rooted=args.rooted, lenient=args.lenient, taxa=_load_taxa(args.taxa)
-    )
-    return verify(args, numbered, _construct_numbered)
+    return verify(args, _read_trees(args), _construct_numbered)
 
 
 def _cmd_bench(args):
@@ -344,14 +331,10 @@ def main(argv=None):
         # the one container mode of the run; refuses rooted tbr
         args.container_mode = Mode.of(args.mode, args.rooted)
         return args.run(args)
-    except (NewickError, CanonicalError, SnapshotError) as exc:
-        return fail(2, str(exc))
-    except LabelSetError as exc:
-        return fail(3, str(exc))
-    except ModeError as exc:
-        return fail(4, str(exc))
-    except OSError as exc:
-        return fail(2, str(exc))
+    except TreescapeError as exc:
+        return fail(exc.code, str(exc))
+    except OSError as exc:  # a file fault exits as a TreescapeError does
+        return fail(TreescapeError.code, str(exc))
 
 
 def entry():

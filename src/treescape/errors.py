@@ -10,7 +10,10 @@ def fail(code, message):
 
 
 class TreescapeError(Exception):
-    """Base class for every error raised by treescape."""
+    """Base class for every error raised by treescape; code is the exit
+    status of a command that it ends."""
+
+    code = 2
 
 
 class NewickError(TreescapeError):
@@ -36,9 +39,13 @@ class MoveError(TreescapeError):
 class ModeError(TreescapeError):
     """Operation mode incompatible with the trees involved."""
 
+    code = 4
+
 
 class LabelSetError(TreescapeError):
     """Input trees do not share one leaf label set."""
+
+    code = 3
 
 
 class GraphInvariantError(TreescapeError):

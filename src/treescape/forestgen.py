@@ -272,34 +272,34 @@ def _prune_regraft_keys(o):
     return keys
 
 
+def _oriented(tree, rooted, keys):
+    """tree as orient gives it; ModeError, naming the keys asked for, if its
+    rootedness is not rooted."""
+    o = orient(tree)
+    if o.rooted != rooted:
+        raise ModeError(f"{keys} keys require {'a rooted' if rooted else 'an unrooted'} tree")
+    return o
+
+
 def rspr_forest_keys(tree):
     """One key per edge of a rooted tree whose host keeps three or more
     leaves: cut it, root the cut-off side. tree may also be given already
     Oriented."""
-    o = orient(tree)
-    if not o.rooted:
-        raise ModeError("rooted-move keys require a rooted tree")
-    return _prune_regraft_keys(o)
+    return _prune_regraft_keys(_oriented(tree, True, "rooted-move"))
 
 
 def uspr_forest_keys(tree):
     """Up to two keys per edge of an unrooted tree, either endpoint side
     rooted, skipping those whose host has at most two leaves. tree may also
     be given already Oriented."""
-    o = orient(tree)
-    if o.rooted:
-        raise ModeError("unrooted-move keys require an unrooted tree")
-    return _prune_regraft_keys(o)
+    return _prune_regraft_keys(_oriented(tree, False, "unrooted-move"))
 
 
 def nni_keys(tree, rooted):
     """One interchange key per internal edge: n - 3 unrooted, n - 2 rooted.
     A tree whose rootedness is not rooted raises ModeError. tree may also be
     given already Oriented."""
-    o = orient(tree)
-    if o.rooted != rooted:
-        kind = "rooted" if rooted else "unrooted"
-        raise ModeError(f"{kind} interchange keys require a {kind} tree")
+    o = _oriented(tree, rooted, f"{'rooted' if rooted else 'unrooted'} interchange")
     order, par, kids, low = o.order, o.par, o.kids, o.low
     text, start, stop = o.text, o.start, o.stop
     keys = []
@@ -326,9 +326,7 @@ def nni_keys(tree, rooted):
 def tbr_forest_keys(tree):
     """One key per edge of an unrooted tree, both cut endpoints suppressed.
     tree may also be given already Oriented."""
-    o = orient(tree)
-    if o.rooted:
-        raise ModeError("bisection keys require an unrooted tree")
+    o = _oriented(tree, False, "bisection")
     order = o.order
     keys = []
     for k in range(1, len(order)):

@@ -12,17 +12,15 @@ _LABEL = re.compile(r"[1-9][0-9]*")
 
 
 class Taxa:
-    """The name-to-label map of a taxa file at path, read from its lines;
-    labels must be distinct and follow the Newick label rule: ASCII digits,
-    no leading zero, at most 2**64 - 1."""
+    """The name-to-label map of a taxa file at path, read from the (lineno,
+    line) pairs of its lines that are not blank or comments; labels must be
+    distinct and follow the Newick label rule: ASCII digits, no leading
+    zero, at most 2**64 - 1."""
 
     def __init__(self, path, lines):
         self.labels = {}
         used = set()
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in lines:
             parts = line.split("\t") if "\t" in line else line.split()
             if len(parts) != 2:
                 raise NewickError(f"{path}:{lineno}: expected two columns")

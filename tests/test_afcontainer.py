@@ -13,6 +13,7 @@ from treescape.afcontainer import (
     Mode,
     decode_snapshot,
     read_snapshot,
+    replace_atomically,
     write_snapshot,
 )
 from treescape.canonical import decode_tree, sdlnewick_tree
@@ -255,7 +256,8 @@ class TestSnapshot:
     def test_helpers_roundtrip(self, tmp_path):
         path = tmp_path / "x.snap"
         lines = [b"(1,2,(3,4));", b"((1,3),2,4);"]
-        write_snapshot(path, "uspr", lines)
+        with replace_atomically(path) as fh:
+            write_snapshot(fh, "uspr", lines)
         mode, back = read_snapshot(path)
         assert mode is Mode.USPR and back == lines
 
@@ -281,10 +283,25 @@ class TestSnapshot:
 
     def test_failed_write_keeps_old_snapshot(self, tmp_path):
         path = tmp_path / "c.snap"
-        write_snapshot(path, "rspr", [b"(r,1,2);"])
+        with replace_atomically(path) as fh:
+            write_snapshot(fh, "rspr", [b"(r,1,2);"])
         old = path.read_bytes()
+        with pytest.raises(AttributeError), replace_atomically(path) as fh:
+            write_snapshot(fh, "rspr", [b"(r,1,(2,3));", None])
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["c.snap"]
+
+    def test_failed_save_keeps_old_snapshot(self, tmp_path):
+        path = tmp_path / "c.snap"
+        c = AFContainer(Mode.RSPR)
+        for t in triangle_trees():
+            c.insert(t)
+        c.save(path)
+        old = path.read_bytes()
+        c.insert(parse_newick("((1,2),((3,4),5));", rooted=True))
+        c._trees[-1] = None  # the last line's write fails after the others
         with pytest.raises(AttributeError):
-            write_snapshot(path, "rspr", [b"(r,1,(2,3));", None])
+            c.save(path)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["c.snap"]
 

@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 import treescape
-from treescape import afcontainer, checks, cli, forestgen, oracle
+from treescape import afcontainer, checks, cli, errors, forestgen, oracle
 from treescape.afcontainer import Mode, read_snapshot
 from treescape.graph import AdjacencyGraph
 
@@ -785,6 +785,11 @@ class TestBench:
         assert run("bench", "--mode", "spr", "--rooted", "--sizes", "3") == 2
         assert run("bench", "--mode", "spr", "--rooted", "--sizes", "8,8") == 2
 
+    @pytest.mark.parametrize("sizes", ["64,,128", " 64", "+64", "6_4", ""])
+    def test_sizes_take_ascii_digits_only(self, capsys, sizes):
+        assert run("bench", "--mode", "spr", "--rooted", "--sizes", sizes) == 2
+        assert capsys.readouterr() == ("", f"error: bad --sizes {sizes!r}\n")
+
     @pytest.mark.parametrize("m", ["0", "-3"])
     def test_degenerate_tree_count(self, capsys, m):
         assert run("bench", "--mode", "spr", "--rooted", "--m", m, "--sizes", "8,16") == 2
@@ -841,3 +846,29 @@ class TestBench:
             "n=32 m=2 total=1.500s",
             f"exponent={slope:.3f}",
         ]
+
+
+EXIT_CODES = {
+    errors.TreescapeError: 2,
+    errors.NewickError: 2,
+    errors.CanonicalError: 2,
+    errors.MoveError: 2,
+    errors.ModeError: 4,
+    errors.LabelSetError: 3,
+    errors.GraphInvariantError: 2,
+    errors.SnapshotError: 2,
+}
+
+
+def test_exit_codes_cover_every_error():
+    assert set(EXIT_CODES) == {errors.TreescapeError, *errors.TreescapeError.__subclasses__()}
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES.items(), ids=lambda v: getattr(v, "__name__", v))
+def test_every_error_ends_in_one_line_with_its_exit_code(monkeypatch, capsys, error, code):
+    def handler(args):
+        raise error("raised by the handler")
+
+    monkeypatch.setattr(checks, "bench", handler)
+    assert run("bench", "--mode", "spr", "--rooted") == code == error.code
+    assert capsys.readouterr() == ("", "error: raised by the handler\n")

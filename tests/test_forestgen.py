@@ -7,7 +7,13 @@ import pytest
 from treescape.afcontainer import AFContainer
 from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.errors import ModeError
-from treescape.forestgen import Oriented, rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
+from treescape.forestgen import (
+    Oriented,
+    nni_keys,
+    rspr_forest_keys,
+    tbr_forest_keys,
+    uspr_forest_keys,
+)
 from treescape.oracle import edges as tree_edges
 from treescape.oracle import (
     enumerate_all_trees,
@@ -117,6 +123,24 @@ class TestKeyShape:
             uspr_forest_keys(ROOTED5)
         with pytest.raises(ModeError):
             tbr_forest_keys(ROOTED5)
+
+    @pytest.mark.parametrize(
+        "keys, tree, message",
+        [
+            (rspr_forest_keys, UNROOTED5, "rooted-move keys require a rooted tree"),
+            (uspr_forest_keys, ROOTED5, "unrooted-move keys require an unrooted tree"),
+            (tbr_forest_keys, ROOTED5, "bisection keys require an unrooted tree"),
+            (lambda t: nni_keys(t, True), UNROOTED5,
+             "rooted interchange keys require a rooted tree"),
+            (lambda t: nni_keys(t, False), ROOTED5,
+             "unrooted interchange keys require an unrooted tree"),
+        ],
+        ids=["rspr", "uspr", "tbr", "rooted-nni", "unrooted-nni"],
+    )
+    def test_mode_messages(self, keys, tree, message):
+        with pytest.raises(ModeError) as info:
+            keys(tree)
+        assert str(info.value) == message
 
 
 class TestMoveHierarchy:

@@ -105,6 +105,16 @@ def test_closed_stdin(workdir):
     assert not (workdir / "g.tsv").exists()
 
 
+def test_unreadable_stdin_is_named(workdir):
+    with open(os.devnull, "w") as fh:  # fd 0 open, but write-only
+        proc = treescape(workdir, "build", "-", "--mode", "spr", "--rooted", "--out", "g.tsv",
+                         stdin=fh)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: [Errno 9] Bad file descriptor: '-'\n"
+    )
+    assert not (workdir / "g.tsv").exists()
+
+
 def test_stdin_that_is_not_utf8_ends_as_a_file_does(workdir):
     (workdir / "bad.nwk").write_bytes(b"(((4,5),1),(2,\xe9));\n")
     # in UTF-8 mode stdin decodes bytes that are not UTF-8 to surrogates
