@@ -110,8 +110,9 @@ def read_snapshot(path):
                 mode = Mode(header[2])
             except ValueError:
                 raise SnapshotError(f"{path}:1: unknown snapshot mode {header[2]!r}") from None
-            # ASCII digits only, as written: int() would also take "+1" and "1_0"
-            if not (header[3].isascii() and header[3].isdigit()):
+            # digits as written: int() would also take "+1" and "1_0", and
+            # isdigit() takes only 0-9 here because the file decodes as ASCII
+            if not header[3].isdigit():
                 raise SnapshotError(f"{path}:1: bad tree count {header[3]!r}")
             count = int(header[3])
             lines = []
@@ -236,15 +237,7 @@ class AFContainer:
         oriented = orient(tree)
         own = self._id_trie.get(oriented.canonical())
         get = self._forest_trie.get
-        out = []
-        for key in self._forest_keys(oriented):
-            found = get(key)
-            if found:
-                if own is None:
-                    out.extend(found)
-                else:
-                    out.extend(i for i in found if i != own)
-        return out
+        return [i for key in self._forest_keys(oriented) for i in get(key, ()) if i != own]
 
     def spr_neighbors(self, tree):
         """Ids of inserted trees one prune-regraft move from tree.

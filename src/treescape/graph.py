@@ -63,13 +63,6 @@ class AdjacencyGraph:
         below = [j for j, bucket in enumerate(self._adj[:v]) if v in bucket]
         return below + self._adj[v]
 
-    def validate(self):
-        n = len(self._adj)
-        for j, bucket in enumerate(self._adj):
-            bounded = [j, *bucket, n]
-            if any(a >= b for a, b in zip(bounded, bounded[1:])):
-                raise GraphInvariantError(f"bucket {j} is not strictly ascending")
-
     def __eq__(self, other):
         if not isinstance(other, AdjacencyGraph):
             return NotImplemented

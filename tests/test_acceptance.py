@@ -284,6 +284,6 @@ def test_criterion_7_empirical_scaling(capsys):
     ok = rc == 0 and exponent is not None and 1.2 <= exponent <= 3.0
     totals = [line.partition("total=")[2] for line in out.splitlines() if "total=" in line]
     detail = f"exponent={exponent}; totals={','.join(totals)}"
-    if exponent is not None and not 1.2 <= exponent <= 1.7:
+    if exponent is not None and 1.7 < exponent <= 3.0:
         detail += " (outside the expected band [1.2, 1.7], within hard bounds)"
     report_criterion(7, "empirical scaling", ok, detail)

@@ -627,6 +627,8 @@ class TestAppendSnapshotErrors:
         [
             (b"not a snapshot\n", ":1", "not a container snapshot"),
             (b"afcontainer v1 rspr 0_1\n(r,1,2);\n", ":1", "bad tree count '0_1'"),
+            # an Arabic-Indic one passes isdigit() and int(), but not the ASCII decoder
+            (b"afcontainer v1 rspr \xd9\xa1\n(r,1,2);\n", "", "snapshot is not ASCII text"),
             (b"afcontainer v1 rspr 2\n(r,1,2);\n\n", ":3", "blank line in snapshot"),
             (b"afcontainer v1 rspr 2\n(r,1,2);\n", "", "snapshot header promises 2 trees, found 1"),
         ],
