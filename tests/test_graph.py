@@ -90,6 +90,25 @@ class TestAddVertex:
             g.add_vertex(earlier)
         assert g.n_vertices == 3 and g.edges() == [(0, 2)] and g.edge_count == 1
 
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [[], [0], [1, 0], [2, 0, 1]],
+            [[], [], [1, 0], [0, 2], [3, 1, 2, 0]],
+            [[], [0], [], [2, 1], [3, 0], [4, 2, 1]],
+            [[]] + [list(range(v - 1, -1, -1)) for v in range(1, 7)],
+        ],
+    )
+    def test_buckets_ascend_whatever_order_earlier_ids_come_in(self, steps):
+        g = AdjacencyGraph()
+        for earlier in steps:
+            g.add_vertex(earlier)
+        n = g.n_vertices
+        for j, bucket in enumerate(g.buckets()):
+            bounded = [j, *bucket, n]
+            assert all(a < b for a, b in zip(bounded, bounded[1:]))
+        assert g.edge_count == sum(map(len, steps))
+
 
 class TestConstruction:
     def test_single_tree(self):
@@ -207,6 +226,16 @@ class TestConstruction:
             for u in range(g.n_vertices):
                 for v in g.neighbors(u):
                     assert u in g.neighbors(v)
+
+    def test_complete_worlds_have_ascending_buckets(self):
+        for g, _ in (
+            construct_spr_graph(enumerate_all_trees(4, rooted=True)),
+            construct_nni_graph(enumerate_all_trees(4, rooted=False)),
+            construct_tbr_graph(enumerate_all_trees(5, rooted=False)),
+        ):
+            n = g.n_vertices
+            for j, bucket in enumerate(g.buckets()):
+                assert bucket == sorted(set(bucket)) and all(j < i < n for i in bucket)
 
 
 def one_move(tree, rng, *, bisect=False):
