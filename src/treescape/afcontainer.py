@@ -9,7 +9,7 @@ An AFContainer holds three substructures:
 
 Both indexes are plain dicts over byte-string keys. Hashing a key costs
 time linear in its length, so the per-tree work for an n-leaf tree stays at
-O(n^2) inserted bytes and O(n^2) query work.
+O(n^2) inserted bytes.
 
 A tree is oriented once (forestgen.Oriented): its canonical string comes
 from that table first, and only a tree the id index does not hold yet has
@@ -25,8 +25,8 @@ is shared by each pair of trees one interchange apart and by no others.
 
 A snapshot stores one canonical tree string per line. It is read back
 with the input parser, tree.parse_newick, and each line must equal the
-Oriented re-encoding of its tree, so loading needs no second parser or
-encoder. Each line is decoded only when its tree is inserted.
+Oriented re-encoding of its tree, so reading one needs no second parser
+or encoder. Each line is decoded only when its tree is inserted.
 """
 
 import contextlib
@@ -163,16 +163,16 @@ class AFContainer:
     Tree ids are assigned densely from 0 in first-insertion order; inserting
     an already-present tree returns its existing id and changes nothing.
     With nni, an rspr or uspr container indexes interchange keys instead of
-    forests, and answers only nni_neighbors.
+    forests.
     """
 
     def __init__(self, mode, nni=False):
         self.mode = Mode(mode)
         self.nni = nni
-        # the key generator, read from this module now rather than at
-        # import, so that a wrapped one is used; it refuses the wrong rootedness
         if nni and self.mode is Mode.TBR:
             raise ModeError("interchange keys need an rspr or uspr container")
+        # the key generator, read from this module now rather than at
+        # import, so that a wrapped one is used; it refuses the wrong rootedness
         if nni:
             self._forest_keys = partial(nni_keys, rooted=self.mode.rooted)
         else:
@@ -190,7 +190,7 @@ class AFContainer:
     def __repr__(self):
         return f"<AFContainer {self.mode.value} m={len(self._trees)}>"
 
-    def insert_counting(self, tree):
+    def insert(self, tree):
         """Index a tree; returns (id, shared).
 
         shared maps every earlier id that has forest keys in common with
@@ -219,70 +219,8 @@ class AFContainer:
                 ids.append(tree_id)
         return tree_id, Counter(hits)
 
-    def insert(self, tree):
-        """Index a tree; returns its id (the existing one for duplicates)."""
-        return self.insert_counting(tree)[0]
-
-    def id(self, tree):
-        """Id of an inserted tree, or None."""
-        return self._id_trie.get(orient(tree).canonical())
-
     def sdlnewick_of(self, tree_id):
         """Canonical string of the tree with this id; b"" if out of range."""
         if 0 <= tree_id < len(self._trees):
             return self._trees[tree_id]
         return b""
-
-    def _matches(self, tree):
-        oriented = orient(tree)
-        own = self._id_trie.get(oriented.canonical())
-        get = self._forest_trie.get
-        return [i for key in self._forest_keys(oriented) for i in get(key, ()) if i != own]
-
-    def spr_neighbors(self, tree):
-        """Ids of inserted trees one prune-regraft move from tree.
-
-        The raw list is unsorted and repeats the ids of trees that are also
-        interchange-adjacent (they share more than one forest key); the query
-        tree itself need not be inserted and is never reported.
-        """
-        if self.mode is Mode.TBR or self.nni:
-            raise ModeError("prune-regraft queries need a container of rspr or uspr forests")
-        return self._matches(tree)
-
-    def tbr_neighbors(self, tree):
-        """Ids of inserted trees one bisection-reconnection move from tree."""
-        if self.mode is not Mode.TBR:
-            raise ModeError("bisection queries need a tbr container")
-        return self._matches(tree)
-
-    def nni_neighbors(self, tree):
-        """Ids of inserted trees one interchange move from tree (no repeats):
-        those sharing at least two forest keys with it, or one nni key.
-
-        Needs an rspr or uspr container; bisection-reconnection pairs that
-        are not interchange-adjacent can share two tbr keys.
-        """
-        if self.mode is Mode.TBR:
-            raise ModeError("interchange queries need an rspr or uspr container")
-        if self.nni:
-            return self._matches(tree)
-        shared = Counter(self._matches(tree))
-        return [i for i, k in shared.items() if k >= 2]
-
-    # -- snapshot -----------------------------------------------------------
-
-    def save(self, path):
-        """Write the container as a text snapshot to a temporary file that
-        replaces path once every line is written; the forest index is
-        rebuilt on load."""
-        with replace_atomically(path) as fh:
-            write_snapshot(fh, self.mode, self._trees)
-
-    @classmethod
-    def load(cls, path):
-        mode, lines = read_snapshot(path)
-        container = cls(mode)
-        for tree in decode_snapshot(path, mode, lines):
-            container.insert(tree)
-        return container

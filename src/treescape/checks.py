@@ -4,6 +4,7 @@ neither. Nothing here imports cli: under python -m treescape.cli the
 running module is __main__, and importing treescape.cli would compile and
 run cli.py a second time."""
 
+import gc
 import math
 import random
 import statistics
@@ -69,6 +70,8 @@ def bench(args):
     best = [math.inf] * len(sizes)
     for _ in range(3):
         for k, trees in enumerate(collections):
+            # each build starts with no collection due from the caller's heap
+            gc.collect()
             t0 = time.perf_counter()
             _construct(args.mode, trees)
             best[k] = min(best[k], time.perf_counter() - t0)

@@ -330,6 +330,9 @@ def main(argv=None):
     try:
         # the one container mode of the run; refuses rooted tbr
         args.container_mode = Mode.of(args.mode, args.rooted)
+        # checked before anything is read: the taxa reader would take stdin
+        if getattr(args, "taxa", None) == "-" == args.input:
+            raise TreescapeError("--taxa - and the input - both read stdin")
         return args.run(args)
     except TreescapeError as exc:
         return fail(exc.code, str(exc))

@@ -105,7 +105,7 @@ def _construct(move, trees):
             container = AFContainer(Mode.of(move, tree.rooted), nni=move == "nni")
         elif tree.leaf_labels() != labels:
             raise LabelSetError("all trees must share one leaf label set")
-        vid, shared = container.insert_counting(tree)
+        vid, shared = container.insert(tree)
         vertex_of_input.append(vid)
         if vid == graph.n_vertices:
             first_input.append(k)

@@ -5,7 +5,6 @@ behavior, not timing, but stays well inside its budget by construction.
 """
 
 import random
-from collections import Counter
 
 from conftest import report_criterion
 
@@ -186,9 +185,9 @@ def test_criterion_4_neighborhood_formulas():
 
 
 def test_criterion_5_duplicate_bound():
-    """In raw spr_neighbors output the duplicated ids are exactly the
-    inserted NNI-adjacent trees, and there are never more duplicated ids
-    than NNI neighbors."""
+    """The earlier ids an insert counts more than once are exactly the
+    earlier NNI neighbors, every id it counts is an earlier SPR neighbor,
+    and there are never more duplicated ids than NNI neighbors."""
     rng = random.Random(105)
     queries = 0
     violations = 0
@@ -196,16 +195,24 @@ def test_criterion_5_duplicate_bound():
         rooted = rng.random() < 0.5
         n = rng.randint(4, 8)
         m = rng.randint(2, 50)
-        trees = [random_tree(n, rooted=rooted, rng=rng) for _ in range(m)]
         container = AFContainer(Mode.RSPR if rooted else Mode.USPR)
-        for tree in trees:
-            container.insert(tree)
-        for tree in trees:
-            counts = Counter(container.spr_neighbors(tree))
-            duplicated = {i for i, k in counts.items() if k > 1}
-            nni_ids = set(container.nni_neighbors(tree))
+        for _ in range(m):
+            tree = random_tree(n, rooted=rooted, rng=rng)
+            before = len(container)
+            tree_id, counts = container.insert(tree)
             queries += 1
-            if duplicated != nni_ids or len(duplicated) > len(nni_ids):
+            if tree_id < before:  # a repeat finds nothing
+                violations += bool(counts)
+                continue
+            earlier = {container.sdlnewick_of(j): j for j in range(tree_id)}
+            nni = enumerate_neighbors(tree, "nni")
+            spr = enumerate_neighbors(tree, "rspr" if rooted else "uspr")
+            duplicated = {i for i, k in counts.items() if k > 1}
+            if (
+                duplicated != {earlier[s] for s in nni if s in earlier}
+                or set(counts) != {earlier[s] for s in spr if s in earlier}
+                or len(duplicated) > len(nni)
+            ):
                 violations += 1
     report_criterion(
         5,
@@ -241,7 +248,7 @@ def test_criterion_6_insert_idempotence():
             else:
                 trees.append(random_tree(n, rooted=mode.rooted, rng=rng))
         container = AFContainer(mode)
-        ids = [container.insert(t) for t in trees]
+        ids = [container.insert(t)[0] for t in trees]
 
         for key, lst in container._forest_trie.items():
             if len(lst) != len(set(lst)):
@@ -256,7 +263,7 @@ def test_criterion_6_insert_idempotence():
                 violations.append(f"seq {seq}: trie->array broken at {value}")
 
         before = _container_state(container)
-        again = [container.insert(shuffled_presentation(t, rng)) for t in trees]
+        again = [container.insert(shuffled_presentation(t, rng))[0] for t in trees]
         if again != ids or _container_state(container) != before:
             violations.append(f"seq {seq}: reinsertion changed state")
     report_criterion(

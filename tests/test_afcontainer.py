@@ -1,4 +1,4 @@
-"""Container behavior: insertion, neighbor queries, snapshots."""
+"""Container behavior: insertion, the neighbours an insert finds, snapshots."""
 
 import random
 import re
@@ -18,7 +18,12 @@ from treescape.afcontainer import (
 )
 from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.errors import CanonicalError, ModeError, SnapshotError
-from treescape.oracle import enumerate_all_trees, enumerate_neighbors, random_tree
+from treescape.oracle import (
+    enumerate_all_trees,
+    enumerate_neighbors,
+    random_tree,
+    reference_forest_keys,
+)
 from treescape.tree import parse_newick
 
 TRIANGLE = [
@@ -36,16 +41,13 @@ class TestInsert:
     def test_ids_are_dense_and_duplicates_return_existing(self):
         c = AFContainer(Mode.RSPR)
         t0, t1, t2 = triangle_trees()
-        assert c.insert(t0) == 0
-        assert c.insert(t1) == 1
-        assert c.insert(t0) == 0
-        assert c.insert(t2) == 2
+        assert [c.insert(t)[0] for t in (t0, t1, t0, t2)] == [0, 1, 0, 2]
         assert len(c) == 3
 
     def test_isomorphic_presentation_is_duplicate(self):
         c = AFContainer(Mode.RSPR)
-        assert c.insert(parse_newick("((1,2),(3,4));", rooted=True)) == 0
-        assert c.insert(parse_newick("((4,3),(2,1));", rooted=True)) == 0
+        assert c.insert(parse_newick("((1,2),(3,4));", rooted=True)) == (0, {})
+        assert c.insert(parse_newick("((4,3),(2,1));", rooted=True)) == (0, {})
         assert len(c) == 1
 
     def test_mode_mismatch(self):
@@ -76,7 +78,7 @@ class TestInsert:
         c.insert(t1)
         before = (dict(c._id_trie), {k: list(v) for k, v in c._forest_trie.items()}, list(c._trees))
         with pytest.raises(ModeError):
-            c.insert_counting(parse_newick("(4,5,(1,(2,3)));", rooted=False))
+            c.insert(parse_newick("(4,5,(1,(2,3)));", rooted=False))
         assert (c._id_trie, c._forest_trie, c._trees) == before
 
     def test_shared_forest_list_is_insertion_ordered(self):
@@ -85,28 +87,26 @@ class TestInsert:
             c.insert(t)
         assert c._forest_trie.get(b"(r,1,(2,3)) (4,5)p;") == [0, 1, 2]
 
-    def test_id_and_sdlnewick_of(self):
+    def test_sdlnewick_of(self):
         c = AFContainer(Mode.USPR)
         t = parse_newick("(1,2,(3,4));", rooted=False)
-        assert c.id(t) is None
-        i = c.insert(t)
-        assert c.id(t) == i
+        i, _ = c.insert(t)
         assert c.sdlnewick_of(i) == sdlnewick_tree(t)
         assert c.sdlnewick_of(99) == b""
         assert c.sdlnewick_of(-1) == b""
-        assert c.id(decode_tree(c.sdlnewick_of(i))) == i
+        assert c.insert(decode_tree(c.sdlnewick_of(i))) == (i, {})
 
-    def test_insert_counting_reports_shared_keys_of_earlier_trees(self):
+    def test_insert_reports_shared_keys_of_earlier_trees(self):
         c = AFContainer(Mode.RSPR)
-        t0, t1, t2 = triangle_trees()
-        assert c.insert_counting(t0) == (0, {})
-        first, shared = c.insert_counting(t1)
-        assert first == 1 and set(shared) == {0}
-        third, shared = c.insert_counting(t2)
+        trees = triangle_trees()
+        assert c.insert(trees[0]) == (0, {})
+        assert c.insert(trees[1]) == (1, {0: 1})
+        third, shared = c.insert(trees[2])
         assert third == 2 and set(shared) == {0, 1}
+        keys = [set(reference_forest_keys(t, "rspr")) for t in trees]
         for i in shared:
-            assert shared[i] == Counter(c.spr_neighbors(t2))[i]
-        assert c.insert_counting(t1) == (1, {})
+            assert shared[i] == len(keys[2] & keys[i])
+        assert c.insert(trees[1]) == (1, {})
 
     def test_duplicate_insert_skips_key_generation(self, monkeypatch):
         calls = []
@@ -115,9 +115,8 @@ class TestInsert:
             afcontainer, "rspr_forest_keys", lambda tree: calls.append(1) or real(tree)
         )
         c = AFContainer(Mode.RSPR)
-        assert c.insert(parse_newick("((1,2),(3,4));", rooted=True)) == 0
-        assert c.insert(parse_newick("((4,3),(2,1));", rooted=True)) == 0
-        assert c.insert(parse_newick("((1,2),(3,4));", rooted=True)) == 0
+        for text in ("((1,2),(3,4));", "((4,3),(2,1));", "((1,2),(3,4));"):
+            assert c.insert(parse_newick(text, rooted=True))[0] == 0
         assert len(calls) == 1
 
     def test_each_insert_orients_the_tree_once(self, monkeypatch):
@@ -137,52 +136,19 @@ class TestInsert:
                 c.insert(random_tree(9, rooted=rooted, rng=rng))
                 assert len(calls) == 1
 
-    def test_id_of_other_rootedness_is_none(self):
-        rooted = parse_newick("((1,2),(3,4));", rooted=True)
-        unrooted = parse_newick("(1,2,(3,4));", rooted=False)
-        c = AFContainer(Mode.RSPR)
-        c.insert(rooted)
-        assert c.id(unrooted) is None
-        for mode in (Mode.USPR, Mode.TBR):
-            c = AFContainer(mode)
-            c.insert(unrooted)
-            assert c.id(rooted) is None
-
     def test_mode_coerces_from_string(self):
         assert AFContainer("tbr").mode is Mode.TBR
         assert Mode.RSPR.rooted and not Mode.USPR.rooted and not Mode.TBR.rooted
 
 
-class TestNeighborQueries:
-    def test_empty_container(self):
-        t = parse_newick("((1,2),(3,4));", rooted=True)
-        c = AFContainer(Mode.RSPR)
-        assert c.spr_neighbors(t) == []
-        assert c.nni_neighbors(t) == []
-        assert c.id(t) is None
-
-    def test_triangle_neighbors(self):
-        c = AFContainer(Mode.RSPR)
-        trees = triangle_trees()
-        for t in trees:
-            c.insert(t)
-        assert set(c.spr_neighbors(trees[0])) == {1, 2}
-        assert set(c.spr_neighbors(trees[1])) == {0, 2}
-
-    def test_query_tree_need_not_be_inserted(self):
-        c = AFContainer(Mode.RSPR)
-        trees = triangle_trees()
-        c.insert(trees[0])
-        assert set(c.spr_neighbors(trees[1])) == {0}
-
-    def test_wrong_query_for_mode(self):
-        c = AFContainer(Mode.TBR)
-        t = parse_newick("(1,2,(3,4));", rooted=False)
-        with pytest.raises(ModeError):
-            c.spr_neighbors(t)
-        c2 = AFContainer(Mode.USPR)
-        with pytest.raises(ModeError):
-            c2.tbr_neighbors(t)
+class TestNeighborsFoundByInsert:
+    def test_triangle_in_every_order(self):
+        for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+            c = AFContainer(Mode.RSPR)
+            trees = triangle_trees()
+            for k, i in enumerate(order):
+                tree_id, shared = c.insert(trees[i])
+                assert tree_id == k and set(shared) == set(range(k))
 
     def test_neighbor_sets_match_oracle(self):
         rng = random.Random(41)
@@ -194,64 +160,89 @@ class TestNeighborQueries:
             n = rng.randint(4, 7)
             trees = [random_tree(n, rooted=rooted, rng=rng) for _ in range(25)]
             c = AFContainer(mode)
-            ids = [c.insert(t) for t in trees]
-            for t, own in zip(trees, ids):
-                raw = c.tbr_neighbors(t) if mode is Mode.TBR else c.spr_neighbors(t)
-                want_strings = enumerate_neighbors(t, move)
-                want = {i for i in range(len(c)) if c.sdlnewick_of(i) in want_strings}
-                assert set(raw) == want
-                assert own not in raw
+            for t in trees:
+                before = len(c)
+                own, shared = c.insert(t)
+                if own < before:
+                    assert shared == {}
+                    continue
+                want = enumerate_neighbors(t, move)
+                assert set(shared) == {j for j in range(own) if c.sdlnewick_of(j) in want}
                 if mode is Mode.TBR:
-                    with pytest.raises(ModeError):
-                        c.nni_neighbors(t)
                     continue
                 nni_want = enumerate_neighbors(t, "nni")
-                nni_ids = c.nni_neighbors(t)
-                assert len(nni_ids) == len(set(nni_ids))
-                assert {c.sdlnewick_of(i) for i in nni_ids} == {
-                    s for s in nni_want if c.id(decode_tree(s)) is not None
+                assert {j for j, k in shared.items() if k >= 2} == {
+                    j for j in range(own) if c.sdlnewick_of(j) in nni_want
                 }
 
     def test_nni_multiplicity_pattern(self):
         # NNI-adjacent trees share 3 forest keys rooted, 4 unrooted;
         # SPR-only neighbors share exactly 1
         for rooted, mode, factor in [(True, Mode.RSPR, 3), (False, Mode.USPR, 4)]:
-            trees = enumerate_all_trees(5, rooted=rooted)
             c = AFContainer(mode)
-            for t in trees:
-                c.insert(t)
-            for t in trees:
-                counts = Counter(c.spr_neighbors(t))
-                nni = set(c.nni_neighbors(t))
-                for i, k in counts.items():
-                    assert k == (factor if i in nni else 1)
+            for t in enumerate_all_trees(5, rooted=rooted):
+                _, shared = c.insert(t)
+                nni = enumerate_neighbors(t, "nni")
+                for j, k in shared.items():
+                    assert k == (factor if c.sdlnewick_of(j) in nni else 1)
 
-    def test_tbr_pair_sharing_two_forests_appears_twice(self):
-        trees = enumerate_all_trees(5, rooted=False)
+    @pytest.mark.parametrize(
+        "mode, nni",
+        [(Mode.RSPR, False), (Mode.USPR, False), (Mode.TBR, False), (Mode.RSPR, True),
+         (Mode.USPR, True)],
+        ids=["rspr", "uspr", "tbr", "rspr-nni", "uspr-nni"],
+    )
+    def test_first_insert_finds_nothing(self, mode, nni):
+        c = AFContainer(mode, nni=nni)
+        tree = random_tree(7, rooted=mode.rooted, rng=random.Random(mode.value))
+        assert c.insert(tree) == (0, {})
+        assert len(c) == 1
+
+    def test_tbr_pair_sharing_two_forests_counts_twice(self):
         c = AFContainer(Mode.TBR)
-        for t in trees:
-            c.insert(t)
-        found = False
-        for t in trees:
-            counts = Counter(c.tbr_neighbors(t))
-            if any(k >= 2 for k in counts.values()):
-                found = True
-        assert found
+        counts = [k for t in enumerate_all_trees(5, rooted=False) for k in c.insert(t)[1].values()]
+        assert max(counts) >= 2
+
+
+def decoded(path):
+    """The trees of the snapshot at path, as an --append build takes them."""
+    return list(decode_snapshot(path, *read_snapshot(path)))
 
 
 class TestSnapshot:
     def test_roundtrip(self, tmp_path):
         c = AFContainer(Mode.RSPR)
-        trees = triangle_trees()
-        for t in trees:
+        for t in triangle_trees():
             c.insert(t)
         path = tmp_path / "c.snap"
-        c.save(path)
-        back = AFContainer.load(path)
-        assert back.mode is Mode.RSPR
-        assert len(back) == 3
+        with replace_atomically(path) as fh:
+            write_snapshot(fh, c.mode, [c.sdlnewick_of(i) for i in range(len(c))])
+        mode, lines = read_snapshot(path)
+        assert mode is Mode.RSPR
+        back = AFContainer(mode)
+        found = [back.insert(t) for t in decode_snapshot(path, mode, lines)]
+        assert found == [(0, {}), (1, {0: 1}), (2, {0: 1, 1: 3})]
         assert [back.sdlnewick_of(i) for i in range(3)] == [c.sdlnewick_of(i) for i in range(3)]
-        assert set(back.spr_neighbors(trees[0])) == {1, 2}
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    def test_reloaded_container_finds_what_one_container_finds(self, tmp_path, mode):
+        # an --append build: the first trees come back from a snapshot, and the
+        # rest must count the same earlier ids as in one uninterrupted container
+        rng = random.Random(f"append {mode.value}")
+        trees = [random_tree(6, rooted=mode.rooted, rng=rng) for _ in range(40)]
+        whole = AFContainer(mode)
+        want = [whole.insert(t) for t in trees]
+        first = AFContainer(mode)
+        for t in trees[:20]:
+            first.insert(t)
+        path = tmp_path / "c.snap"
+        with replace_atomically(path) as fh:
+            write_snapshot(fh, mode, [first.sdlnewick_of(i) for i in range(len(first))])
+        back = AFContainer(mode)
+        for t in decoded(path):
+            back.insert(t)
+        assert [back.insert(t) for t in trees[20:]] == want[20:]
+        assert any(shared for _, shared in want[20:])
 
     def test_helpers_roundtrip(self, tmp_path):
         path = tmp_path / "x.snap"
@@ -279,7 +270,7 @@ class TestSnapshot:
         path = tmp_path / "bad.snap"
         path.write_text(content, encoding="utf-8")
         with pytest.raises(SnapshotError):
-            AFContainer.load(path)
+            decoded(path)
 
     def test_failed_write_keeps_old_snapshot(self, tmp_path):
         path = tmp_path / "c.snap"
@@ -291,31 +282,17 @@ class TestSnapshot:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["c.snap"]
 
-    def test_failed_save_keeps_old_snapshot(self, tmp_path):
-        path = tmp_path / "c.snap"
-        c = AFContainer(Mode.RSPR)
-        for t in triangle_trees():
-            c.insert(t)
-        c.save(path)
-        old = path.read_bytes()
-        c.insert(parse_newick("((1,2),((3,4),5));", rooted=True))
-        c._trees[-1] = None  # the last line's write fails after the others
-        with pytest.raises(AttributeError):
-            c.save(path)
-        assert path.read_bytes() == old
-        assert [p.name for p in tmp_path.iterdir()] == ["c.snap"]
-
     def test_noncanonical_and_duplicate_lines(self, tmp_path):
         path = tmp_path / "bad.snap"
         path.write_text("afcontainer v1 rspr 1\n(r,2,1);\n")
         with pytest.raises(SnapshotError):
-            AFContainer.load(path)
+            decoded(path)
         path.write_text("afcontainer v1 rspr 2\n(r,1,2);\n(r,1,2);\n")
         with pytest.raises(SnapshotError):
-            AFContainer.load(path)
+            decoded(path)
         path.write_text("afcontainer v1 rspr 1\n(1,2,(3,4));\n")
         with pytest.raises(SnapshotError):
-            AFContainer.load(path)
+            decoded(path)
 
 
     @pytest.mark.parametrize(

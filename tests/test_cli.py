@@ -429,6 +429,22 @@ class TestTaxa:
                    "--out", str(tmp_path / "g.tsv")) == 2
         assert capsys.readouterr().err == f"error: {inp}:1: {message}\n"
 
+    # refused before anything is read: not stdin, and not the --append
+    # snapshot, which here does not exist
+    @pytest.mark.parametrize(
+        "argv",
+        [["build", "--out", "g.tsv"], ["build", "--out", "g.tsv", "--append", "none.snap"],
+         ["verify"]],
+        ids=["build", "build-append", "verify"],
+    )
+    def test_taxa_and_input_cannot_both_be_stdin(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        stdin = io.StringIO("a 1\nb 2\nc 3\nd 4\n((a,b),(c,d));\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(*argv, "-", "--mode", "spr", "--rooted", "--taxa", "-") == 2
+        assert capsys.readouterr() == ("", "error: --taxa - and the input - both read stdin\n")
+        assert stdin.tell() == 0 and list(tmp_path.iterdir()) == []
+
     def test_untranslated_name_fails_parse(self, tmp_path):
         inp = write(tmp_path, "t.nwk", "(ape,bee,(cat,dog));\n")
         taxa = write(tmp_path, "m.tsv", "ape\t1\nbee\t2\ncat\t3\n")
@@ -848,6 +864,26 @@ class TestBench:
             "n=32 m=2 total=1.500s",
             f"exponent={slope:.3f}",
         ]
+
+    def test_each_build_follows_a_full_collection(self, monkeypatch):
+        # so a collection that the caller's allocations made due cannot
+        # fall on the same size's build in every round
+        events = []
+        collect = checks.gc.collect
+        construct = checks._construct
+
+        def collecting(*args):
+            events.append("collect")
+            return collect(*args)
+
+        def building(mode, trees):
+            events.append(f"build {len(trees[0].leaf_labels())}")
+            return construct(mode, trees)
+
+        monkeypatch.setattr(checks.gc, "collect", collecting)
+        monkeypatch.setattr(checks, "_construct", building)
+        assert run("bench", "--mode", "spr", "--rooted", "--m", "3", "--sizes", "8,9") == 0
+        assert events == ["collect", "build 8", "collect", "build 9"] * 3
 
 
 EXIT_CODES = {

@@ -332,8 +332,8 @@ class TestTreeStringFromKeyTable:
         expected = sdlnewick_tree(t)
         assert Oriented(t).canonical() == expected, t.labels
         c = AFContainer(move)
-        assert c.sdlnewick_of(c.insert(t)) == expected
-        assert c.id(t) == 0
+        assert c.insert(t) == (0, {})
+        assert c.sdlnewick_of(0) == expected
 
     @pytest.mark.parametrize("move, rooted", [(move, rooted) for move, _, rooted in MOVES])
     def test_small_trees(self, move, rooted):

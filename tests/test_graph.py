@@ -3,7 +3,6 @@ import weakref
 
 import pytest
 
-from treescape.afcontainer import AFContainer, Mode
 from treescape.canonical import sdlnewick_tree
 from treescape.errors import GraphInvariantError, LabelSetError, ModeError, MoveError
 from treescape.graph import (
@@ -19,6 +18,7 @@ from treescape.oracle import (
     nni_moves,
     parents,
     random_tree,
+    reference_forest_keys,
     to_newick,
 )
 from treescape.oracle import edges as tree_edges
@@ -254,38 +254,41 @@ def one_move(tree, rng, *, bisect=False):
             continue
 
 
-def two_pass_graph(trees, mode):
-    """Insert every tree, then query each distinct one: the construction
-    the single-pass builders replace."""
-    container = AFContainer(mode)
-    reps = []
+def reference_key_graph(trees, move):
+    """The pairs of distinct trees that share any oracle.reference_forest_keys
+    key, over the distinct trees in first-appearance order: the graph the
+    single-pass builders must give, at any n."""
+    canonical = []
+    keys = []
     for tree in trees:
-        if container.insert(tree) == len(reps):
-            reps.append(tree)
-    query = container.tbr_neighbors if mode is Mode.TBR else container.spr_neighbors
+        text = sdlnewick_tree(tree)
+        if text not in canonical:
+            canonical.append(text)
+            keys.append(set(reference_forest_keys(tree, move)))
     graph = AdjacencyGraph()
-    for i, tree in enumerate(reps):
-        graph.add_vertex(sorted({j for j in query(tree) if j < i}))
-    return graph, [container.sdlnewick_of(v) for v in range(len(reps))]
+    for i, own in enumerate(keys):
+        graph.add_vertex([j for j in range(i) if keys[j] & own])
+    return graph, canonical
 
 
 @pytest.mark.parametrize(
-    "mode,build",
-    [(Mode.RSPR, construct_spr_graph), (Mode.USPR, construct_spr_graph), (Mode.TBR, construct_tbr_graph)],
+    "move,build",
+    [("rspr", construct_spr_graph), ("uspr", construct_spr_graph), ("tbr", construct_tbr_graph)],
 )
-def test_single_pass_matches_two_pass(mode, build):
+def test_builders_match_reference_keys(move, build):
     rng = random.Random(83)
+    rooted = move == "rspr"
     for n in (9, 24, 64):
-        trees = [random_tree(n, rooted=mode.rooted, rng=rng) for _ in range(4)]
+        trees = [random_tree(n, rooted=rooted, rng=rng) for _ in range(4)]
         for k in range(9):
             source = rng.choice(trees)
             if k % 3 == 0:
-                trees.append(parse_newick(to_newick(source), rooted=mode.rooted))
+                trees.append(parse_newick(to_newick(source), rooted=rooted))
             else:
-                trees.append(one_move(source, rng, bisect=k % 3 == 1 and mode is Mode.TBR))
+                trees.append(one_move(source, rng, bisect=k % 3 == 1 and move == "tbr"))
         rng.shuffle(trees)
         graph, labeling = build(trees)
-        want, canonical = two_pass_graph(trees, mode)
+        want, canonical = reference_key_graph(trees, move)
         assert labeling.canonical == canonical
         assert graph == want
         assert graph.edge_count > 0 and labeling.duplicates()

@@ -5,8 +5,8 @@ tree on n leaves has n - 3 of them unrooted and n - 2 rooted (the root
 marker counts as a leaf), two distinct trees share at most one, and they
 share one exactly when they are one interchange apart. The graph built on
 these keys must equal the count rule it replaced, the pairs that share two
-or more prune-regraft forests (AFContainer.nni_neighbors), and the pairwise
-oracle, on whole tree spaces in any order.
+or more prune-regraft forests by the counts AFContainer.insert returns, and
+the pairwise oracle, on whole tree spaces in any order.
 """
 
 import random
@@ -56,16 +56,14 @@ def internal_edges(tree):
 
 
 def count_rule_graph(trees):
-    """The interchange graph by the count rule: every tree inserted into a
-    prune-regraft container first, then the earlier ids that share two or
-    more forests with each tree. Returns (edges, canonical strings)."""
+    """The interchange graph by the count rule: each tree inserted into a
+    prune-regraft container, and the earlier ids that share two or more
+    forests with it. Returns (edges, canonical strings)."""
     container = AFContainer(Mode.RSPR if trees[0].rooted else Mode.USPR)
-    for t in trees:
-        container.insert(t)
     edges = set()
     for t in trees:
-        i = container.id(t)
-        edges.update((j, i) for j in container.nni_neighbors(t) if j < i)
+        i, shared = container.insert(t)
+        edges.update((j, i) for j, k in shared.items() if k >= 2)
     return edges, [container.sdlnewick_of(v) for v in range(len(container))]
 
 
@@ -149,8 +147,6 @@ class TestKeys:
         assert len(c) == 1 and c._forest_trie == index
         with pytest.raises(ModeError):
             AFContainer(Mode.TBR, nni=True)
-        with pytest.raises(ModeError):
-            c.spr_neighbors(parse_newick("(1,2,(3,(4,5)));", rooted=False))
 
 
 @pytest.mark.parametrize("shuffled", [False, True], ids=["enumerated", "shuffled"])
@@ -170,15 +166,17 @@ def test_graph_of_a_whole_space_matches_count_rule_and_oracle(rooted, n, shuffle
     assert graph.edge_count == len(trees) * (n - 2 if rooted else n - 3)
 
 
-def test_nni_container_answers_interchange_queries():
-    rng = random.Random(5)
+def test_nni_container_counts_each_interchange_neighbour_once():
     trees = enumerate_all_trees(6, rooted=False)
+    random.Random(5).shuffle(trees)
     keyed = AFContainer(Mode.USPR, nni=True)
     forests = AFContainer(Mode.USPR)
+    found = 0
     for t in trees:
-        keyed.insert(t)
-        forests.insert(t)
-    for t in rng.sample(trees, 20):
-        got = keyed.nni_neighbors(t)
-        assert len(got) == len(set(got)) == 6
-        assert set(got) == set(forests.nni_neighbors(t))
+        _, got = keyed.insert(t)
+        _, shared = forests.insert(t)
+        assert set(got.values()) <= {1}
+        assert set(got) == {j for j, k in shared.items() if k >= 2}
+        found += len(got)
+    # every tree has 6 interchange neighbours, each found by the later one
+    assert found == len(trees) * 6 // 2

@@ -21,6 +21,9 @@ MODULES = {"cli": cli, "afcontainer": afcontainer, "forestgen": forestgen, "grap
 # names the benchmark still lists but no build calls any more
 STALE = {
     "cli.decode_tree",
+    "afcontainer.AFContainer.spr_neighbors",
+    "afcontainer.AFContainer.tbr_neighbors",
+    "afcontainer.AFContainer.nni_neighbors",
     "afcontainer.sdlnewick_tree",
     "afcontainer.nni_moves",
     "forestgen.yield_forest",
