@@ -40,26 +40,21 @@ def _warn(message):
 
 def _read_lines(path):
     """Yield (lineno, line), stripped, for each line of a UTF-8 text file, or
-    of stdin for -, that is not blank or a # comment, one at a time. Lines
-    end at LF, CR LF or CR, and every line is counted."""
+    of the file stdin stands for if path is -, that is not blank or a #
+    comment. Lines end at LF, CR LF or CR, and every line is counted."""
     if path == "-" and sys.stdin is None:
         raise NewickError("-: stdin is closed")
-    source = contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
-    lineno = 0
     try:
-        with source as fh:
-            for raw in fh:
-                if path == "-":
-                    raw.encode()  # stdin may decode bytes that are not UTF-8 to surrogates
-                # a file is read with universal newlines; stdin may still
-                # hold \r, so split there too
-                for line in raw.removesuffix("\n").removesuffix("\r").split("\r"):
-                    lineno += 1
-                    line = line.strip()
-                    if line and not line.startswith("#"):
-                        yield lineno, line
-    except (UnicodeDecodeError, UnicodeEncodeError):
+        source = sys.stdin.fileno() if path == "-" else path
+        with open(source, encoding="utf-8", closefd=path != "-") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except UnicodeDecodeError:
         raise NewickError(f"{path}: not UTF-8 text") from None
+    except ValueError:  # fileno() of a closed stdin, or of one no file backs
+        raise NewickError("-: stdin is not an open file") from None
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
 
@@ -146,8 +141,12 @@ def _construct_numbered(args, numbered):
 
 
 def _refuse_path_clash(args):
-    """Raise TreescapeError if two of a build's paths name one file that the
-    build writes. --snapshot may name the --append snapshot: that updates it."""
+    """Raise TreescapeError if --out, --snapshot or --append is -, or if two
+    of a build's paths name one file that the build writes. --snapshot may
+    name the --append snapshot: that updates it."""
+    for name in "out", "snapshot", "append":
+        if getattr(args, name) == "-":
+            raise TreescapeError(f"--{name} -: only the input and --taxa take - for stdin")
     written = [
         ("--out", args.out),
         ("the vertex file", _vertices_path(args.out)),

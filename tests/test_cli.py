@@ -80,10 +80,25 @@ class TestBuild:
         assert out.read_text() == "# treescape spr m=0\n"
 
     def test_stdin(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(TRIANGLE))
         out = tmp_path / "g.tsv"
-        assert run("build", "-", "--mode", "spr", "--rooted", "--out", str(out)) == 0
+        with open(write(tmp_path, "t.nwk", TRIANGLE)) as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert run("build", "-", "--mode", "spr", "--rooted", "--out", str(out)) == 0
         assert "m=3" in out.read_text()
+
+    # - is read through stdin's file descriptor, which a replaced or closed
+    # sys.stdin does not give
+    @pytest.mark.parametrize("closed", [False, True], ids=["no-file", "closed"])
+    def test_stdin_without_an_open_file(self, tmp_path, monkeypatch, capsys, closed):
+        stdin = io.StringIO(TRIANGLE)
+        if closed:
+            with open(write(tmp_path, "t.nwk", TRIANGLE)) as stdin:
+                pass
+        monkeypatch.setattr("sys.stdin", stdin)
+        out = tmp_path / "g.tsv"
+        assert run("build", "-", "--mode", "spr", "--rooted", "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", "error: -: stdin is not an open file\n")
+        assert not out.exists()
 
     def test_double_dash_ends_the_options(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -310,6 +325,29 @@ class TestPathClashes:
         assert capsys.readouterr().err == f"error: {message.format(**paths)} are the same file\n"
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    # - stands for stdin only as the input and --taxa; nothing is read, and
+    # no file named - is written
+    @pytest.mark.parametrize(
+        "options",
+        [["--out", "-"], ["--out", "{x}", "--snapshot", "-"], ["--out", "{x}", "--append", "-"]],
+        ids=["out", "snapshot", "append"],
+    )
+    def test_dash_is_refused_as_a_file_option(self, tmp_path, monkeypatch, capsys, options):
+        paths = self.make_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        stdin = io.StringIO(TRIANGLE)
+        monkeypatch.setattr("sys.stdin", stdin)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        argv = [o.format(**paths) for o in options]
+        assert run("build", paths["input"], "--mode", "spr", "--rooted",
+                   "--taxa", paths["taxa"], *argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {options[-2]} -: only the input and --taxa take - for stdin\n"
+        )
+        assert stdin.tell() == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_a_link_to_the_output_is_refused(self, tmp_path, capsys):
         paths = self.make_files(tmp_path)
         link = tmp_path / "link.tsv"
@@ -355,15 +393,15 @@ class TestLineEnds:
     @pytest.mark.parametrize("stdin", [False, True])
     def test_crlf_and_cr_end_lines(self, tmp_path, monkeypatch, capsys, end, stdin):
         text = f"# header{end}{end}" + TRIANGLE.replace("\n", end) + f"(((5,4),1),(3,2));{end}"
-        if stdin:
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
-            inp = "-"
-        else:
-            inp = str(tmp_path / "t.nwk")
-            with open(inp, "w", newline="") as fh:
-                fh.write(text)
+        inp = str(tmp_path / "t.nwk")
+        with open(inp, "w", newline="") as fh:
+            fh.write(text)
         out = tmp_path / "g.tsv"
-        assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(out)) == 0
+        with open(inp) as fh:
+            if stdin:
+                monkeypatch.setattr("sys.stdin", fh)
+                inp = "-"
+            assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(out)) == 0
         assert capsys.readouterr().err == f"warning: {inp}:6: duplicate of line 3\n"
         sidecar = (tmp_path / "g.vertices.tsv").read_text().splitlines()
         assert [row.split("\t")[1] for row in sidecar[1:]] == ["3", "4", "5"]

@@ -177,9 +177,10 @@ class TestAccepted:
         assert "n=8 m=2 total=" in capsys.readouterr().out
 
     def test_dash_reads_stdin(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(TREES))
         out = tmp_path / "g.tsv"
-        assert cli.main(["build", "-", "--mode", "spr", "--rooted", f"--out={out}"]) == 0
+        with open(write(tmp_path, "t.nwk", TREES)) as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert cli.main(["build", "-", "--mode", "spr", "--rooted", f"--out={out}"]) == 0
         assert out.read_text() == "# treescape spr m=3\n0\t1\n0\t2\n1\t2\n"
 
     @pytest.mark.parametrize("argv", [["--m", "-1"], ["--m=-1"]])

@@ -126,6 +126,22 @@ def test_stdin_that_is_not_utf8_ends_as_a_file_does(workdir):
         assert (proc.returncode, proc.stderr) == (2, f"error: {path}: not UTF-8 text\n")
 
 
+def test_stdin_is_utf8_whatever_its_stream_encoding(workdir):
+    (workdir / "names.nwk").write_text("(((é,b),c),d);\n(((é,c),b),d);\n", encoding="utf-8")
+    (workdir / "T").write_text("é 1\nb 2\nc 3\nd 4\n", encoding="utf-8")
+    env = child_env(PYTHONIOENCODING="latin-1")
+    outputs = {}
+    for path in ("-", "names.nwk"):
+        with open(workdir / "names.nwk", "rb") as fh:
+            proc = treescape(workdir, "build", path, "--mode", "spr", "--rooted", "--taxa", "T",
+                             "--out", "g.tsv", env=env, stdin=fh, errors="backslashreplace")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "built spr graph: m=2 edges=1\n", ""
+        )
+        outputs[path] = [(workdir / name).read_bytes() for name in ("g.tsv", "g.vertices.tsv")]
+    assert outputs["-"] == outputs["names.nwk"]
+
+
 def test_closed_stdout(workdir):
     proc = treescape(workdir, *BUILD, stdout=None, preexec_fn=lambda: os.close(1))
     assert proc.returncode == 0
