@@ -253,14 +253,10 @@ COMMANDS = {
 }
 
 
-def _is_flag(arg):
-    # - names stdin, and a negative number is a value, as in --m -1
-    return arg.startswith("-") and arg != "-" and not arg[1:].isdecimal()
-
-
 def _read_spelled(argv):
-    """The namespace of argv if it is a command with every flag spelled in
-    full and no usage error, else None."""
+    """The namespace of argv if it is a command, every argument that starts
+    with - is - or a flag spelled in full (--x or --x=v), and there is no
+    usage error, else None. --, -5 and prefixes are left to argparse."""
     if not argv or argv[0] not in COMMANDS:
         return None
     _, run, reads_input, options = COMMANDS[argv[0]]
@@ -272,10 +268,7 @@ def _read_spelled(argv):
     inputs = []
     rest = iter(argv[1:])
     for arg in rest:
-        if arg == "--":
-            inputs += rest
-            break
-        if not _is_flag(arg):
+        if not arg.startswith("-") or arg == "-":
             inputs.append(arg)
             continue
         flag, has_text, text = arg.partition("=")
@@ -288,7 +281,7 @@ def _read_spelled(argv):
         else:
             if not has_text:
                 text = next(rest, None)
-                if text is None or _is_flag(text):
+                if text is None or text.startswith("-") and text != "-":
                     return None
             if value is int:
                 try:
@@ -310,12 +303,12 @@ def _read_spelled(argv):
 
 def parse_args(argv):
     """The namespace of argv under COMMANDS: command, run (its handler),
-    input if it reads one, and one attribute per option dest. An option is
-    given as --x v or --x=v; the last of a repeated option wins, and --
-    ends the options. Any other argv, such as a prefix of a flag, -h or a
-    usage error, goes to the argparse parser that the usage module builds
-    from COMMANDS: it prints help and exits 0, or prints a usage error and
-    exits 2."""
+    input if it reads one, and one attribute per option dest. An argv whose
+    arguments that start with - are - or flags spelled in full (--x v,
+    --x=v; the last repeat wins) is read here. Any other, such as one with
+    --, a negative number, a prefix of a flag, -h or a usage error, goes to
+    the argparse parser that the usage module builds from COMMANDS, which
+    reads it, or prints help and exits 0, or a usage error and exits 2."""
     args = _read_spelled(argv)
     if args is None:
         from .usage import parser

@@ -208,6 +208,53 @@ class TestAccepted:
         assert captured.err == ""
 
 
+class TestDoubleDash:
+    """-- and arguments led by - mean what argparse makes of them, whether
+    the flags are spelled in full or abbreviated."""
+
+    @pytest.mark.parametrize("out", ["--out", "--ou"])
+    def test_a_trailing_double_dash_is_a_usage_error(self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "t.nwk", TREES)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["build", "t.nwk", "--mode", "spr", "--rooted", out, "g.tsv", "--"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "treescape: error: unrecognized arguments: --"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.nwk"]
+
+    @pytest.mark.parametrize("name", ["t.nwk", "-t.nwk"])
+    def test_double_dash_ends_the_options(self, tmp_path, monkeypatch, name):
+        written = []
+        for out in "--out", "--ou":
+            d = tmp_path / out
+            d.mkdir()
+            write(d, name, TREES)
+            monkeypatch.chdir(d)
+            assert cli.main(["build", "--mode", "spr", "--rooted", out, "g.tsv", "--", name]) == 0
+            written.append(outputs(d))
+        assert written[0] == written[1]
+        assert written[0]["g.tsv"] == b"# treescape spr m=3\n0\t1\n0\t2\n1\t2\n"
+        assert written[0]["g.vertices.tsv"].startswith(b"# vertex\tline\tcanonical\n0\t1\t")
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g.tsv", "--"],
+        ["build", "--mode", "spr", "--rooted", "--out", "g.tsv", "--", "t.nwk"],
+        ["build", "-5", "--mode", "spr", "--rooted", "--out", "g.tsv"],
+        ["bench", "--mode", "spr", "--rooted", "--m", "-1"],
+        ["bench", "--mode", "spr", "--rooted", "--seed", "-5"],
+    ])
+    def test_the_spelled_reader_leaves_dash_led_arguments_to_argparse(self, argv):
+        assert cli._read_spelled(argv) is None
+
+    def test_dash_and_values_after_equals_stay_on_the_spelled_reader(self):
+        build = ["build", "t.nwk", "--mode", "spr", "--rooted"]
+        assert cli._read_spelled(build + ["--taxa", "-", "--out", "-"]).taxa == "-"
+        assert cli._read_spelled(["build", "-", *build[2:], "--out", "g"]).input == "-"
+        assert cli._read_spelled(["bench", "--mode", "spr", "--rooted", "--m=-1"]).m == -1
+
+
 ERROR_LINE = re.compile(r"treescape(?: (?:build|verify|bench))?: error: (.+)")
 
 
@@ -286,10 +333,7 @@ def test_spelled_reader_agrees_with_argparse():
     read = 0
     for argv in differential_corpus():
         args = cli._read_spelled(argv)
-        # the reader takes a bare -- at the end as the end of the options,
-        # as README says; under subparsers Python 3.11's argparse leaves it
-        # unconsumed and refuses it as an unrecognized argument
-        if args is None or argv[-1] == "--":
+        if args is None:
             continue
         read += 1
         with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
