@@ -26,11 +26,13 @@ is shared by each pair of trees one interchange apart and by no others.
 A snapshot stores one canonical tree string per line. It is read back
 with the input parser, tree.parse_newick, and each line must equal the
 Oriented re-encoding of its tree, so reading one needs no second parser
-or encoder. Each line is decoded only when its tree is inserted.
+or encoder. The file is read in one pass, and each line is read, checked
+and decoded only when its tree is inserted.
 """
 
 import contextlib
 import enum
+import itertools
 import os
 from collections import Counter
 from functools import partial
@@ -96,65 +98,62 @@ def write_snapshot(fh, mode, canonical_lines):
         fh.write(text.decode("ascii") + "\n")
 
 
-def read_snapshot(path):
-    """Read a snapshot header and its raw canonical lines: (Mode, [bytes]).
-    Errors name the file, and the line where there is one."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().rstrip("\n").split(" ")
-            if len(header) != 4 or header[0] != _SNAPSHOT_MAGIC:
-                raise SnapshotError(f"{path}:1: not a container snapshot")
-            if header[1] != _SNAPSHOT_VERSION:
-                raise SnapshotError(f"{path}:1: unsupported snapshot version {header[1]!r}")
-            try:
-                mode = Mode(header[2])
-            except ValueError:
-                raise SnapshotError(f"{path}:1: unknown snapshot mode {header[2]!r}") from None
-            # digits as written: int() would also take "+1" and "1_0", and
-            # isdigit() takes only 0-9 here because the file decodes as ASCII
-            if not header[3].isdigit():
-                raise SnapshotError(f"{path}:1: bad tree count {header[3]!r}")
-            count = int(header[3])
-            lines = []
-            for lineno, line in enumerate(fh, start=2):
-                text = line.rstrip("\n")
-                if not text:
-                    raise SnapshotError(f"{path}:{lineno}: blank line in snapshot")
-                lines.append(text.encode("ascii"))
-    except UnicodeDecodeError:
-        raise SnapshotError(f"{path}: snapshot is not ASCII text") from None
-    if len(lines) != count:
-        raise SnapshotError(f"{path}: snapshot header promises {count} trees, found {len(lines)}")
-    return mode, lines
-
-
-def decode_snapshot(path, mode, lines):
-    """Lazily yield the Oriented tree of each line read_snapshot(path)
-    returned, checking, when its tree is taken, that the line fits the
-    snapshot's mode, is canonical and repeats no earlier line. Errors name
-    the file and the line.
+def read_snapshot(path, move, rooted):
+    """Lazily yield the Oriented tree of each line of the snapshot at path,
+    for a build of move over trees of this rootedness. The file is read
+    once, in order: the header when the first tree is taken, each line when
+    its tree is, and the tree count after the last line, so the first
+    faulty line decides the error, which names the file and any line.
 
     A line is read with the input parser, after dropping the ``r,`` that
     opens a rooted line, and must equal its tree's canonical string byte
-    for byte. A one-leaf line such as ``1;`` is rejected: parse_newick
-    refuses it, and a build never writes it.
+    for byte and repeat no earlier line. A one-leaf line such as ``1;`` is
+    rejected: parse_newick refuses it, and a build never writes it.
     """
     seen = set()
-    for lineno, text in enumerate(lines, start=2):
-        rooted = text.startswith(b"(r,")
-        if rooted != mode.rooted:
-            kind = "rooted" if rooted else "unrooted"
-            raise SnapshotError(f"{path}:{lineno}: {kind} tree in a {mode.value} snapshot")
-        try:
-            tree = Oriented(parse_newick(b"(" + text[3:] if rooted else text, rooted=rooted))
-        except NewickError:
-            tree = None
-        if tree is None or tree.canonical() != text:
-            raise SnapshotError(f"{path}:{lineno}: not a canonical {mode.value} tree")
-        if text in seen:
-            raise SnapshotError(f"{path}:{lineno}: duplicate tree in snapshot")
-        seen.add(text)
-        yield tree
+    # a byte that is not ASCII decodes to a surrogate, refused on its line
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        # line 1 is the header, which an empty file also has
+        for lineno, line in enumerate(itertools.chain([fh.readline()], fh), start=1):
+            text = line.rstrip("\n")
+            if not text.isascii():
+                raise SnapshotError(f"{path}: snapshot is not ASCII text")
+            if lineno == 1:
+                header = text.split(" ")
+                if len(header) != 4 or header[0] != _SNAPSHOT_MAGIC:
+                    raise SnapshotError(f"{path}:1: not a container snapshot")
+                if header[1] != _SNAPSHOT_VERSION:
+                    raise SnapshotError(f"{path}:1: unsupported snapshot version {header[1]!r}")
+                try:
+                    mode = Mode(header[2])
+                except ValueError:
+                    raise SnapshotError(f"{path}:1: unknown snapshot mode {header[2]!r}") from None
+                # digits as written: int() would also take "+1" and "1_0", and
+                # isdigit() takes only 0-9 here because the line is ASCII
+                if not header[3].isdigit():
+                    raise SnapshotError(f"{path}:1: bad tree count {header[3]!r}")
+                if mode is not Mode.of(move, rooted):
+                    kind = "rooted" if rooted else "unrooted"
+                    raise ModeError(f"{path}:1: snapshot mode {mode.value} does not fit {kind} {move}")
+                count = int(header[3])
+                continue
+            if not text:
+                raise SnapshotError(f"{path}:{lineno}: blank line in snapshot")
+            if text.startswith("(r,") != rooted:
+                kind = "unrooted" if rooted else "rooted"
+                raise SnapshotError(f"{path}:{lineno}: {kind} tree in a {mode.value} snapshot")
+            try:
+                tree = Oriented(parse_newick("(" + text[3:] if rooted else text, rooted=rooted))
+            except NewickError:
+                tree = None
+            if tree is None or f"{tree.text};" != text:
+                raise SnapshotError(f"{path}:{lineno}: not a canonical {mode.value} tree")
+            if text in seen:
+                raise SnapshotError(f"{path}:{lineno}: duplicate tree in snapshot")
+            seen.add(text)
+            yield tree
+    if lineno - 1 != count:
+        raise SnapshotError(f"{path}: snapshot header promises {count} trees, found {lineno - 1}")
 
 
 class AFContainer:
@@ -168,7 +167,6 @@ class AFContainer:
 
     def __init__(self, mode, nni=False):
         self.mode = Mode(mode)
-        self.nni = nni
         if nni and self.mode is Mode.TBR:
             raise ModeError("interchange keys need an rspr or uspr container")
         # the key generator, read from this module now rather than at

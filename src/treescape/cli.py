@@ -24,12 +24,11 @@ import types
 
 from .afcontainer import (
     Mode,
-    decode_snapshot,
     read_snapshot,
     replace_atomically,
     write_snapshot,
 )
-from .errors import LabelSetError, ModeError, NewickError, TreescapeError, fail
+from .errors import LabelSetError, NewickError, TreescapeError, fail
 from .graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
 from .tree import parse_newick
 
@@ -46,7 +45,7 @@ def _read_lines(path):
         raise NewickError("-: stdin is closed")
     try:
         source = sys.stdin.fileno() if path == "-" else path
-        with open(source, encoding="utf-8", closefd=path != "-") as fh:
+        with open(source, encoding="utf-8-sig", closefd=path != "-") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if line and not line.startswith("#"):
@@ -167,13 +166,7 @@ def _cmd_build(args):
     _refuse_path_clash(args)
     numbered = _read_trees(args)
     if args.append:
-        snap_mode, lines = read_snapshot(args.append)
-        if snap_mode is not args.container_mode:
-            raise ModeError(
-                f"{args.append}:1: snapshot mode {snap_mode.value} does not fit "
-                f"{'rooted' if args.rooted else 'unrooted'} {args.mode}"
-            )
-        snapshot = ((0, tree) for tree in decode_snapshot(args.append, snap_mode, lines))
+        snapshot = ((0, tree) for tree in read_snapshot(args.append, args.mode, args.rooted))
         numbered = itertools.chain(snapshot, numbered)
     graph, labeling, linenos = _construct_numbered(args, numbered)
     if not any(linenos):

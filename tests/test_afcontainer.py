@@ -11,7 +11,6 @@ from treescape import afcontainer, forestgen
 from treescape.afcontainer import (
     AFContainer,
     Mode,
-    decode_snapshot,
     read_snapshot,
     replace_atomically,
     write_snapshot,
@@ -204,9 +203,21 @@ class TestNeighborsFoundByInsert:
         assert max(counts) >= 2
 
 
-def decoded(path):
-    """The trees of the snapshot at path, as an --append build takes them."""
-    return list(decode_snapshot(path, *read_snapshot(path)))
+# the move and rootedness of a build that reads each snapshot mode
+BUILD_OF = {Mode.RSPR: ("spr", True), Mode.USPR: ("spr", False), Mode.TBR: ("tbr", False)}
+
+
+def decoded(path, mode=Mode.RSPR):
+    """The trees of the snapshot at path, as an --append build of mode takes
+    them."""
+    return list(read_snapshot(path, *BUILD_OF[mode]))
+
+
+def snapshot_file(path, mode, lines):
+    """path, written as a snapshot of mode holding these lines."""
+    with open(path, "w", encoding="ascii") as fh:
+        write_snapshot(fh, mode, lines)
+    return path
 
 
 class TestSnapshot:
@@ -217,10 +228,9 @@ class TestSnapshot:
         path = tmp_path / "c.snap"
         with replace_atomically(path) as fh:
             write_snapshot(fh, c.mode, [c.sdlnewick_of(i) for i in range(len(c))])
-        mode, lines = read_snapshot(path)
-        assert mode is Mode.RSPR
-        back = AFContainer(mode)
-        found = [back.insert(t) for t in decode_snapshot(path, mode, lines)]
+        assert path.read_text().splitlines()[0] == "afcontainer v1 rspr 3"
+        back = AFContainer(Mode.RSPR)
+        found = [back.insert(t) for t in read_snapshot(path, "spr", True)]
         assert found == [(0, {}), (1, {0: 1}), (2, {0: 1, 1: 3})]
         assert [back.sdlnewick_of(i) for i in range(3)] == [c.sdlnewick_of(i) for i in range(3)]
 
@@ -239,18 +249,18 @@ class TestSnapshot:
         with replace_atomically(path) as fh:
             write_snapshot(fh, mode, [first.sdlnewick_of(i) for i in range(len(first))])
         back = AFContainer(mode)
-        for t in decoded(path):
+        for t in decoded(path, mode):
             back.insert(t)
         assert [back.insert(t) for t in trees[20:]] == want[20:]
         assert any(shared for _, shared in want[20:])
 
     def test_helpers_roundtrip(self, tmp_path):
         path = tmp_path / "x.snap"
-        lines = [b"(1,2,(3,4));", b"((1,3),2,4);"]
+        lines = [b"(1,2,(3,4));", b"(1,(2,4),3);"]
         with replace_atomically(path) as fh:
             write_snapshot(fh, "uspr", lines)
-        mode, back = read_snapshot(path)
-        assert mode is Mode.USPR and back == lines
+        assert path.read_text().splitlines()[0] == "afcontainer v1 uspr 2"
+        assert [t.canonical() for t in read_snapshot(path, "spr", False)] == lines
 
     @pytest.mark.parametrize(
         "content",
@@ -306,21 +316,28 @@ class TestSnapshot:
             (Mode.RSPR, b"(1,2,(3,4));", "unrooted tree in a rspr snapshot"),
         ],
     )
-    def test_decode_messages(self, mode, line, message):
+    def test_decode_messages(self, tmp_path, monkeypatch, mode, line, message):
+        monkeypatch.chdir(tmp_path)
+        snapshot_file(tmp_path / "c.snap", mode, [line])
         with pytest.raises(SnapshotError) as err:
-            list(decode_snapshot("c.snap", mode, [line]))
+            decoded("c.snap", mode)
         assert str(err.value) == f"c.snap:2: {message}"
 
-    def test_one_leaf_line_is_refused(self):
+    def test_one_leaf_line_is_refused(self, tmp_path, monkeypatch):
         # the reference decoder reads "1;" as a lone leaf, but the input
         # parser refuses a single leaf and a build never writes one
         assert decode_tree(b"1;").n_leaves == 1
+        monkeypatch.chdir(tmp_path)
+        snapshot_file(tmp_path / "c.snap", Mode.USPR, [b"1;"])
         with pytest.raises(SnapshotError, match=r"^c\.snap:2: not a canonical uspr tree$"):
-            list(decode_snapshot("c.snap", Mode.USPR, [b"1;"]))
+            decoded("c.snap", Mode.USPR)
 
-    def test_decoding_is_lazy(self):
+    def test_decoding_is_lazy(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         lines = [b"(r,(1,2),(3,4));", b"(r,(1,3),(2,4));", b"(r,(2,1),(3,4));"]
-        trees = decode_snapshot("c.snap", Mode.RSPR, lines)
+        # the file is opened when the first tree is taken
+        trees = read_snapshot("c.snap", "spr", True)
+        snapshot_file(tmp_path / "c.snap", Mode.RSPR, lines)
         assert next(trees).canonical() == lines[0]
         assert next(trees).canonical() == lines[1]
         with pytest.raises(SnapshotError, match=r"^c\.snap:4: not a canonical rspr tree$"):
@@ -397,7 +414,7 @@ def reference_decode(mode, line):
 
 @pytest.mark.parametrize("shape", ["random", "caterpillar", "balanced"])
 @pytest.mark.parametrize("rooted", [True, False])
-def test_snapshot_decoder_agrees_with_reference(shape, rooted):
+def test_snapshot_decoder_agrees_with_reference(tmp_path, shape, rooted):
     rng = random.Random(f"{shape}{rooted}")
     verdicts = Counter()
     for n in [*range(2, 13), 64]:
@@ -409,7 +426,7 @@ def test_snapshot_decoder_agrees_with_reference(shape, rooted):
                 for mode in (Mode.RSPR, Mode.USPR, Mode.TBR):
                     want = reference_decode(mode, text)
                     try:
-                        [got] = decode_snapshot("c.snap", mode, [text])
+                        [got] = decoded(snapshot_file(tmp_path / "c.snap", mode, [text]), mode)
                     except SnapshotError:
                         got = None
                     assert (got is None) == (want is None), (mode, text)

@@ -13,7 +13,7 @@ import pytest
 
 import treescape
 from treescape import afcontainer, checks, cli, errors, forestgen, oracle
-from treescape.afcontainer import Mode, read_snapshot
+from treescape.afcontainer import read_snapshot
 from treescape.graph import AdjacencyGraph
 
 TRIANGLE = "(((4,5),1),(2,3));\n((((4,5),2),3),1);\n(1,(2,((4,5),3)));\n"
@@ -78,6 +78,26 @@ class TestBuild:
         assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(out)) == 0
         assert "no trees" in capsys.readouterr().err
         assert out.read_text() == "# treescape spr m=0\n"
+
+    # a UTF-8 byte-order mark opens the file, and is not part of its first line
+    @pytest.mark.parametrize("marked", ["input", "taxa", "stdin"])
+    def test_byte_order_mark(self, tmp_path, monkeypatch, marked):
+        outputs = []
+        for bom in ("", "\ufeff"):
+            d = tmp_path / f"bom{len(bom)}"
+            d.mkdir()
+            inp = d / "t.nwk"
+            inp.write_text(("" if marked == "taxa" else bom) + "((a,b),(c,d));\n((a,c),(b,d));\n",
+                           encoding="utf-8")
+            taxa = d / "m.tsv"
+            taxa.write_text((bom if marked == "taxa" else "") + "a 1\nb 2\nc 3\nd 4\n",
+                            encoding="utf-8")
+            with open(inp, encoding="utf-8") as stdin:
+                monkeypatch.setattr("sys.stdin", stdin)
+                assert run("build", "-" if marked == "stdin" else str(inp), "--mode", "spr",
+                           "--rooted", "--taxa", str(taxa), "--out", str(d / "g.tsv")) == 0
+            outputs.append([(d / name).read_bytes() for name in ("g.tsv", "g.vertices.tsv")])
+        assert outputs[0] == outputs[1]
 
     def test_stdin(self, tmp_path, monkeypatch):
         out = tmp_path / "g.tsv"
@@ -497,8 +517,8 @@ class TestSnapshotFlow:
         out1 = tmp_path / "g1.tsv"
         assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(out1),
                    "--snapshot", str(snap)) == 0
-        mode, lines = read_snapshot(snap)
-        assert mode is Mode.RSPR and len(lines) == 3
+        assert snap.read_text().split(" ")[2] == "rspr"
+        assert len(list(read_snapshot(snap, "spr", True))) == 3
 
         more = write(tmp_path, "more.nwk", "((1,2),((4,5),3));\n")
         out2 = tmp_path / "g2.tsv"
@@ -509,8 +529,7 @@ class TestSnapshotFlow:
         sidecar = (tmp_path / "g2.vertices.tsv").read_text().splitlines()
         assert sidecar[1].startswith("0\t0\t")
         assert sidecar[4].startswith("3\t1\t")
-        mode, lines = read_snapshot(snap)
-        assert len(lines) == 4
+        assert len(list(read_snapshot(snap, "spr", True))) == 4
 
     def test_append_edges_cover_old_and_new(self, tmp_path, capsys):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
@@ -577,8 +596,8 @@ class TestSnapshotFlow:
         out = tmp_path / "g2.tsv"
         assert run("build", new, "--mode", "spr", "--rooted", "--out", str(out),
                    "--append", snap) == 0
-        assert len(refs) == len(read_snapshot(snap)[1])
         monkeypatch.undo()
+        assert len(refs) == len(list(read_snapshot(snap, "spr", True)))
         both = write(tmp_path, "both.nwk", "\n".join(pool) + "\n")
         want = tmp_path / "g3.tsv"
         assert run("build", both, "--mode", "spr", "--rooted", "--out", str(want)) == 0
@@ -691,6 +710,37 @@ class TestAppendSnapshotErrors:
         assert self.append(tmp_path, text, "spr", "--rooted") == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'c.snap'}{where}: {reason}\n"
 
+    # each snapshot has a fault on line 1 or 3 and another later in the file,
+    # which the first decides, and nothing is written
+    @pytest.mark.parametrize(
+        "text, rooted, code, where, reason",
+        [
+            # another leaf set on line 3, a blank line 4
+            (b"afcontainer v1 rspr 3\n(r,(1,2),(3,4));\n(r,(1,2),(3,5));\n\n", "--rooted",
+             3, ":3", "all trees must share one leaf label set"),
+            # 5 trees promised, 2 found, another leaf set on line 3
+            (b"afcontainer v1 rspr 5\n(r,(1,2),(3,4));\n(r,(1,2),(3,5));\n", "--rooted",
+             3, ":3", "all trees must share one leaf label set"),
+            # the mode does not fit the build, a blank line 4
+            (b"afcontainer v1 rspr 3\n(r,(1,2),(3,4));\n(r,(1,2),(3,5));\n\n", "--unrooted",
+             4, ":1", "snapshot mode rspr does not fit unrooted spr"),
+            # the mode does not fit the build, a byte that is not ASCII on line 4
+            (b"afcontainer v1 rspr 3\n(r,(1,2),(3,4));\n(r,(1,3),(2,4));\n(r,\xc3\xa9);\n",
+             "--unrooted", 4, ":1", "snapshot mode rspr does not fit unrooted spr"),
+            # another leaf set on line 3, a byte that is not ASCII on line 4
+            (b"afcontainer v1 rspr 3\n(r,(1,2),(3,4));\n(r,(1,2),(3,5));\n(r,\xc3\xa9);\n",
+             "--rooted", 3, ":3", "all trees must share one leaf label set"),
+        ],
+        ids=["leaf-set-blank", "leaf-set-count", "mode-blank", "mode-non-ascii",
+             "leaf-set-non-ascii"],
+    )
+    def test_first_faulty_line_in_file_order_decides(
+        self, tmp_path, capsys, text, rooted, code, where, reason
+    ):
+        assert self.append(tmp_path, text, "spr", rooted) == code
+        assert capsys.readouterr().err == f"error: {tmp_path / 'c.snap'}{where}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.snap", "e.nwk"]
+
     def test_leaf_set_fault_names_its_snapshot_line(self, tmp_path, capsys):
         # the fourth tree, on line 5 of the file, has another leaf set
         text = (b"afcontainer v1 uspr 4\n(1,2,(3,(4,5)));\n(1,(2,(4,5)),3);\n"
@@ -725,7 +775,7 @@ def test_snapshot_fits_each_build_kind_of_its_mode(tmp_path, capsys, saved, appe
     snap = tmp_path / "c.snap"
     assert run("build", first, "--mode", saved_move, saved_rooted,
                "--out", str(tmp_path / "g1.tsv"), "--snapshot", str(snap)) == 0
-    assert read_snapshot(snap)[0].value == BUILD_KINDS[saved]
+    assert snap.read_text().split(" ")[2] == BUILD_KINDS[saved]
     capsys.readouterr()
     more = write(tmp_path, "more.nwk", MORE_LINES[rooted])
     out = tmp_path / "g2.tsv"
