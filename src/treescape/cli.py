@@ -29,8 +29,18 @@ from .afcontainer import (
     write_snapshot,
 )
 from .errors import LabelSetError, NewickError, TreescapeError, fail
+from .forestgen import Oriented
 from .graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
 from .tree import parse_newick
+
+
+# tree lines are parsed and oriented this many characters at a time (or one
+# longer line) before their trees are inserted: not interleaving parsing with
+# inserting speeds up builds of many small trees, while a larger block holds
+# more live objects and so runs the cyclic collector more often (under
+# CPython 3.11, 8192 made builds of hundreds of trees at n = 32-128 5-10%
+# slower)
+_BLOCK_CHARS = 1024
 
 
 def _warn(message):
@@ -40,18 +50,25 @@ def _warn(message):
 def _read_lines(path):
     """Yield (lineno, line), stripped, for each line of a UTF-8 text file, or
     of the file stdin stands for if path is -, that is not blank or a #
-    comment. Lines end at LF, CR LF or CR, and every line is counted."""
+    comment. Lines end at LF, CR LF or CR, and every line is counted; one
+    that is not UTF-8 is refused only when it is reached."""
     if path == "-" and sys.stdin is None:
         raise NewickError("-: stdin is closed")
     try:
         source = sys.stdin.fileno() if path == "-" else path
-        with open(source, encoding="utf-8-sig", closefd=path != "-") as fh:
+        # a byte that is not UTF-8 decodes to a surrogate, which UTF-8 refuses
+        with open(
+            source, encoding="utf-8-sig", errors="surrogateescape", closefd=path != "-"
+        ) as fh:
             for lineno, line in enumerate(fh, 1):
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise NewickError(f"{path}: not UTF-8 text") from None
                 line = line.strip()
                 if line and not line.startswith("#"):
                     yield lineno, line
-    except UnicodeDecodeError:
-        raise NewickError(f"{path}: not UTF-8 text") from None
     except ValueError:  # fileno() of a closed stdin, or of one no file backs
         raise NewickError("-: stdin is not an open file") from None
     except OSError as exc:
@@ -59,23 +76,37 @@ def _read_lines(path):
 
 
 def _read_trees(args):
-    """Parse the newline-delimited tree file args.input, named through the
-    --taxa file if one is given, yielding (lineno, Tree) pairs. The taxa
-    module is imported only when a --taxa file is given."""
+    """Parse and orient the newline-delimited tree file args.input, named
+    through the --taxa file if one is given, yielding (lineno, Oriented)
+    pairs. Lines are taken in blocks of at most _BLOCK_CHARS characters (or
+    one longer line), and a block's trees are yielded once all are parsed,
+    so a build holds at most one block of them. A read or parse fault ends
+    its block, whose earlier trees are yielded first. The taxa module is
+    imported only when a --taxa file is given."""
     taxa = None
     if args.taxa:
         from .taxa import Taxa
 
         taxa = Taxa(args.taxa, _read_lines(args.taxa))
-    for lineno, line in _read_lines(args.input):
-        text = taxa.translate(line) if taxa else line
-        try:
-            tree = parse_newick(text, rooted=args.rooted, lenient=args.lenient)
-        except NewickError as exc:
-            if taxa and exc.pos is not None:
-                exc = NewickError(exc.reason, pos=taxa.untranslated_pos(line, exc.pos))
-            raise NewickError(f"{args.input}:{lineno}: {exc}") from None
-        yield lineno, tree
+    block, size = [], 0
+    try:
+        for lineno, line in _read_lines(args.input):
+            if block and size + len(line) > _BLOCK_CHARS:
+                yield from block
+                block, size = [], 0
+            size += len(line)
+            text = taxa.translate(line) if taxa else line
+            try:
+                tree = parse_newick(text, rooted=args.rooted, lenient=args.lenient)
+            except NewickError as exc:
+                if taxa and exc.pos is not None:
+                    exc = NewickError(exc.reason, pos=taxa.untranslated_pos(line, exc.pos))
+                raise NewickError(f"{args.input}:{lineno}: {exc}") from None
+            block.append((lineno, Oriented(tree)))
+    except (NewickError, OSError):
+        yield from block
+        raise
+    yield from block
 
 
 def _construct(mode, trees):

@@ -8,7 +8,9 @@ tree sharing a key: a forest key for the prune-regraft and bisection
 graphs, an interchange key, the tree with one internal edge contracted,
 for the interchange graph. Each construct_*_graph consumes any iterable of
 trees once, one tree at a time, so a caller that yields trees holds none
-past its step.
+past its step. A build's input trees come from cli already parsed and
+oriented, a block of lines at a time; an Oriented tree is not oriented
+again.
 """
 
 from .afcontainer import AFContainer, Mode

@@ -71,12 +71,16 @@ def _line_counts():
 
 
 # the commands whose wall the start-up line reports, each run in a fresh
-# interpreter in a directory that holds t.nwk
+# interpreter in a directory that holds t.nwk and space.nwk
 _START_UP = {
     "python -c pass": ["-c", "pass"],
     "import treescape.cli": ["-c", "import treescape.cli"],
     "a 4-tree build": [
         "-m", "treescape.cli", "build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g.tsv"
+    ],
+    "a build of all 945 unrooted 7-leaf trees": [
+        "-m", "treescape.cli", "build", "space.nwk", "--mode", "spr", "--unrooted",
+        "--out", "space.tsv",
     ],
 }
 
@@ -84,10 +88,16 @@ _START_UP = {
 def _start_up_walls():
     """The best wall of each _START_UP command over 5 rounds that run each
     once, in seconds."""
+    from treescape import oracle
+
     best = dict.fromkeys(_START_UP, float("inf"))
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "t.nwk"), "w") as fh:
             fh.write("((1,2),(3,4));\n((1,3),(2,4));\n((1,4),(2,3));\n(((1,2),3),4);\n")
+        with open(os.path.join(tmp, "space.nwk"), "w") as fh:
+            fh.writelines(
+                oracle.to_newick(t) + "\n" for t in oracle.enumerate_all_trees(7, rooted=False)
+            )
         env = dict(os.environ, PYTHONPATH=SRC)
         for _ in range(5):
             for name, argv in _START_UP.items():

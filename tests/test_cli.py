@@ -190,6 +190,36 @@ def test_package_names_resolve_lazily():
         treescape.no_such_name
 
 
+def test_lines_over_a_block_are_taken_one_tree_at_a_time(tmp_path, monkeypatch):
+    # a line longer than a block is a block alone, so a build of such lines
+    # holds the tree it inserts and the one being read, and no earlier one
+    rng = random.Random(29)
+    lines = [oracle.to_newick(oracle.random_tree(300, rooted=True, rng=rng)) for _ in range(4)]
+    assert min(map(len, lines)) > cli._BLOCK_CHARS
+    inp = write(tmp_path, "t.nwk", "\n".join(lines) + "\n")
+    refs = []
+
+    def check():
+        held = [k for k, ref in enumerate(refs[:-1]) if ref() is not None]
+        assert not held, f"trees {held} are still held"
+
+    class Tracked(forestgen.Oriented):
+        def __init__(self, tree):
+            super().__init__(tree)
+            refs.append(weakref.ref(self))
+
+    parse = cli.parse_newick
+
+    def checked_parse(*args, **kwargs):
+        check()
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Oriented", Tracked)
+    monkeypatch.setattr(cli, "parse_newick", checked_parse)
+    assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g.tsv")) == 0
+    assert len(refs) == 4
+
+
 class TestBuildErrors:
     def test_parse_error_reports_line_and_column(self, tmp_path, capsys):
         inp = write(tmp_path, "t.nwk", "(1,2,(3,4));\n((1,2),(3,4);\n")
@@ -243,8 +273,8 @@ class TestBuildErrors:
             f"error: {snap}:3: all trees must share one leaf label set\n"
         )
 
-    # the build reads, checks and inserts one line at a time, so the first
-    # faulty line decides the exit code
+    # a fault ends its block of lines, whose earlier trees are checked and
+    # inserted first, so the first faulty line decides the exit code
     @pytest.mark.parametrize(
         "text, code",
         [
@@ -273,6 +303,45 @@ class TestBuildErrors:
         assert run(command, str(inp), "--mode", "spr", "--rooted", *extra) == 2
         err = capsys.readouterr().err
         assert err == f"error: {inp}: not UTF-8 text\n"
+
+    # a later line that is not UTF-8 is refused only when it is reached
+    def test_non_utf8_line_after_a_leaf_set_fault(self, tmp_path, capsys):
+        inp = tmp_path / "t.nwk"
+        inp.write_bytes(b"(1,2,(3,4));\n(1,2,(3,5));\n(1,2,(3,\xff4));\n")
+        assert run("build", str(inp), "--mode", "spr", "--unrooted",
+                   "--out", str(tmp_path / "g.tsv")) == 3
+        assert capsys.readouterr().err == (
+            f"error: {inp}:2: all trees must share one leaf label set\n"
+        )
+
+    def test_non_utf8_taxa_line_after_a_faulty_one(self, tmp_path, capsys):
+        inp = write(tmp_path, "t.nwk", "(a,b,(c,d));\n")
+        taxa = tmp_path / "m.tsv"
+        taxa.write_bytes(b"a 1\nb\nc \xff3\n")
+        assert run("build", inp, "--mode", "spr", "--unrooted", "--taxa", str(taxa),
+                   "--out", str(tmp_path / "g.tsv")) == 2
+        assert capsys.readouterr().err == f"error: {taxa}:2: expected two columns\n"
+
+    def test_non_utf8_line_in_a_later_block(self, tmp_path, capsys):
+        # the leaf-set fault is in the first block of lines, the byte that is
+        # not UTF-8 in a later one
+        good = "((1,2),(3,(4,5)));\n" * 600
+        assert len(good) > cli._BLOCK_CHARS
+        inp = tmp_path / "t.nwk"
+        inp.write_bytes(b"((1,2),(3,4));\n" + good.encode() + b"(1,\xff2);\n")
+        assert run("build", str(inp), "--mode", "spr", "--rooted",
+                   "--out", str(tmp_path / "g.tsv")) == 3
+        assert capsys.readouterr().err == (
+            f"error: {inp}:2: all trees must share one leaf label set\n"
+        )
+
+    def test_parse_error_after_a_full_block(self, tmp_path, capsys):
+        good = "((1,2),(3,(4,5)));\n((1,3),(2,(4,5)));\n" * 300
+        inp = write(tmp_path, "t.nwk", good + "((1,2),(3,4,5));\n" + good)
+        assert len(good) > cli._BLOCK_CHARS
+        assert run("build", inp, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g.tsv")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {inp}:601: ")
+        assert sorted(os.listdir(tmp_path)) == ["t.nwk"]
 
     @pytest.mark.parametrize("label", ["\u00b2", "\u0663", "\u06603"])
     def test_non_ascii_digit_label(self, tmp_path, capsys, label):
