@@ -1,10 +1,10 @@
 """Adjacency graphs of tree rearrangement moves over collections of
 phylogenetic trees, built by indexing canonical two-component forests.
 
-The public names below are imported from their home modules on first use
+The build's API below is imported from its home modules on first use
 (PEP 562), so importing the package, or one module of it, loads only the
-modules that are needed: a build never loads the reference modules
-``canonical`` and ``oracle``.
+modules that are needed. Import the reference modules' names from
+``treescape.canonical`` and ``treescape.oracle``.
 """
 
 import importlib
@@ -13,14 +13,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "afcontainer": ("AFContainer", "Mode"),
-    "canonical": (
-        "Component",
-        "Forest",
-        "RootMarker",
-        "decode_tree",
-        "sdlnewick_forest",
-        "sdlnewick_tree",
-    ),
     "errors": (
         "CanonicalError",
         "GraphInvariantError",
@@ -39,7 +31,6 @@ _EXPORTS = {
         "construct_spr_graph",
         "construct_tbr_graph",
     ),
-    "oracle": ("apply_spr", "apply_tbr", "yield_forest"),
     "tree": ("Tree", "parse_newick"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

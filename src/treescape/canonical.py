@@ -216,19 +216,19 @@ def decode_tree(data):
     """
     if not data.isascii():
         raise CanonicalError("canonical strings are ASCII")
-    text = data.encode("ascii") if isinstance(data, str) else data
+    text = data if isinstance(data, str) else data.decode("ascii")
     label = text[:-1]
-    if label.isdigit() and text.endswith(b";"):
-        if label[0] == ord("0") or len(label) > 20 or int(label) > MAX_LABEL:
-            raise CanonicalError(f"bad label {label.decode()}: zero, leading zero or over 2**64-1")
+    if label.isdigit() and text.endswith(";"):
+        if label[0] == "0" or len(label) > 20 or int(label) > MAX_LABEL:
+            raise CanonicalError(f"bad label {label}: zero, leading zero or over 2**64-1")
         return Tree([int(label)], [[]], False)
-    rooted = text.startswith(b"(r,")
+    rooted = text.startswith("(r,")
     try:
-        tree = parse_newick(b"(" + text[3:] if rooted else text, rooted=rooted)
+        tree = parse_newick("(" + text[3:] if rooted else text, rooted=rooted)
     except NewickError as exc:
         if rooted and exc.pos is not None:
             exc = NewickError(exc.reason, exc.pos + 2)
         raise CanonicalError(str(exc)) from None
-    if sdlnewick_tree(tree) != text:
-        raise CanonicalError(f"{text.decode()!r} is not in canonical form")
+    if sdlnewick_tree(tree).decode("ascii") != text:
+        raise CanonicalError(f"{text!r} is not in canonical form")
     return tree

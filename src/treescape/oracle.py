@@ -17,6 +17,7 @@ the container-driven builders is evidence for both. Builds never import
 this module.
 """
 
+from bisect import bisect_left
 from collections import deque
 
 from .canonical import (
@@ -58,7 +59,7 @@ def to_newick(tree):
     if len(labels) == 1:
         raise ValueError("a single leaf has no Newick text that parse_newick accepts")
     if tree.rooted:
-        start, skip = tree.root_index(), tree.rho_index()
+        start, skip = tree.neighbors[tree.rho_index()][0], tree.rho_index()
     else:  # the first internal node; a two-leaf tree has none, so its second leaf
         start, skip = (labels.index(None) if len(labels) > 2 else 1), -1
     # every node ranks alike, so the stable sorts keep adjacency order
@@ -482,24 +483,20 @@ def pairwise_graph(trees, move):
     return graph, canon
 
 
-def _rooted_pair():
-    return Tree([1, 2, None, RHO], [[2], [2], [0, 1, 3], [2]], True)
-
-
-def _unrooted_triple():
-    return Tree([1, 2, 3, None], [[3], [3], [3], [0, 1, 2]], False)
+def _grow(labels, adj, u, v, label):
+    """In place, put a new node w on edge (u, v), where each end listed the
+    other, and hang a new leaf labelled label from it; returns w."""
+    w = len(labels)
+    labels += (None, label)
+    adj[u][adj[u].index(v)] = w
+    adj[v][adj[v].index(u)] = w
+    adj += ([u, v, w + 1], [w])
+    return w
 
 
 def _insert_leaf(tree, edge, label):
-    u, v = edge
-    labels = list(tree.labels) + [None, label]
-    adj = [list(nbrs) for nbrs in tree.neighbors] + [[], []]
-    w = len(labels) - 2
-    leaf = len(labels) - 1
-    adj[u][adj[u].index(v)] = w
-    adj[v][adj[v].index(u)] = w
-    adj[w] = [u, v, leaf]
-    adj[leaf] = [w]
+    labels, adj = list(tree.labels), [list(nbrs) for nbrs in tree.neighbors]
+    _grow(labels, adj, *edge, label)
     return Tree(labels, adj, tree.rooted)
 
 
@@ -507,10 +504,10 @@ def _base(n, rooted):
     if rooted:
         if n < 2:
             raise ValueError("rooted generation needs at least 2 leaves")
-        return _rooted_pair(), 2
+        return Tree([1, 2, None, RHO], [[2], [2], [0, 1, 3], [2]], True), 2
     if n < 3:
         raise ValueError("unrooted generation needs at least 3 leaves")
-    return _unrooted_triple(), 3
+    return Tree([1, 2, 3, None], [[3], [3], [3], [0, 1, 2]], False), 3
 
 
 def enumerate_all_trees(n, *, rooted):
@@ -544,10 +541,17 @@ def random_tree(n, *, rooted, rng):
     """Uniform random tree shape by random edge insertion, with the leaf
     labels 1..n shuffled over the tips."""
     tree, k0 = _base(n, rooted)
+    labels, adj, slots = tree.labels, tree.neighbors, edges(tree)
     for k in range(k0 + 1, n + 1):
-        slots = edges(tree)
-        tree = _insert_leaf(tree, slots[rng.randrange(len(slots))], k)
+        i = rng.randrange(len(slots))
+        u, v = slots[i]
+        w = _grow(labels, adj, u, v, k)
+        # keep slots in edges() order: (v, w) goes where w sits among v's larger neighbours
+        slots[i] = (u, w)
+        j = bisect_left(slots, (v,)) + sum(x > v for x in adj[v][: adj[v].index(w)])
+        slots.insert(j, (v, w))
+        slots.append((w, w + 1))
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
-    labels = [perm[lab - 1] if isinstance(lab, int) and lab > 0 else lab for lab in tree.labels]
-    return Tree(labels, [list(nbrs) for nbrs in tree.neighbors], rooted)
+    labels = [perm[lab - 1] if isinstance(lab, int) and lab > 0 else lab for lab in labels]
+    return Tree(labels, adj, rooted)

@@ -57,10 +57,6 @@ class Tree:
             raise ValueError("unrooted tree has no root marker")
         return self.labels.index(RHO)
 
-    def root_index(self):
-        """The root node: the unique neighbor of the root-marker leaf."""
-        return self.neighbors[self.rho_index()][0]
-
 
 # ---------------------------------------------------------------------------
 # degree-2 suppression, shared with the surgery in oracle.py
@@ -115,11 +111,6 @@ def parse_newick(text, *, rooted, lenient=False):
     without whitespace. Raises NewickError with a column on any malformed
     input.
     """
-    if isinstance(text, (bytes, bytearray)):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise NewickError(f"non-ASCII input: {exc}") from None
     toks = _TOKEN.findall(text)
     labels = []
     adj = []  # node 0 is the root; each other node lists its parent first

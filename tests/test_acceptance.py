@@ -4,9 +4,12 @@ Budgets are wall-clock upper bounds on typical hardware; each test asserts
 behavior, not timing, but stays well inside its budget by construction.
 """
 
+import os
 import random
+import subprocess
+import sys
 
-from conftest import report_criterion
+from conftest import SRC, report_criterion
 
 from treescape import cli
 from treescape.afcontainer import AFContainer, Mode
@@ -274,16 +277,21 @@ def test_criterion_6_insert_idempotence():
     )
 
 
-def test_criterion_7_empirical_scaling(capsys):
+def test_criterion_7_empirical_scaling():
     """Time the spr-mode one-pass build (keys, index inserts and edges)
     over n in {64, 128, 256} with m = 200; the fitted time exponent must
     lie in the hard window [1.2, 3.0], with [1.2, 1.7] as the expected
-    band (informational; measured 1.24-1.49 on a 2-vCPU VM)."""
-    rc = cli.main(
-        ["bench", "--mode", "spr", "--rooted", "--m", "200", "--sizes", "64,128,256",
-         "--seed", "42"]
+    band (informational; measured 1.35-1.43 on a 2-vCPU VM). bench runs in
+    a process of its own, so the test process's heap cannot skew it."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "treescape.cli", "bench", "--mode", "spr", "--rooted",
+         "--m", "200", "--sizes", "64,128,256", "--seed", "42"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=600,
     )
-    out = capsys.readouterr().out
+    rc, out = proc.returncode, proc.stdout
     exponent = None
     for line in out.splitlines():
         if line.startswith("exponent="):

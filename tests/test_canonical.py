@@ -149,6 +149,22 @@ class TestDecode:
         with pytest.raises(CanonicalError, match=rf"\(column {column}\)$"):
             decode_tree(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(r,(1,(2,3)),(4,5));", "(1,2,(3,4));", "7;", "01;", "(2,1,(3,4));", "(r,(1,2),(3,x));",
+         "(1,2,é);"],
+    )
+    def test_str_bytes_and_bytearray_read_alike(self, text):
+        def outcome(data):
+            try:
+                t = decode_tree(data)
+            except CanonicalError as exc:
+                return str(exc)
+            return t.labels, t.neighbors, t.rooted
+
+        data = text.encode("utf-8")
+        assert outcome(text) == outcome(data) == outcome(bytearray(data))
+
 
 class TestUniqueness:
     def test_presentation_invariance_random(self):

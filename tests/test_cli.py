@@ -177,17 +177,20 @@ def test_package_names_resolve_lazily():
         "print(sorted(m for m in sys.modules if m.startswith('treescape.')))\n"
     )
     assert fresh_interpreter(code) == "[]"
+    reference = {"treescape.canonical", "treescape.oracle"}
     for name in treescape.__all__:
         value = getattr(treescape, name)
         if name != "__version__":
             assert value is getattr(sys.modules[value.__module__], name)
-    from treescape import AFContainer, decode_tree, yield_forest
+            assert value.__module__ not in reference
+    from treescape import AFContainer
 
-    assert yield_forest is oracle.yield_forest
-    assert decode_tree.__module__ == "treescape.canonical"
     assert AFContainer.__module__ == "treescape.afcontainer"
-    with pytest.raises(AttributeError):
-        treescape.no_such_name
+    # the reference names resolve only from their home modules
+    assert treescape.oracle.yield_forest.__module__ == "treescape.oracle"
+    for name in ("yield_forest", "decode_tree", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(treescape, name)
 
 
 def test_lines_over_a_block_are_taken_one_tree_at_a_time(tmp_path, monkeypatch):

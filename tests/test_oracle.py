@@ -18,7 +18,7 @@ from treescape.oracle import (
     validate_tree,
     yield_forest,
 )
-from treescape.tree import parse_newick
+from treescape.tree import RHO, Tree, parse_newick
 
 ROOTED5 = parse_newick("((1,(2,3)),(4,5));", rooted=True)
 UNROOTED5 = parse_newick("((1,2),3,(4,5));", rooted=False)
@@ -78,6 +78,42 @@ class TestRandomTree:
         for _ in range(300):
             seen.add(sdlnewick_tree(random_tree(4, rooted=False, rng=rng)))
         assert len(seen) == 3
+
+    def test_matches_the_copy_per_leaf_generator(self):
+        for rooted in (True, False):
+            for seed in range(100):
+                n = random.Random(seed).randint(3, 120)
+                want = _copy_per_leaf_tree(n, rooted=rooted, rng=random.Random(seed))
+                got = random_tree(n, rooted=rooted, rng=random.Random(seed))
+                assert (got.labels, got.neighbors, got.rooted) == (
+                    want.labels,
+                    want.neighbors,
+                    want.rooted,
+                )
+
+
+def _copy_per_leaf_tree(n, *, rooted, rng):
+    """random_tree as first written: list the slots with edges() and copy
+    the tree for every leaf it inserts, which is O(n^2)."""
+    if rooted:
+        tree, k0 = Tree([1, 2, None, RHO], [[2], [2], [0, 1, 3], [2]], True), 2
+    else:
+        tree, k0 = Tree([1, 2, 3, None], [[3], [3], [3], [0, 1, 2]], False), 3
+    for k in range(k0 + 1, n + 1):
+        slots = edges(tree)
+        u, v = slots[rng.randrange(len(slots))]
+        labels = list(tree.labels) + [None, k]
+        adj = [list(nbrs) for nbrs in tree.neighbors] + [[], []]
+        w = len(labels) - 2
+        adj[u][adj[u].index(v)] = w
+        adj[v][adj[v].index(u)] = w
+        adj[w] = [u, v, w + 1]
+        adj[w + 1] = [w]
+        tree = Tree(labels, adj, rooted)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    labels = [perm[lab - 1] if isinstance(lab, int) and lab > 0 else lab for lab in tree.labels]
+    return Tree(labels, tree.neighbors, rooted)
 
 
 class TestEnumerateNeighbors:

@@ -66,10 +66,6 @@ class TestParse:
         r = parse_newick("(1,2);", rooted=True)
         assert r.rooted and r.n_leaves == 2
 
-    def test_bytes_input(self):
-        t = parse_newick(b"(1,2,(3,4));", rooted=False)
-        assert t.leaf_labels() == {1, 2, 3, 4}
-
     def test_whitespace(self):
         t = parse_newick(" ( 1 , 2 , ( 3 , 4 ) ) ; ", rooted=False)
         assert t.leaf_labels() == {1, 2, 3, 4}
@@ -136,7 +132,7 @@ class TestTree:
         par = parents(t)
         rho = t.rho_index()
         assert par[rho] == -1
-        assert par[t.root_index()] == rho
+        assert par[t.neighbors[rho][0]] == rho
         # every non-rho node has its parent as a neighbor
         for v in range(len(t)):
             if v != rho:
@@ -298,7 +294,7 @@ class TestApplySpr:
     def test_whole_tree_prune_has_no_target(self):
         t = parse_newick("((1,2),(3,4));", rooted=True)
         rho = t.rho_index()
-        root = t.root_index()
+        root = t.neighbors[rho][0]
         for e in tree_edges(t):
             if set(e) != {rho, root}:
                 with pytest.raises(MoveError):
