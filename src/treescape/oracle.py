@@ -484,8 +484,8 @@ def pairwise_graph(trees, move):
 
 
 def _grow(labels, adj, u, v, label):
-    """In place, put a new node w on edge (u, v), where each end listed the
-    other, and hang a new leaf labelled label from it; returns w."""
+    """In place, put a new node w on edge (u, v), in the slots where u and v
+    listed each other, and hang a new leaf labelled label from w; returns w."""
     w = len(labels)
     labels += (None, label)
     adj[u][adj[u].index(v)] = w

@@ -281,7 +281,7 @@ def test_criterion_7_empirical_scaling():
     """Time the spr-mode one-pass build (keys, index inserts and edges)
     over n in {64, 128, 256} with m = 200; the fitted time exponent must
     lie in the hard window [1.2, 3.0], with [1.2, 1.7] as the expected
-    band (informational; measured 1.35-1.43 on a 2-vCPU VM). bench runs in
+    band (informational; measured 1.32-1.43 on a 2-vCPU VM). bench runs in
     a process of its own, so the test process's heap cannot skew it."""
     proc = subprocess.run(
         [sys.executable, "-m", "treescape.cli", "bench", "--mode", "spr", "--rooted",
