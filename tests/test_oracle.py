@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from treescape.canonical import sdlnewick_forest, sdlnewick_tree
-from treescape.errors import ModeError, MoveError
+from treescape.canonical import sdlnewick_tree
+from treescape.errors import ModeError
 from treescape.oracle import (
     MOVES,
     edges,
@@ -16,7 +16,6 @@ from treescape.oracle import (
     reference_forest_keys,
     to_newick,
     validate_tree,
-    yield_forest,
 )
 from treescape.tree import RHO, Tree, parse_newick
 
@@ -257,17 +256,13 @@ def reference_digest():
         rooted = i % 2 == 0
         t = random_tree(rng.randint(4, 40), rooted=rooted, rng=rng)
         put(to_newick(t))
-        for _ in range(4):
-            cut = rng.sample(edges(t), 3)
-            keep = () if rooted else [rng.choice(e) for e in cut if rng.random() < 0.5]
-            try:
-                put(sdlnewick_forest(yield_forest(t, cut, keep_roots=keep)))
-            except MoveError as exc:
-                put(str(exc))
+        for move in ("rspr",) if rooted else ("uspr", "tbr"):
+            for key in reference_forest_keys(t, move):
+                put(key)
     return h.hexdigest()
 
 
 def test_reference_outputs_are_pinned():
     # every output and error message of the reference, byte for byte
-    want = "8dc10318e7bca837aa09e71b981a514935766326130bef6a811e59ffbf6bacd0"
+    want = "618fd64f9bf8de5d766ee4e8a7c50af40ce18a60012ac8380bdc0dc1ff5cee41"
     assert reference_digest() == want
