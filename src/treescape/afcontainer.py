@@ -129,13 +129,17 @@ def read_snapshot(path, move, rooted):
                 except ValueError:
                     raise SnapshotError(f"{path}:1: unknown snapshot mode {header[2]!r}") from None
                 # digits as written: int() would also take "+1" and "1_0", and
-                # isdigit() takes only 0-9 here because the line is ASCII
-                if not header[3].isdigit():
+                # isdigit() takes only 0-9 here because the line is ASCII;
+                # int() refuses more than sys.get_int_max_str_digits() digits
+                try:
+                    count = int(header[3]) if header[3].isdigit() else None
+                except ValueError:
+                    count = None
+                if count is None:
                     raise SnapshotError(f"{path}:1: bad tree count {header[3]!r}")
                 if mode is not Mode.of(move, rooted):
                     kind = "rooted" if rooted else "unrooted"
                     raise ModeError(f"{path}:1: snapshot mode {mode.value} does not fit {kind} {move}")
-                count = int(header[3])
                 continue
             if not text:
                 raise SnapshotError(f"{path}:{lineno}: blank line in snapshot")

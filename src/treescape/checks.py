@@ -50,11 +50,15 @@ def verify(args, numbered, construct_numbered):
 def bench(args):
     """treescape bench: time the graph build of random trees at each size
     and fit the log-log slope of time against leaf count."""
-    # ASCII digits only: int() would also take " 64", "+64" and "6_4"
+    # ASCII digits only: int() would also take " 64", "+64" and "6_4", and
+    # it refuses more than sys.get_int_max_str_digits() digits
     sizes = args.sizes.split(",")
-    if not all(s.isascii() and s.isdigit() for s in sizes):
-        raise TreescapeError(f"bad --sizes {args.sizes!r}")
-    sizes = list(map(int, sizes))
+    try:
+        if not all(s.isascii() and s.isdigit() for s in sizes):
+            raise ValueError
+        sizes = list(map(int, sizes))
+    except ValueError:
+        raise TreescapeError(f"bad --sizes {args.sizes!r}") from None
     if min(sizes) < 4:
         raise TreescapeError("--sizes needs integers of at least 4")
     if len(set(sizes)) != len(sizes):

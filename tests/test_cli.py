@@ -4,6 +4,7 @@ import io
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import types
@@ -1044,6 +1045,46 @@ class TestBench:
         monkeypatch.setattr(checks, "_construct", building)
         assert run("bench", "--mode", "spr", "--rooted", "--m", "3", "--sizes", "8,9") == 0
         assert events == ["collect", "build 8", "collect", "build 9"] * 3
+
+
+# more digits than int() converts from a string by default (4300)
+HUGE = "9" * 5000
+BUILD = ["build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g.tsv"]
+BENCH = ["bench", "--mode", "spr", "--rooted", "--m", "1", "--sizes", "4"]
+USAGE_ERROR = re.compile(r"treescape (?:build|verify|bench): error: .+")
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"t.nwk": "((1,2),(3,4));\n", "big.snap": f"afcontainer v1 rspr {HUGE}\n"},
+         BUILD + ["--append", "big.snap"]),
+        ({}, BENCH[:-1] + [f"4,{HUGE}"]),
+        ({}, BENCH[:-3] + [HUGE] + BENCH[-2:]),
+        ({}, BENCH + ["--seed", HUGE]),
+        ({"t.nwk": "((1,2),(3,4));\n"}, ["verify", *BUILD[1:-2], "--max-m", HUGE]),
+        ({"t.nwk": "((a,b),(c,d));\n", "names.tsv": f"a 1\nb 2\nc 3\nd {HUGE}\n"},
+         BUILD + ["--taxa", "names.tsv"]),
+        ({"t.nwk": f"((1,2),(3,{HUGE}));\n"}, BUILD),
+    ],
+    ids=["snapshot count", "--sizes", "--m", "--seed", "--max-m", "--taxa label", "Newick label"],
+)
+def test_an_integer_of_5000_digits_exits_2(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # a usage error, which argparse reports
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    if lines[0].startswith("usage: treescape"):
+        assert USAGE_ERROR.fullmatch(lines[-1]), lines[-1]
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 EXIT_CODES = {

@@ -15,7 +15,7 @@ from treescape.oracle import (
     yield_forest,
 )
 from treescape.oracle import edges as tree_edges
-from treescape.tree import RHO, Tree, parse_newick
+from treescape.tree import RHO, Tree, _compact, _splice_degree2, parse_newick
 
 
 def leaf_node(tree, label):
@@ -59,6 +59,22 @@ class TestParse:
         a = parse_newick("((3,4),(1,2));", rooted=False)
         b = parse_newick("(1,2,(3,4));", rooted=False)
         assert sdlnewick_tree(a) == sdlnewick_tree(b)
+
+    def test_unrooted_bifurcating_top_layout(self):
+        # the node layout, neighbour order included, sets the order of
+        # edges() and so of the reference keys: it is the rooted layout with
+        # the root marker dropped and the top suppressed
+        rng = random.Random(216)
+        for _ in range(500):
+            text = to_newick(random_tree(rng.randint(2, 64), rooted=True, rng=rng))
+            rooted = parse_newick(text, rooted=True)
+            labels, adj = rooted.labels[:-1], [list(nbrs) for nbrs in rooted.neighbors[:-1]]
+            adj[0].remove(len(labels))
+            removed = [False] * len(labels)
+            _splice_degree2(labels, adj, 0, removed)
+            labels, adj = _compact(labels, adj, removed)
+            unrooted = parse_newick(text, rooted=False)
+            assert (unrooted.labels, unrooted.neighbors) == (labels, adj)
 
     def test_two_leaves(self):
         t = parse_newick("(1,2);", rooted=False)
