@@ -21,9 +21,10 @@ Grammar of a canonical forest string::
 Two trees (or forests) are isomorphic exactly when their encodings are
 byte-identical, which is what makes these strings usable as index keys.
 
-This module is the reference for that format: the forest model
-(``Component``, ``Forest``, ``RootMarker``) and a whole-forest encoder,
-whose tree walk and Newick emitter ``oracle`` uses too.
+This module is the reference for that format: ``sdlnewick_tree`` and the
+component renderer under it. ``oracle`` renders the two sides of each cut
+edge with that renderer to give the reference forest keys, and uses the
+tree walk and Newick emitter here too.
 ``decode_tree`` reads a canonical tree string with ``tree.parse_newick``
 and checks it against the encoder here. Builds do not import this module.
 They read every key and tree string off ``forestgen.Oriented`` and read
@@ -31,62 +32,10 @@ snapshots with ``tree.parse_newick``; the tests compare both against the
 functions here.
 """
 
-import enum
-
 from .errors import CanonicalError, NewickError
 from .tree import MAX_LABEL, RHO, Tree, parse_newick
 
 _BIG = float("inf")
-
-
-class RootMarker(enum.Enum):
-    """How a forest component is rooted.
-
-    ORIGINAL marks the component holding the input tree's root-marker leaf;
-    COMPONENT marks a component kept rooted at the node that attached it to
-    the rest of the tree before cutting. Unrooted components carry no marker.
-    """
-
-    ORIGINAL = "original"
-    COMPONENT = "component"
-
-
-class Component:
-    """One tree of a forest, in the same array layout as Tree.
-
-    ``marker`` is a RootMarker or None; ``root`` is the marked node index
-    (the RHO leaf for ORIGINAL, the kept attachment node for COMPONENT).
-    """
-
-    __slots__ = ("labels", "neighbors", "marker", "root")
-
-    def __init__(self, labels, neighbors, marker=None, root=None):
-        self.labels = labels
-        self.neighbors = neighbors
-        self.marker = marker
-        self.root = root
-
-    def __repr__(self):
-        tag = self.marker.value if self.marker else "unrooted"
-        return f"<Component {tag} labels={sorted(self.leaf_labels())}>"
-
-    def leaf_labels(self):
-        return {lab for lab in self.labels if lab is not None and lab != RHO}
-
-
-class Forest:
-    """An ordered collection of components produced by cutting a tree."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        self.components = list(components)
-
-    def leaf_labels(self):
-        out = set()
-        for comp in self.components:
-            out |= comp.leaf_labels()
-        return out
 
 
 def _walk(adj, start, parent=-1):
@@ -163,41 +112,30 @@ def _render(labels, adj, start, skip, rank):
     return "".join(out)
 
 
-def _component_part(labels, adj, marker, root):
+def _component_part(labels, adj, root=None, pruned=False):
     """Render one component; returns (ordering_key, text).
 
-    A pruned component renders from its kept root. Any other renders from
-    the neighbour of its top leaf: the root marker, or else the smallest
-    leaf. A lone leaf renders from itself, and bare when unrooted.
+    A pruned component renders from root, the node that attached it to the
+    rest of the tree, with a ``p`` suffix. Any other renders from the
+    neighbour of its top leaf: root, the root marker, if given, or else the
+    smallest leaf. A lone leaf renders from itself, and bare when unrooted.
     """
-    if marker is None:
+    if root is None:
         if len(labels) == 1:
             return labels[0], str(labels[0])
         root = min((i for i, lab in enumerate(labels) if lab is not None), key=labels.__getitem__)
-    if marker is not RootMarker.COMPONENT and adj[root]:
+    if not pruned and adj[root]:
         root = adj[root][0]
     mins = _min_labels(labels, adj, root)
     text = _render(labels, adj, root, -1, mins)
-    return mins[root], (text + "p" if marker is RootMarker.COMPONENT else text)
+    return mins[root], (text + "p" if pruned else text)
 
 
 def sdlnewick_tree(tree):
     """Canonical byte string of a tree. Inverse of decode_tree."""
-    marker, root = (RootMarker.ORIGINAL, tree.rho_index()) if tree.rooted else (None, None)
-    _, text = _component_part(tree.labels, tree.neighbors, marker, root)
+    root = tree.rho_index() if tree.rooted else None
+    _, text = _component_part(tree.labels, tree.neighbors, root)
     return (text + ";").encode("ascii")
-
-
-def sdlnewick_forest(forest):
-    """Canonical byte string of a forest."""
-    parts = [
-        _component_part(c.labels, c.neighbors, c.marker, c.root) for c in forest.components
-    ]
-    parts.sort(key=lambda kv: kv[0])
-    keys = [k for k, _ in parts]
-    if len(set(keys)) != len(keys):
-        raise CanonicalError("components do not have disjoint label sets")
-    return (" ".join(text for _, text in parts) + ";").encode("ascii")
 
 
 # ---------------------------------------------------------------------------

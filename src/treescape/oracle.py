@@ -5,33 +5,24 @@ applying every candidate move and comparing canonical strings, and pairwise
 graphs cost O(m^2) string lookups. The tree walks only reference code and
 tests need live here: edges lists a tree's edges, to_newick writes plain
 Newick through canonical's emitter and validate_tree checks a tree's
-structural invariants. So does
-the move surgery: yield_forest cuts edges out of a tree into a
-canonical.Forest, and apply_spr and apply_tbr rebuild the tree after one
-move. nni_moves lists interchange results directly, a cross-check on the
-contracted-edge keys the interchange graph indexes (forestgen.nni_keys).
-reference_forest_keys cuts and re-encodes the whole tree for every key, the
-construction the spliced keys of forestgen must match byte for byte. None
+structural invariants. So does the move surgery: apply_spr and apply_tbr
+rebuild the tree after one move. nni_moves lists interchange results
+directly, a cross-check on the contracted-edge keys the interchange graph
+indexes (forestgen.nni_keys). reference_forest_keys cuts one edge out of a
+copy of the tree for every key and renders its two sides with canonical's
+component renderer, the construction the spliced keys of forestgen must
+match byte for byte. None
 of the indexing machinery is used, so agreement between this module and
 the container-driven builders is evidence for both. Builds never import
 this module.
 """
 
 from bisect import bisect_left
-from collections import deque
 
-from .canonical import (
-    Component,
-    Forest,
-    RootMarker,
-    _render,
-    _walk,
-    sdlnewick_forest,
-    sdlnewick_tree,
-)
+from .canonical import _component_part, _render, _walk, sdlnewick_tree
 from .errors import MoveError, ModeError, TreescapeError
 from .graph import AdjacencyGraph
-from .tree import RHO, Tree, _compact, _splice_degree2
+from .tree import RHO, Tree
 
 # ---------------------------------------------------------------------------
 # tree walks
@@ -112,7 +103,7 @@ def validate_tree(tree):
 
 
 # ---------------------------------------------------------------------------
-# forest cutting and rearrangement surgery
+# edge cutting and rearrangement surgery
 
 
 def _orient(adj, start):
@@ -162,98 +153,56 @@ def _subdivide(labels, adj, a, b):
     return w
 
 
-def yield_forest(tree, cut_edges, keep_roots=()):
-    """Cut the given edges out of the tree and return the resulting forest.
+def _splice_degree2(labels, adj, v, removed):
+    """Suppress v if it is unlabelled with exactly two neighbors."""
+    if labels[v] is None and len(adj[v]) == 2:
+        a, b = adj[v]
+        adj[a][adj[a].index(v)] = b
+        adj[b][adj[b].index(v)] = a
+        adj[v] = []
+        removed[v] = True
 
-    In a rooted tree each cut component is automatically rooted at the node
-    whose parent edge was cut (kept as a degree-2 COMPONENT root, or the leaf
-    itself), and the marker-leaf component carries the ORIGINAL marker. In an
-    unrooted tree, ``keep_roots`` lists cut-edge endpoints to retain as
-    COMPONENT roots; every other unlabelled node of degree below three is
-    suppressed. With no cut edges the forest is the whole tree.
+
+def _compact(labels, adj, removed):
+    """Drop removed nodes and renumber the rest, preserving index order."""
+    remap = {}
+    new_labels = []
+    for i, lab in enumerate(labels):
+        if not removed[i]:
+            remap[i] = len(new_labels)
+            new_labels.append(lab)
+    new_adj = [[remap[w] for w in adj[i]] for i in range(len(labels)) if not removed[i]]
+    return new_labels, new_adj
+
+
+def _cut_key(tree, a, b, kept):
+    """Canonical key of the two-component forest left by cutting the edge
+    (a, b) out of a copy of the tree. kept, a or b or None, stays as the
+    pruned root of its side; every other unlabelled cut end is suppressed.
+    The side that holds the root marker of a rooted tree is rooted there.
     """
     labels = tree.labels
-    n = len(labels)
-    cuts = []
-    seen_cuts = set()
-    for a, b in cut_edges:
-        _require_edge(tree, a, b, "cut edge")
-        key = (a, b) if a < b else (b, a)
-        if key in seen_cuts:
-            raise MoveError(f"duplicate cut edge {key}")
-        seen_cuts.add(key)
-        cuts.append(key)
-
-    protected = set()
-    if tree.rooted:
-        if keep_roots:
-            raise MoveError("keep_roots applies to unrooted trees only")
-        par = parents(tree)
-        for a, b in cuts:
-            protected.add(a if par[a] == b else b)
-    else:
-        for k in keep_roots:
-            if not any(k == a or k == b for a, b in cuts):
-                raise MoveError(f"keep_roots node {k} is not a cut-edge endpoint")
-            protected.add(k)
-
     adj = [list(nbrs) for nbrs in tree.neighbors]
-    for a, b in cuts:
-        _unlink(adj, a, b)
-
-    removed = [False] * n
-    work = deque(
-        v for v in range(n) if labels[v] is None and v not in protected and len(adj[v]) < 3
-    )
-    while work:
-        v = work.popleft()
-        if removed[v] or labels[v] is not None or v in protected:
-            continue
-        deg = len(adj[v])
-        if deg == 2:
-            _splice_degree2(labels, adj, v, removed)
-        elif deg <= 1:
-            for u in adj[v]:
-                adj[u].remove(v)
-                if labels[u] is None and u not in protected and len(adj[u]) < 3:
-                    work.append(u)
-            adj[v] = []
-            removed[v] = True
-
-    for v in protected:
-        if labels[v] is None and len(adj[v]) < 2:
-            raise MoveError("cut combination leaves a kept component root below degree two")
-
-    components = []
-    for start in range(n):
-        if removed[start]:  # suppressed, or in a component already taken
-            continue
-        nodes = sorted(node for node, _ in _walk(adj, start))
-        for v in nodes:
-            removed[v] = True
-        remap = {old: new for new, old in enumerate(nodes)}
-        clabels = [labels[old] for old in nodes]
-        cadj = [[remap[w] for w in adj[old]] for old in nodes]
-        marker = None
-        root = None
-        roots_here = [remap[v] for v in protected if v in remap]
-        has_rho = tree.rooted and any(lab == RHO for lab in clabels)
-        if has_rho:
-            if roots_here:
-                raise MoveError("the root-marker component cannot also hold a kept root")
-            marker = RootMarker.ORIGINAL
-            root = clabels.index(RHO)
-        elif roots_here:
-            if len(roots_here) != 1:
-                raise MoveError("keep_roots names two nodes of one component")
-            marker = RootMarker.COMPONENT
-            root = roots_here[0]
-        components.append(Component(clabels, cadj, marker, root))
-
-    forest = Forest(components)
-    if forest.leaf_labels() != tree.leaf_labels():
-        raise MoveError("the cut forest does not partition the tree's leaf set")
-    return forest
+    _unlink(adj, a, b)
+    removed = [False] * len(labels)
+    parts = []
+    for end in (a, b):
+        start = end
+        if end != kept and labels[end] is None:
+            start = adj[end][0]
+            _splice_degree2(labels, adj, end, removed)
+        # the side's nodes in walk order, so that kept is its node 0
+        nodes = [node for node, _ in _walk(adj, start)]
+        index = {v: i for i, v in enumerate(nodes)}
+        side_labels = [labels[v] for v in nodes]
+        side_adj = [[index[w] for w in adj[v]] for v in nodes]
+        if end == kept:
+            parts.append(_component_part(side_labels, side_adj, 0, pruned=True))
+        else:
+            root = side_labels.index(RHO) if RHO in side_labels else None
+            parts.append(_component_part(side_labels, side_adj, root))
+    parts.sort()
+    return (" ".join(text for _, text in parts) + ";").encode("ascii")
 
 
 def apply_spr(tree, prune, regraft):
@@ -441,7 +390,7 @@ def nni_moves(tree):
 
 def reference_forest_keys(tree, move):
     """Forest keys by cutting each edge (a, b) of edges(tree), in order,
-    out of a copy of the tree and encoding the whole forest.
+    out of a copy of the tree and encoding both sides.
 
     move is "rspr" (cut-off side rooted), "uspr" (two keys per edge: a's
     side rooted at a, then b's at b) or "tbr" (both cut endpoints
@@ -451,13 +400,15 @@ def reference_forest_keys(tree, move):
         raise ValueError(f"unknown move {move!r}")
     if tree.rooted != (move == "rspr"):
         raise ModeError(f"{move} keys need {'an unrooted' if tree.rooted else 'a rooted'} tree")
+    par = parents(tree) if tree.rooted else None
     keys = []
     for a, b in edges(tree):
-        if move == "uspr":
-            for kept in (a, b):
-                keys.append(sdlnewick_forest(yield_forest(tree, ((a, b),), keep_roots=(kept,))))
+        if move == "rspr":
+            keys.append(_cut_key(tree, a, b, a if par[a] == b else b))
+        elif move == "uspr":
+            keys += (_cut_key(tree, a, b, a), _cut_key(tree, a, b, b))
         else:
-            keys.append(sdlnewick_forest(yield_forest(tree, ((a, b),))))
+            keys.append(_cut_key(tree, a, b, None))
     return keys
 
 

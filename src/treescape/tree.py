@@ -6,8 +6,8 @@ tree, and ``None`` for an internal node; ``neighbors[i]`` is the adjacency
 list. A rooted tree is represented as an unrooted binary tree with one extra
 marker leaf attached to the root node, so rooted and unrooted trees share
 one layout. Instances are immutable by convention, so trees can be shared
-freely. The forest model, the rearrangement surgery, the edge list and the
-Newick writer built on this layout are reference code and live in
+freely. The canonical encoder, the rearrangement surgery, the edge list and
+the Newick writer built on this layout are reference code and live in
 ``canonical`` and ``oracle``.
 
 Leaf labels are distinct integers in ``1 .. 2**64 - 1``. Label 0 is reserved
@@ -56,32 +56,6 @@ class Tree:
         if not self.rooted:
             raise ValueError("unrooted tree has no root marker")
         return self.labels.index(RHO)
-
-
-# ---------------------------------------------------------------------------
-# degree-2 suppression, shared with the surgery in oracle.py
-
-
-def _splice_degree2(labels, adj, v, removed):
-    """Suppress v if it is unlabelled with exactly two neighbors."""
-    if labels[v] is None and len(adj[v]) == 2:
-        a, b = adj[v]
-        adj[a][adj[a].index(v)] = b
-        adj[b][adj[b].index(v)] = a
-        adj[v] = []
-        removed[v] = True
-
-
-def _compact(labels, adj, removed):
-    """Drop removed nodes and renumber the rest, preserving index order."""
-    remap = {}
-    new_labels = []
-    for i, lab in enumerate(labels):
-        if not removed[i]:
-            remap[i] = len(new_labels)
-            new_labels.append(lab)
-    new_adj = [[remap[w] for w in adj[i]] for i in range(len(labels)) if not removed[i]]
-    return new_labels, new_adj
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +185,11 @@ def parse_newick(text, *, rooted, lenient=False):
         labels.append(RHO)
         adj.append([0])
     elif kids == 2:
-        removed = [False] * len(labels)
-        _splice_degree2(labels, adj, 0, removed)
-        labels, adj = _compact(labels, adj, removed)
+        # suppress the top: its two children list it first, so each takes
+        # the other in its place, and every index drops by one
+        a, b = adj[0]
+        adj[a][0], adj[b][0] = b, a
+        labels, adj = labels[1:], [[w - 1 for w in nbrs] for nbrs in adj[1:]]
     elif kids != 3:
         raise NewickError(
             f"unrooted input must have a trifurcating root, found {kids} children"

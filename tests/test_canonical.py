@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treescape
-from treescape.canonical import Component, Forest, decode_tree, sdlnewick_forest, sdlnewick_tree
+from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.errors import CanonicalError
 from treescape.oracle import edges as tree_edges
-from treescape.oracle import parents, random_tree, yield_forest
+from treescape.oracle import random_tree, reference_forest_keys
 from treescape.tree import Tree, parse_newick
 
 
@@ -51,14 +51,10 @@ class TestPinnedStrings:
 
     def test_component_ordering_in_forest(self):
         t = parse_newick("((1,(2,3)),(4,5));", rooted=True)
-        par = parents(t)
         edge45 = next(
-            (a, b) if par[a] == b else (b, a)
-            for a, b in tree_edges(t)
-            if {t.labels[a], t.labels[b]} == {4, None}
+            k for k, (a, b) in enumerate(tree_edges(t)) if {t.labels[a], t.labels[b]} == {4, None}
         )
-        f = yield_forest(t, (edge45,))
-        assert sdlnewick_forest(f) == b"(r,(1,(2,3)),5) (4)p;"
+        assert reference_forest_keys(t, "rspr")[edge45] == b"(r,(1,(2,3)),5) (4)p;"
 
 
 class TestDecode:
@@ -214,24 +210,17 @@ class TestUniqueness:
         assert len(sdlnewick_tree(t)) <= 23 * n + 8
 
 
-def test_components_sharing_smallest_label_rejected():
-    a = Component([1, 2, None], [[2], [2], [0, 1]])
-    b = Component([1, 3, None], [[2], [2], [0, 1]])
-    with pytest.raises(CanonicalError):
-        sdlnewick_forest(Forest([a, b]))
-
-
 def test_non_binary_subtree_rejected_under_optimisation():
     # the check must survive python -O, where a bare assert would vanish and
-    # the encoder would silently drop leaf 4
+    # the encoder would silently drop a leaf of the four-child node
     code = (
-        "from treescape.canonical import Component, Forest, RootMarker, sdlnewick_forest\n"
+        "from treescape.canonical import sdlnewick_tree\n"
         "from treescape.errors import CanonicalError\n"
-        "pruned = Component([None, None, 2, 3, 4, 5],\n"
-        "                   [[1, 5], [0, 2, 3, 4], [1], [1], [1], [0]],\n"
-        "                   RootMarker.COMPONENT, 0)\n"
+        "from treescape.tree import Tree\n"
+        "tree = Tree([1, 2, None, None, 3, 4, 5, 6],\n"
+        "            [[2], [2], [0, 1, 3], [2, 4, 5, 6, 7], [3], [3], [3], [3]], False)\n"
         "try:\n"
-        "    print(sdlnewick_forest(Forest([Component([1], [[]]), pruned])))\n"
+        "    print(sdlnewick_tree(tree))\n"
         "except CanonicalError:\n"
         "    print('CanonicalError')\n"
     )

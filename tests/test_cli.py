@@ -188,8 +188,8 @@ def test_package_names_resolve_lazily():
 
     assert AFContainer.__module__ == "treescape.afcontainer"
     # the reference names resolve only from their home modules
-    assert treescape.oracle.yield_forest.__module__ == "treescape.oracle"
-    for name in ("yield_forest", "decode_tree", "no_such_name"):
+    assert treescape.oracle.apply_spr.__module__ == "treescape.oracle"
+    for name in ("apply_spr", "decode_tree", "no_such_name"):
         with pytest.raises(AttributeError):
             getattr(treescape, name)
 

@@ -4,18 +4,20 @@ import re
 import pytest
 
 from treescape.errors import MoveError, NewickError
-from treescape.canonical import RootMarker, decode_tree, sdlnewick_forest, sdlnewick_tree
+from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.oracle import (
+    _compact,
+    _splice_degree2,
     apply_spr,
     apply_tbr,
     parents,
     random_tree,
+    reference_forest_keys,
     to_newick,
     validate_tree,
-    yield_forest,
 )
 from treescape.oracle import edges as tree_edges
-from treescape.tree import RHO, Tree, _compact, _splice_degree2, parse_newick
+from treescape.tree import RHO, Tree, parse_newick
 
 
 def leaf_node(tree, label):
@@ -180,81 +182,34 @@ class TestTree:
         validate_tree(ok)
 
 
-class TestYieldForest:
+def cut_key(tree, edge):
+    """The rspr reference key of the edge (child, parent)."""
+    key = tuple(sorted(edge))
+    return reference_forest_keys(tree, "rspr")[tree_edges(tree).index(key)]
+
+
+class TestReferenceKeys:
     def test_worked_rooted_cut(self):
         t = parse_newick("((1,(2,3)),(4,5));", rooted=True)
-        f = yield_forest(t, (child_edge(t, {4, 5}),))
-        assert sdlnewick_forest(f) == b"(r,1,(2,3)) (4,5)p;"
-        markers = sorted(c.marker.value for c in f.components if c.marker)
-        assert markers == ["component", "original"]
+        assert cut_key(t, child_edge(t, {4, 5})) == b"(r,1,(2,3)) (4,5)p;"
 
     def test_single_leaf_cut(self):
         t = parse_newick("((1,(2,3)),(4,5));", rooted=True)
-        f = yield_forest(t, (child_edge(t, {4}),))
-        assert sdlnewick_forest(f) == b"(r,(1,(2,3)),5) (4)p;"
+        assert cut_key(t, child_edge(t, {4})) == b"(r,(1,(2,3)),5) (4)p;"
 
-    def test_label_partition(self):
+    def test_sides_partition_the_leaf_set(self):
         rng = random.Random(23)
         for _ in range(40):
             rooted = rng.random() < 0.5
             t = random_tree(rng.randint(4, 10), rooted=rooted, rng=rng)
-            edge = tree_edges(t)[rng.randrange(len(tree_edges(t)))]
-            if rooted:
-                f = yield_forest(t, (edge,))
-            else:
-                f = yield_forest(t, (edge,), keep_roots=(edge[0],))
-            labels = [c.leaf_labels() for c in f.components]
-            assert sum(map(len, labels)) == len(f.leaf_labels())  # disjoint
-            assert all(labs or len(c.labels) == 1 for labs, c in zip(labels, f.components))
-            assert sum(c.marker is RootMarker.ORIGINAL for c in f.components) == rooted
-            assert f.leaf_labels() == t.leaf_labels()
-            assert len(f.components) == 2
-
-    def test_rooted_rejects_keep_roots(self):
-        t = parse_newick("((1,2),(3,4));", rooted=True)
-        with pytest.raises(MoveError):
-            yield_forest(t, (tree_edges(t)[0],), keep_roots=(tree_edges(t)[0][0],))
-
-    def test_keep_root_must_touch_a_cut(self):
-        t = parse_newick("(1,2,(3,4));", rooted=False)
-        e0, e1 = tree_edges(t)[0], tree_edges(t)[1]
-        with pytest.raises(MoveError):
-            yield_forest(t, (e0,), keep_roots=(e1[0],) if e1[0] not in e0 else (e1[1],))
-
-    def test_duplicate_cut_rejected(self):
-        t = parse_newick("(1,2,(3,4));", rooted=False)
-        e = tree_edges(t)[0]
-        with pytest.raises(MoveError):
-            yield_forest(t, (e, (e[1], e[0])))
-
-    def test_nonedge_rejected(self):
-        t = parse_newick("(1,2,(3,4));", rooted=False)
-        with pytest.raises(MoveError):
-            yield_forest(t, ((0, 0),))
-
-    def test_multicut_degenerate_root_rejected(self):
-        # cutting two edges of one internal node leaves it below degree 2
-        t = parse_newick("(1,2,(3,4));", rooted=False)
-        hub = t.neighbors[leaf_node(t, 3)][0]
-        e1 = (leaf_node(t, 3), hub)
-        e2 = (leaf_node(t, 4), hub)
-        with pytest.raises(MoveError):
-            yield_forest(t, (e1, e2), keep_roots=(hub,))
-
-    def test_two_kept_roots_in_one_component_rejected(self):
-        t = parse_newick("(1,2,(3,(4,(5,6))));", rooted=False)
-        x1, x2 = t.neighbors[leaf_node(t, 3)][0], t.neighbors[leaf_node(t, 4)][0]
-        hub, x3 = t.neighbors[leaf_node(t, 1)][0], t.neighbors[leaf_node(t, 5)][0]
-        with pytest.raises(MoveError):
-            yield_forest(t, ((hub, x1), (x2, x3)), keep_roots=(x1, x2))
-
-    def test_multicut_valid(self):
-        t = parse_newick("((1,2),(3,4),(5,6));", rooted=False)
-        a = child_edge_unrooted(t, {1, 2})
-        b = child_edge_unrooted(t, {3, 4})
-        f = yield_forest(t, (a, b))
-        assert len(f.components) == 3
-        assert f.leaf_labels() == {1, 2, 3, 4, 5, 6}
+            for move in ("rspr",) if rooted else ("uspr", "tbr"):
+                for key in reference_forest_keys(t, move):
+                    # a side of a rooted tree may be the root marker alone, "(r)"
+                    sides = [set(map(int, re.findall(rb"[0-9]+", side))) for side in key.split()]
+                    assert len(sides) == 2
+                    assert not sides[0] & sides[1]
+                    assert sides[0] | sides[1] == t.leaf_labels()
+                    assert key.count(b"r") == rooted
 
 
 def child_edge_unrooted(tree, labels_below):
@@ -374,9 +329,8 @@ class TestApplyTbr:
         assert sdlnewick_tree(res) == sdlnewick_tree(t)
 
 
-def test_rho_constant_and_markers():
+def test_rho_constant():
     assert RHO == 0
-    assert {m.value for m in RootMarker} == {"original", "component"}
 
 
 # Every malformed input the parser is pinned on, with the exact message
