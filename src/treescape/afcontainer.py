@@ -132,11 +132,11 @@ def read_snapshot(path, move, rooted):
                 # isdigit() takes only 0-9 here because the line is ASCII;
                 # int() refuses more than sys.get_int_max_str_digits() digits
                 try:
-                    count = int(header[3]) if header[3].isdigit() else None
+                    if not header[3].isdigit():
+                        raise ValueError
+                    count = int(header[3])
                 except ValueError:
-                    count = None
-                if count is None:
-                    raise SnapshotError(f"{path}:1: bad tree count {header[3]!r}")
+                    raise SnapshotError(f"{path}:1: bad tree count {header[3]!r}") from None
                 if mode is not Mode.of(move, rooted):
                     kind = "rooted" if rooted else "unrooted"
                     raise ModeError(f"{path}:1: snapshot mode {mode.value} does not fit {kind} {move}")
