@@ -69,10 +69,10 @@ def bench(args):
     collections = [
         [oracle.random_tree(n, rooted=args.rooted, rng=rng) for _ in range(args.m)] for n in sizes
     ]
-    # each size's fastest build over three rounds that visit every size, so
+    # each size's fastest build over seven rounds that visit every size, so
     # that a slow spell of the machine cannot set the fitted slope
     best = [math.inf] * len(sizes)
-    for _ in range(3):
+    for _ in range(7):
         for k, trees in enumerate(collections):
             # each build starts with no collection due from the caller's heap
             gc.collect()

@@ -993,13 +993,13 @@ class TestBench:
             return list(built)
 
         first = collections("1")
-        assert len(first) == 3 * 2
+        assert len(first) == 7 * 2
         assert collections("1") == first
         assert collections("2") != first
 
     def test_exponent_is_the_least_squares_slope(self, capsys, monkeypatch):
         # on a fake clock each build of n-leaf trees takes seconds[n], twice
-        # that in the first round, so the best of the three rounds is seconds[n]
+        # that in the first round, so the best of the seven rounds is seconds[n]
         seconds = {8: 0.125, 16: 0.375, 32: 1.5}
         clock = [0.0]
         builds = []
@@ -1018,7 +1018,7 @@ class TestBench:
         slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum(
             (x - mean_x) ** 2 for x in xs
         )
-        assert len(builds) == 3 * 3
+        assert len(builds) == 7 * 3
         assert capsys.readouterr().out.splitlines() == [
             "n=8 m=2 total=0.125s",
             "n=16 m=2 total=0.375s",
@@ -1044,7 +1044,7 @@ class TestBench:
         monkeypatch.setattr(checks.gc, "collect", collecting)
         monkeypatch.setattr(checks, "_construct", building)
         assert run("bench", "--mode", "spr", "--rooted", "--m", "3", "--sizes", "8,9") == 0
-        assert events == ["collect", "build 8", "collect", "build 9"] * 3
+        assert events == ["collect", "build 8", "collect", "build 9"] * 7
 
 
 # more digits than int() converts from a string by default (4300)
