@@ -2,8 +2,8 @@
 
 An AFContainer holds three substructures:
 
-* forest index: canonical forest key -> append-only list of tree ids, in
-  insertion order and duplicate-free per list;
+* forest index: canonical forest key -> tuple of tree ids in insertion
+  order; the keys a new tree adds all share one tuple, (id,);
 * id index: canonical tree string -> tree id;
 * tree array: tree id -> canonical tree string, ids dense from 0.
 
@@ -16,7 +16,7 @@ from that table first, and only a tree the id index does not hold yet has
 its forest keys spliced from the same table. A tree that arrives already
 Oriented, as snapshot trees do, is not oriented again.
 
-The id lists a new tree's keys land on hold exactly the earlier trees one
+The id tuples a new tree's keys land on hold exactly the earlier trees one
 move away from it, so inserting a tree also finds its earlier neighbours,
 with the number of keys each one shares. Prune-regraft neighbours that are
 also one interchange apart share at least two keys; all others share one.
@@ -40,7 +40,7 @@ from functools import partial
 from .errors import ModeError, NewickError, SnapshotError
 from .forestgen import Oriented, nni_keys, orient
 from .forestgen import rspr_forest_keys, tbr_forest_keys, uspr_forest_keys
-from .tree import parse_newick
+from .tree import integer, parse_newick
 
 
 class Mode(enum.Enum):
@@ -128,13 +128,10 @@ def read_snapshot(path, move, rooted):
                     mode = Mode(header[2])
                 except ValueError:
                     raise SnapshotError(f"{path}:1: unknown snapshot mode {header[2]!r}") from None
-                # digits as written: int() would also take "+1" and "1_0", and
-                # isdigit() takes only 0-9 here because the line is ASCII;
-                # int() refuses more than sys.get_int_max_str_digits() digits
                 try:
-                    if not header[3].isdigit():
+                    if header[3].startswith("-"):
                         raise ValueError
-                    count = int(header[3])
+                    count = integer(header[3])
                 except ValueError:
                     raise SnapshotError(f"{path}:1: bad tree count {header[3]!r}") from None
                 if mode is not Mode.of(move, rooted):
@@ -211,14 +208,12 @@ class AFContainer:
         self._id_trie[text] = tree_id
         self._trees.append(text)
         index = self._forest_trie
+        own = (tree_id,)
         hits = []
         for key in keys:
-            ids = index.get(key)
-            if ids is None:
-                index[key] = [tree_id]
-            else:
-                hits += ids
-                ids.append(tree_id)
+            ids = index.get(key, ())
+            hits += ids
+            index[key] = ids + own
         return tree_id, Counter(hits)
 
     def sdlnewick_of(self, tree_id):

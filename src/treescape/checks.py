@@ -14,6 +14,7 @@ import time
 from . import oracle
 from .errors import TreescapeError, fail
 from .graph import _construct
+from .tree import integer
 
 
 def verify(args, numbered, construct_numbered):
@@ -50,13 +51,8 @@ def verify(args, numbered, construct_numbered):
 def bench(args):
     """treescape bench: time the graph build of random trees at each size
     and fit the log-log slope of time against leaf count."""
-    # ASCII digits only: int() would also take " 64", "+64" and "6_4", and
-    # it refuses more than sys.get_int_max_str_digits() digits
-    sizes = args.sizes.split(",")
     try:
-        if not all(s.isascii() and s.isdigit() for s in sizes):
-            raise ValueError
-        sizes = list(map(int, sizes))
+        sizes = list(map(integer, args.sizes.split(",")))
     except ValueError:
         raise TreescapeError(f"bad --sizes {args.sizes!r}") from None
     if min(sizes) < 4:

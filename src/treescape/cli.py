@@ -31,7 +31,7 @@ from .afcontainer import (
 from .errors import LabelSetError, NewickError, TreescapeError, fail
 from .forestgen import Oriented
 from .graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
-from .tree import parse_newick
+from .tree import integer, parse_newick
 
 
 # tree lines are parsed and oriented this many characters at a time (or one
@@ -242,10 +242,10 @@ def _cmd_bench(args):
 # The grammar, which parse_args reads and the usage module builds an
 # argparse parser from. Each command has a help line, its handler, whether
 # it reads an input file, and its options. An option is (flag, dest, value,
-# default, help), where value is a tuple of choices, int, a metavar for any
-# string, or, for a flag that takes no value, the bool it stores. Flags
-# that share a dest are either-or, and a default of ... makes the option,
-# or one flag of the pair, required.
+# default, help), where value is a tuple of choices, integer for a number,
+# a metavar for any string, or, for a flag that takes no value, the bool it
+# stores. Flags that share a dest are either-or, and a default of ... makes
+# the option, or one flag of the pair, required.
 _COMMON = [
     ("--mode", "mode", ("spr", "nni", "tbr"), ..., "move family"),
     ("--rooted", "rooted", True, ..., "trees are rooted"),
@@ -266,12 +266,12 @@ COMMANDS = {
     ]),
     "verify": ("compare the indexed build against all-pairs comparison", _cmd_verify, True, [
         *_COMMON, *_READING,
-        ("--max-m", "max_m", int, 200, "refuse more input trees than this"),
+        ("--max-m", "max_m", integer, 200, "refuse more input trees than this"),
     ]),
     "bench": ("time graph builds on random trees", _cmd_bench, False, [
         *_COMMON,
-        ("--seed", "seed", int, 0, "random seed"),
-        ("--m", "m", int, 200, "trees per size"),
+        ("--seed", "seed", integer, 0, "random seed"),
+        ("--m", "m", integer, 200, "trees per size"),
         ("--sizes", "sizes", "CSV", "64,128,256", "comma-separated leaf counts"),
     ]),
 }
@@ -307,14 +307,12 @@ def _read_spelled(argv):
                 text = next(rest, None)
                 if text is None or text.startswith("-") and text != "-":
                     return None
-            if value is int:
-                try:
-                    text = int(text)
-                except ValueError:
-                    return None
-            elif isinstance(value, tuple) and text not in value:
+            if isinstance(value, tuple) and text not in value:
                 return None
-            value = text
+            try:
+                value = integer(text) if value is integer else text
+            except ValueError:
+                return None
         given[dest] = flag
         setattr(args, dest, value)
     required = {dest for _, dest, _, default, _ in options if default is ...}

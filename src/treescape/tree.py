@@ -22,6 +22,13 @@ RHO = 0
 MAX_LABEL = 2**64 - 1
 
 
+def integer(text):
+    """int(text) if text is ASCII digits after at most one -, else ValueError."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 class Tree:
     """Binary phylogenetic tree over integer-labelled leaves.
 

@@ -35,8 +35,8 @@ def parser(commands):
                 continue
             if default is not None:
                 line = f"{line} (default {default})"
-            if value is int:
-                kind = {"type": int}
+            if callable(value):
+                kind = {"type": value}
             else:
                 kind = {"choices": value} if isinstance(value, tuple) else {"metavar": value}
             sub.add_argument(flag, dest=dest, required=required, default=default, help=line, **kind)

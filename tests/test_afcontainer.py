@@ -1,5 +1,6 @@
 """Container behavior: insertion, the neighbours an insert finds, snapshots."""
 
+import gc
 import random
 import re
 from collections import Counter
@@ -75,7 +76,7 @@ class TestInsert:
         t0, t1, _ = triangle_trees()
         c.insert(t0)
         c.insert(t1)
-        before = (dict(c._id_trie), {k: list(v) for k, v in c._forest_trie.items()}, list(c._trees))
+        before = (dict(c._id_trie), dict(c._forest_trie), list(c._trees))
         with pytest.raises(ModeError):
             c.insert(parse_newick("(4,5,(1,(2,3)));", rooted=False))
         assert (c._id_trie, c._forest_trie, c._trees) == before
@@ -84,7 +85,7 @@ class TestInsert:
         c = AFContainer(Mode.RSPR)
         for t in triangle_trees():
             c.insert(t)
-        assert c._forest_trie.get(b"(r,1,(2,3)) (4,5)p;") == [0, 1, 2]
+        assert c._forest_trie.get(b"(r,1,(2,3)) (4,5)p;") == (0, 1, 2)
 
     def test_sdlnewick_of(self):
         c = AFContainer(Mode.USPR)
@@ -451,3 +452,21 @@ def test_space_stays_near_quadratic():
             c.insert(random_tree(n, rooted=True, rng=rng))
         key_bytes = sum(len(k) for k, _ in c._forest_trie.items())
         assert key_bytes <= 64 * 30 * n * n
+
+
+def test_collector_does_not_track_the_forest_index():
+    # every value is a tuple of ids, which the collector untracks once it
+    # has examined it, so a large index adds nothing to later collections
+    rng = random.Random(29)
+    builds = [
+        (Mode.USPR, enumerate_all_trees(7, rooted=False)),
+        (Mode.RSPR, [random_tree(16, rooted=True, rng=rng) for _ in range(50)]),
+    ]
+    for mode, trees in builds:
+        c = AFContainer(mode)
+        for t in trees:
+            c.insert(t)
+        gc.collect()
+        values = list(c._forest_trie.values())
+        assert values and not any(map(gc.is_tracked, values)), mode
+        assert all(all(a < b for a, b in zip(ids, ids[1:])) for ids in values), mode

@@ -1052,6 +1052,7 @@ HUGE = "9" * 5000
 BUILD = ["build", "t.nwk", "--mode", "spr", "--rooted", "--out", "g.tsv"]
 BENCH = ["bench", "--mode", "spr", "--rooted", "--m", "1", "--sizes", "4"]
 USAGE_ERROR = re.compile(r"treescape (?:build|verify|bench): error: .+")
+SPELLINGS = ["1_0", "+3", " 7", "\u0663"]
 
 
 @pytest.mark.parametrize(
@@ -1066,8 +1067,14 @@ USAGE_ERROR = re.compile(r"treescape (?:build|verify|bench): error: .+")
         ({"t.nwk": "((a,b),(c,d));\n", "names.tsv": f"a 1\nb 2\nc 3\nd {HUGE}\n"},
          BUILD + ["--taxa", "names.tsv"]),
         ({"t.nwk": f"((1,2),(3,{HUGE}));\n"}, BUILD),
+        # spellings int() takes but the integer options refuse
+        *[({}, BENCH[:-3] + [text] + BENCH[-2:]) for text in SPELLINGS],
+        *[({}, BENCH + ["--seed", text]) for text in SPELLINGS],
+        *[({"t.nwk": "((1,2),(3,4));\n"}, ["verify", *BUILD[1:-2], "--max-m", text])
+          for text in SPELLINGS],
     ],
-    ids=["snapshot count", "--sizes", "--m", "--seed", "--max-m", "--taxa label", "Newick label"],
+    ids=["snapshot count", "--sizes", "--m", "--seed", "--max-m", "--taxa label", "Newick label",
+         *[f"{flag} {text!r}" for flag in ("--m", "--seed", "--max-m") for text in SPELLINGS]],
 )
 def test_an_integer_of_5000_digits_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)

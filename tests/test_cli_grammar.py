@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from treescape import cli
+from treescape.tree import integer
 
 TREES = "(((4,5),1),(2,3));\n((((4,5),2),3),1);\n(1,(2,((4,5),3)));\n"
 TAXA_TREES = "(((d,e),a),(b,c));\n((((d,e),b),c),a);\n(a,(b,((d,e),c)));\n"
@@ -306,7 +307,7 @@ def mutated(rng, argv):
             flag, _, value, _, _ = rng.choice(options)
             if isinstance(value, tuple):
                 value = rng.choice(value)
-            elif value is int:
+            elif value is integer:
                 value = rng.choice(["5", "0", "-1"])
             argv[where:where] = [flag] if isinstance(value, bool) else [flag, value]
         elif op == 2 and len(argv) > 1:
