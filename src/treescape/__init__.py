@@ -3,8 +3,8 @@ phylogenetic trees, built by indexing canonical two-component forests.
 
 The build's API below is imported from its home modules on first use
 (PEP 562), so importing the package, or one module of it, loads only the
-modules that are needed. Import the reference modules' names from
-``treescape.canonical`` and ``treescape.oracle``.
+modules that are needed. Import the reference's names from
+``treescape.oracle``.
 """
 
 import importlib

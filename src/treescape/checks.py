@@ -13,7 +13,7 @@ import time
 
 from . import oracle
 from .errors import TreescapeError, fail
-from .graph import _construct
+from .graph import construct
 from .tree import integer
 
 
@@ -32,19 +32,18 @@ def verify(args, numbered, construct_numbered):
     graph, labeling, _ = construct_numbered(args, parsed)
     trees = [tree for _, tree in parsed]
     move = "nni" if args.mode == "nni" else args.container_mode.value
-    slow_graph, slow_canon = oracle.pairwise_graph(trees, move)
+    slow_edges, slow_canon = oracle.pairwise_graph(trees, move)
 
     if labeling.canonical != slow_canon:
         return fail(1, "verify mismatch: vertex sets differ")
-    fast_edges = set(graph.edges())
-    slow_edges = set(slow_graph.edges())
-    if fast_edges != slow_edges:
-        for edge in sorted(fast_edges - slow_edges):
+    fast, slow = set(graph.edges()), set(slow_edges)
+    if fast != slow:
+        for edge in sorted(fast - slow):
             print(f"only fast: {edge}", file=sys.stderr)
-        for edge in sorted(slow_edges - fast_edges):
+        for edge in sorted(slow - fast):
             print(f"only pairwise: {edge}", file=sys.stderr)
         return fail(1, "verify mismatch: edge sets differ")
-    print(f"verify ok: m={graph.n_vertices} edges={graph.edge_count}")
+    print(f"verify ok: m={len(slow_canon)} edges={len(slow_edges)}")
     return 0
 
 
@@ -73,7 +72,7 @@ def bench(args):
             # each build starts with no collection due from the caller's heap
             gc.collect()
             t0 = time.perf_counter()
-            _construct(args.mode, trees)
+            construct(args.mode, trees)
             best[k] = min(best[k], time.perf_counter() - t0)
     for n, total in zip(sizes, best):
         print(f"n={n} m={args.m} total={total:.3f}s")

@@ -171,9 +171,10 @@ def _construct_numbered(args, numbered):
 
 
 def _refuse_path_clash(args):
-    """Raise TreescapeError if --out, --snapshot or --append is -, or if two
-    of a build's paths name one file that the build writes. --snapshot may
-    name the --append snapshot: that updates it."""
+    """Raise TreescapeError if --out, --snapshot or --append is -, if a file
+    the build writes is special (a rename would replace a FIFO or a device),
+    or if two of a build's paths name one file that the build writes.
+    --snapshot may name the --append snapshot: that updates it."""
     for name in "out", "snapshot", "append":
         if getattr(args, name) == "-":
             raise TreescapeError(f"--{name} -: only the input and --taxa take - for stdin")
@@ -186,6 +187,8 @@ def _refuse_path_clash(args):
     for k, (name, path) in enumerate(written):
         if path is None:
             continue
+        if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+            raise TreescapeError(f"{name} {path} is not a regular file")
         for other, other_path in written[k + 1 :] + read:
             if other_path in (None, "-") or {name, other} == {"--snapshot", "--append"}:
                 continue

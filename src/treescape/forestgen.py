@@ -51,7 +51,7 @@ ancestor (and, for an unrooted lower side, for each node on the path down
 to its smallest leaf) plus copying its O(n) bytes. The cut-and-encode
 construction these keys are tested against byte for byte is
 ``oracle.reference_forest_keys``, and the tree string is tested against
-``canonical.sdlnewick_tree``. An AFContainer orients a tree, looks its
+``oracle.sdlnewick_tree``. An AFContainer orients a tree, looks its
 string up and passes the same table to the key generators only when the
 tree is new.
 
@@ -161,7 +161,7 @@ class Oriented(Tree):
         self.low, self.text, self.start, self.stop, self.jump = low, text, start, stop, jump
 
     def canonical(self):
-        """The tree's canonical byte string, as canonical.sdlnewick_tree
+        """The tree's canonical byte string, as oracle.sdlnewick_tree
         gives it."""
         return f"{self.text};".encode("ascii")
 

@@ -94,7 +94,7 @@ class VertexLabeling:
         return [k for k, v in enumerate(self.vertex_of_input) if self.first_input[v] != k]
 
 
-def _construct(move, trees):
+def construct(move, trees):
     """The graph and labeling of move over trees, taken one at a time. The
     first tree fixes the leaf set and, by its rootedness, the container
     mode (Mode.of); the key generators refuse the other rootedness."""
@@ -111,7 +111,7 @@ def _construct(move, trees):
         vertex_of_input.append(vid)
         if vid == graph.n_vertices:
             first_input.append(k)
-            graph.add_vertex(list(shared))
+            graph.add_vertex(shared)
     labeling = VertexLabeling(
         vertex_of_input=vertex_of_input,
         first_input=first_input,
@@ -124,16 +124,16 @@ def _construct(move, trees):
 def construct_spr_graph(trees):
     """Prune-regraft adjacency graph; rooted and unrooted collections both
     work, picking the matching move family."""
-    return _construct("spr", trees)
+    return construct("spr", trees)
 
 
 def construct_nni_graph(trees):
     """Interchange adjacency graph over rooted or unrooted collections: the
     pairs that share an interchange key, which is a tree with one internal
     edge contracted (forestgen.nni_keys)."""
-    return _construct("nni", trees)
+    return construct("nni", trees)
 
 
 def construct_tbr_graph(trees):
     """Bisection-reconnection adjacency graph; unrooted collections only."""
-    return _construct("tbr", trees)
+    return construct("tbr", trees)

@@ -8,7 +8,7 @@ marker leaf attached to the root node, so rooted and unrooted trees share
 one layout. Instances are immutable by convention, so trees can be shared
 freely. The canonical encoder, the rearrangement surgery, the edge list and
 the Newick writer built on this layout are reference code and live in
-``canonical`` and ``oracle``.
+``oracle``.
 
 Leaf labels are distinct integers in ``1 .. 2**64 - 1``. Label 0 is reserved
 for the root marker and is never accepted from input.

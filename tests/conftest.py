@@ -43,7 +43,7 @@ def _line_count(path):
 
 
 def _line_counts():
-    """(lines of src/, lines of the reference modules canonical and oracle,
+    """(lines of src/, lines of the reference module oracle,
     lines of checks, taxa and usage, which a build does not import, lines of
     the treescape modules an --append build imports, the other modules it
     imports beyond a bare interpreter)."""
@@ -53,7 +53,7 @@ def _line_counts():
         return sum(_line_count(os.path.join(package, f)) for f in names)
 
     src = count(f for f in os.listdir(package) if f.endswith(".py"))
-    reference = count(["canonical.py", "oracle.py"])
+    reference = count(["oracle.py"])
     off_path = count(["checks.py", "taxa.py", "usage.py"])
     with tempfile.TemporaryDirectory() as tmp:
         out = subprocess.run(
@@ -122,7 +122,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus):
         terminalreporter.write_line(f"unavailable: {exc}")
     else:
         terminalreporter.write_line(
-            f"src/: {src} lines; the reference (canonical, oracle) {reference}; "
+            f"src/: {src} lines; the reference (oracle) {reference}; "
             f"checks, taxa and usage, which a build does not import, {off_path}; "
             f"an --append build imports {build_path}"
         )

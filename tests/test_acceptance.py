@@ -13,13 +13,14 @@ from conftest import SRC, report_criterion
 
 from treescape import cli
 from treescape.afcontainer import AFContainer, Mode
-from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
 from treescape.oracle import (
+    decode_tree,
     enumerate_all_trees,
     enumerate_neighbors,
     pairwise_graph,
     random_tree,
+    sdlnewick_tree,
     to_newick,
 )
 from treescape.tree import Tree
@@ -85,14 +86,14 @@ def test_criterion_2_exhaustive_small_worlds():
 
     r4 = enumerate_all_trees(4, rooted=True)
     g, lab = construct_spr_graph(r4)
-    og, oc = pairwise_graph(r4, "rspr")
-    if not (g.n_vertices == 15 and lab.canonical == oc and g.edges() == og.edges()):
+    edges, oc = pairwise_graph(r4, "rspr")
+    if not (g.n_vertices == 15 and lab.canonical == oc and g.edges() == edges):
         problems.append("rooted-4 spr")
 
     u4 = enumerate_all_trees(4, rooted=False)
     g, lab = construct_nni_graph(u4)
-    og, oc = pairwise_graph(u4, "nni")
-    if not (lab.canonical == oc and g.edges() == og.edges()):
+    edges, oc = pairwise_graph(u4, "nni")
+    if not (lab.canonical == oc and g.edges() == edges):
         problems.append("unrooted-4 nni")
     if g.edges() != [(0, 1), (0, 2), (1, 2)]:
         problems.append("unrooted-4 nni is not the triangle")
@@ -100,8 +101,8 @@ def test_criterion_2_exhaustive_small_worlds():
     u5 = enumerate_all_trees(5, rooted=False)
     for build, move in ((construct_spr_graph, "uspr"), (construct_tbr_graph, "tbr")):
         g, lab = build(u5)
-        og, oc = pairwise_graph(u5, move)
-        if not (g.n_vertices == 15 and lab.canonical == oc and g.edges() == og.edges()):
+        edges, oc = pairwise_graph(u5, move)
+        if not (g.n_vertices == 15 and lab.canonical == oc and g.edges() == edges):
             problems.append(f"unrooted-5 {move}")
 
     report_criterion(

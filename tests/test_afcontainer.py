@@ -16,13 +16,14 @@ from treescape.afcontainer import (
     replace_atomically,
     write_snapshot,
 )
-from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.errors import CanonicalError, ModeError, SnapshotError
 from treescape.oracle import (
+    decode_tree,
     enumerate_all_trees,
     enumerate_neighbors,
     random_tree,
     reference_forest_keys,
+    sdlnewick_tree,
 )
 from treescape.tree import parse_newick
 
@@ -404,7 +405,7 @@ def mutated_lines(line, tree, rng):
 
 
 def reference_decode(mode, line):
-    """The tree canonical.decode_tree reads from line, if it has the
+    """The tree oracle.decode_tree reads from line, if it has the
     snapshot's rootedness; else None."""
     try:
         tree = decode_tree(line)

@@ -15,9 +15,8 @@ import random
 
 import pytest
 
-from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.graph import construct_nni_graph, construct_spr_graph, construct_tbr_graph
-from treescape.oracle import enumerate_neighbors, random_tree
+from treescape.oracle import decode_tree, enumerate_neighbors, random_tree, sdlnewick_tree
 
 # move name -> (builder, rooted, the oracle's move)
 BUILDERS = {

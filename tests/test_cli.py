@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import types
@@ -162,13 +163,13 @@ def test_build_loads_neither_reference_modules_nor_dataclasses(tmp_path, append)
         "had_argparse = 'argparse' in sys.modules\n"
         "from treescape import cli\n"
         f"assert cli.main({build!r}) == 0\n"
-        "print('treescape.canonical' in sys.modules, 'treescape.oracle' in sys.modules,\n"
+        "print('treescape.oracle' in sys.modules,\n"
         "      not had_dataclasses and 'dataclasses' in sys.modules,\n"
         "      not had_argparse and 'argparse' in sys.modules,\n"
         "      'treescape.checks' in sys.modules, 'treescape.taxa' in sys.modules,\n"
         "      'treescape.usage' in sys.modules)\n"
     )
-    assert fresh_interpreter(code) == "False False False False False False False"
+    assert fresh_interpreter(code) == "False False False False False False"
 
 
 def test_package_names_resolve_lazily():
@@ -178,12 +179,11 @@ def test_package_names_resolve_lazily():
         "print(sorted(m for m in sys.modules if m.startswith('treescape.')))\n"
     )
     assert fresh_interpreter(code) == "[]"
-    reference = {"treescape.canonical", "treescape.oracle"}
     for name in treescape.__all__:
         value = getattr(treescape, name)
         if name != "__version__":
             assert value is getattr(sys.modules[value.__module__], name)
-            assert value.__module__ not in reference
+            assert value.__module__ != "treescape.oracle"
     from treescape import AFContainer
 
     assert AFContainer.__module__ == "treescape.afcontainer"
@@ -192,6 +192,16 @@ def test_package_names_resolve_lazily():
     for name in ("apply_spr", "decode_tree", "no_such_name"):
         with pytest.raises(AttributeError):
             getattr(treescape, name)
+
+
+def test_reference_imports_only_the_parser_and_the_errors():
+    # the oracle checks the build's code, so it loads none of the build's modules
+    code = (
+        "import sys\n"
+        "import treescape.oracle\n"
+        "print(sorted(m for m in sys.modules if m.startswith('treescape.')))\n"
+    )
+    assert fresh_interpreter(code) == "['treescape.errors', 'treescape.oracle', 'treescape.tree']"
 
 
 def test_lines_over_a_block_are_taken_one_tree_at_a_time(tmp_path, monkeypatch):
@@ -448,6 +458,29 @@ class TestPathClashes:
         assert run("build", paths["input"], "--mode", "spr", "--rooted", "--taxa", paths["taxa"],
                    "--out", paths["x"], "--snapshot", str(link)) == 2
         assert (tmp_path / "x.tsv").read_text() == "old graph\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "fifo, options, name",
+        [
+            ("f.tsv", ["--out", "f.tsv"], "--out"),
+            ("f.vertices.tsv", ["--out", "f.tsv"], "the vertex file"),
+            ("f.snap", ["--out", "x.tsv", "--snapshot", "f.snap"], "--snapshot"),
+        ],
+        ids=["out", "vertices", "snapshot"],
+    )
+    def test_a_special_file_is_refused(self, tmp_path, monkeypatch, capsys, fifo, options, name):
+        # a rename would replace the pipe with a regular file
+        paths = self.make_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        os.mkfifo(fifo)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != fifo}
+        capsys.readouterr()
+        assert run("build", paths["input"], "--mode", "spr", "--rooted",
+                   "--taxa", paths["taxa"], *options) == 2
+        assert capsys.readouterr() == ("", f"error: {name} {fifo} is not a regular file\n")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != fifo} == before
 
     def test_snapshot_may_update_the_appended_one(self, tmp_path):
         paths = self.make_files(tmp_path)
@@ -912,12 +945,8 @@ class TestVerify:
         real = oracle.pairwise_graph
 
         def missing_one_edge(trees, move):
-            g, canon = real(trees, move)
-            kept = g.edges()[:-1]
-            broken = AdjacencyGraph()
-            for v in range(g.n_vertices):
-                broken.add_vertex([u for u, w in kept if w == v])
-            return broken, canon
+            edges, canon = real(trees, move)
+            return edges[:-1], canon
 
         monkeypatch.setattr(oracle, "pairwise_graph", missing_one_edge)
         assert run("verify", inp, "--mode", "spr", "--rooted") == 1
@@ -931,6 +960,29 @@ class TestVerify:
         monkeypatch.setattr(oracle, "pairwise_graph", lambda trees, move: (real(trees, move)[0], []))
         assert run("verify", inp, "--mode", "spr", "--rooted") == 1
         assert "vertex sets differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, fault, missing",
+        [
+            ("edges", lambda real: lambda self: real(self)[:-1], "(1, 2)"),
+            (
+                "add_vertex",
+                lambda real: lambda self, earlier=(): real(self, list(earlier)[1:]),
+                "(0, 1)",
+            ),
+        ],
+        ids=["edges-drops-the-last", "add-vertex-drops-the-first"],
+    )
+    def test_fault_in_the_graph_class_is_caught(
+        self, tmp_path, capsys, monkeypatch, method, fault, missing
+    ):
+        # the oracle lists its edges without the graph class, so a fault
+        # there shows on the build's side only
+        inp = write(tmp_path, "t.nwk", TRIANGLE)
+        monkeypatch.setattr(AdjacencyGraph, method, fault(getattr(AdjacencyGraph, method)))
+        assert run("verify", inp, "--mode", "spr", "--rooted") == 1
+        err = capsys.readouterr().err
+        assert f"only pairwise: {missing}\n" in err and "edge sets differ" in err
 
     def test_tbr_rooted_conflict(self, tmp_path, capsys):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
@@ -978,13 +1030,13 @@ class TestBench:
 
     def test_seed_reproducibility(self, monkeypatch):
         built = []
-        construct = checks._construct
+        construct = checks.construct
 
         def recording(mode, trees):
             built.append([forestgen.Oriented(tree).canonical() for tree in trees])
             return construct(mode, trees)
 
-        monkeypatch.setattr(checks, "_construct", recording)
+        monkeypatch.setattr(checks, "construct", recording)
 
         def collections(seed):
             built.clear()
@@ -1009,7 +1061,7 @@ class TestBench:
             clock[0] += seconds[n] * (1 if n in builds else 2)
             builds.append(n)
 
-        monkeypatch.setattr(checks, "_construct", build)
+        monkeypatch.setattr(checks, "construct", build)
         monkeypatch.setattr(checks, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
         assert run("bench", "--mode", "spr", "--rooted", "--m", "2", "--sizes", "8,16,32") == 0
         xs = [math.log(n) for n in seconds]
@@ -1031,7 +1083,7 @@ class TestBench:
         # fall on the same size's build in every round
         events = []
         collect = checks.gc.collect
-        construct = checks._construct
+        construct = checks.construct
 
         def collecting(*args):
             events.append("collect")
@@ -1042,7 +1094,7 @@ class TestBench:
             return construct(mode, trees)
 
         monkeypatch.setattr(checks.gc, "collect", collecting)
-        monkeypatch.setattr(checks, "_construct", building)
+        monkeypatch.setattr(checks, "construct", building)
         assert run("bench", "--mode", "spr", "--rooted", "--m", "3", "--sizes", "8,9") == 0
         assert events == ["collect", "build 8", "collect", "build 9"] * 7
 

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from treescape.afcontainer import AFContainer
-from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.errors import ModeError
 from treescape.forestgen import (
     Oriented,
@@ -16,10 +15,12 @@ from treescape.forestgen import (
 )
 from treescape.oracle import edges as tree_edges
 from treescape.oracle import (
+    decode_tree,
     enumerate_all_trees,
     enumerate_neighbors,
     random_tree,
     reference_forest_keys,
+    sdlnewick_tree,
     to_newick,
 )
 from treescape.tree import MAX_LABEL, RHO, Tree, parse_newick

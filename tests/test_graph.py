@@ -3,7 +3,6 @@ import weakref
 
 import pytest
 
-from treescape.canonical import sdlnewick_tree
 from treescape.errors import GraphInvariantError, LabelSetError, ModeError, MoveError
 from treescape.graph import (
     AdjacencyGraph,
@@ -19,6 +18,7 @@ from treescape.oracle import (
     parents,
     random_tree,
     reference_forest_keys,
+    sdlnewick_tree,
     to_newick,
 )
 from treescape.oracle import edges as tree_edges

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from treescape.canonical import sdlnewick_tree
 from treescape.errors import ModeError
 from treescape.oracle import (
     MOVES,
@@ -14,6 +13,7 @@ from treescape.oracle import (
     pairwise_graph,
     random_tree,
     reference_forest_keys,
+    sdlnewick_tree,
     to_newick,
     validate_tree,
 )
@@ -171,15 +171,14 @@ class TestEnumerateNeighbors:
 
 class TestPairwiseGraph:
     def test_single_tree_no_edges(self):
-        g, canon = pairwise_graph([random_tree(5, rooted=True, rng=random.Random(2))], "rspr")
-        assert g.n_vertices == 1 and g.edge_count == 0 and len(canon) == 1
+        edges, canon = pairwise_graph([random_tree(5, rooted=True, rng=random.Random(2))], "rspr")
+        assert edges == [] and len(canon) == 1
 
     def test_first_occurrence_dedup(self):
         rng = random.Random(10)
         t = random_tree(5, rooted=False, rng=rng)
-        g, canon = pairwise_graph([t, t, t], "uspr")
-        assert g.n_vertices == 1
-        assert canon == [sdlnewick_tree(t)]
+        edges, canon = pairwise_graph([t, t, t], "uspr")
+        assert edges == [] and canon == [sdlnewick_tree(t)]
 
 
 class TestNniMoves:

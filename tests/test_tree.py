@@ -4,15 +4,16 @@ import re
 import pytest
 
 from treescape.errors import MoveError, NewickError
-from treescape.canonical import decode_tree, sdlnewick_tree
 from treescape.oracle import (
     _compact,
     _splice_degree2,
     apply_spr,
     apply_tbr,
+    decode_tree,
     parents,
     random_tree,
     reference_forest_keys,
+    sdlnewick_tree,
     to_newick,
     validate_tree,
 )
