@@ -60,16 +60,6 @@ class AdjacencyGraph:
         """All edges as (smaller, larger) pairs in lexicographic order."""
         return [(j, i) for j, bucket in enumerate(self._adj) for i in bucket]
 
-    def neighbors(self, v):
-        """Sorted neighbor list of v (both directions)."""
-        below = [j for j, bucket in enumerate(self._adj[:v]) if v in bucket]
-        return below + self._adj[v]
-
-    def __eq__(self, other):
-        if not isinstance(other, AdjacencyGraph):
-            return NotImplemented
-        return self._adj == other._adj
-
     def __repr__(self):
         return f"<AdjacencyGraph n={self.n_vertices} edges={self.edge_count}>"
 

@@ -33,8 +33,8 @@ only reference code and tests need live here too: edges lists a tree's
 edges, to_newick writes plain Newick through the encoder's emitter and
 validate_tree checks a tree's structural invariants. So does the move
 surgery: apply_spr and apply_tbr rebuild the tree after one move.
-nni_moves lists interchange results directly, a cross-check on the
-contracted-edge keys the interchange graph indexes (forestgen.nni_keys).
+Interchange neighborhoods apply only the aunt-edge moves, a cross-check
+on the contracted-edge keys the interchange graph indexes (forestgen.nni_keys).
 reference_forest_keys cuts one edge out of a copy of the tree for every
 key and renders its two sides with the component renderer, the
 construction the spliced keys of forestgen must match byte for byte.
@@ -45,6 +45,7 @@ Builds never import this module.
 """
 
 from bisect import bisect_left
+from itertools import product
 
 from .errors import CanonicalError, ModeError, MoveError, NewickError, TreescapeError
 from .tree import MAX_LABEL, RHO, Tree, parse_newick
@@ -238,6 +239,8 @@ def validate_tree(tree):
     for lab in labels:
         if lab is None:
             continue
+        if type(lab) is not int or not RHO <= lab <= MAX_LABEL:
+            raise ValueError(f"label {lab!r} is neither the root marker nor in 1..2**64-1")
         if lab in seen:
             raise ValueError(f"duplicate label {lab}")
         seen.add(lab)
@@ -249,7 +252,7 @@ def validate_tree(tree):
             raise ValueError("root marker must attach to an internal node")
     elif markers:
         raise ValueError("unrooted tree carries a root marker")
-    # connectivity
+    # connected with n - 1 edges: a tree
     reach = {0}
     work = [0]
     while work:
@@ -257,8 +260,8 @@ def validate_tree(tree):
             if w not in reach:
                 reach.add(w)
                 work.append(w)
-    if len(reach) != n:
-        raise ValueError("tree is not connected")
+    if len(reach) != n or sum(map(len, adj)) != 2 * (n - 1):
+        raise ValueError(f"not a tree: {len(reach)} of {n} nodes reached, or not {n - 1} edges")
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +458,33 @@ def _oriented_prunes(tree):
     return prunes
 
 
-def _spr_moves(tree, nni):
-    """(prune, regraft) pairs; an interchange's regraft edge touches a
-    neighbour of the prune's fixed endpoint."""
-    adj = tree.neighbors
-    regrafts = edges(tree)
-    for u, v in _oriented_prunes(tree):
-        near = set(adj[v]) - {u}
-        for x, y in regrafts:
-            if not nni or x in near or y in near:
-                yield (u, v), (x, y)
+def _spr_moves(tree):
+    """(prune, regraft) pairs: every oriented prune with every edge."""
+    return product(_oriented_prunes(tree), edges(tree))
+
+
+def _aunt_moves(tree):
+    """(prune, regraft) pairs of the aunt-edge interchanges.
+
+    The tree is oriented from a leaf: the root marker, whose label 0 is the
+    smallest, or else the smallest leaf. Each edge whose parent edge has a
+    sibling yields one move: the subtree below it is regrafted onto that
+    sibling (aunt) edge, two moves for each internal edge.
+    """
+    labels, adj = tree.labels, tree.neighbors
+    top = min((i for i, lab in enumerate(labels) if lab is not None), key=labels.__getitem__)
+    par = _orient(adj, top)
+    for x in range(len(labels)):
+        if x == top:
+            continue
+        p = par[x]
+        g = par[p]
+        if g < 0:
+            continue
+        gp = par[g]
+        for sibling in adj[g]:
+            if sibling != p and sibling != gp:
+                yield (x, p), (g, sibling)
 
 
 def _tbr_moves(tree):
@@ -496,10 +516,9 @@ def _collect(tree, apply, moves):
 def enumerate_neighbors(tree, move):
     """Canonical strings of every tree one move away (never the tree itself).
 
-    move is one of "rspr", "uspr", "nni", "tbr"; interchange neighborhoods
-    are the prune-regraft moves whose regraft edge touches a neighbor of the
-    fixed prune endpoint, which lands the pruned part across exactly one
-    internal edge.
+    move is one of "rspr", "uspr", "nni", "tbr". An interchange moves the
+    subtree below an edge onto an aunt edge, a sibling of its parent edge,
+    which swaps two subtrees across one internal edge.
     """
     if move not in MOVES:
         raise ValueError(f"unknown move {move!r}")
@@ -509,42 +528,7 @@ def enumerate_neighbors(tree, move):
         )
     if move == "tbr":
         return _collect(tree, apply_tbr, _tbr_moves(tree))
-    return _collect(tree, apply_spr, _spr_moves(tree, move == "nni"))
-
-
-def nni_moves(tree):
-    """Result trees of every aunt-edge nearest-neighbor interchange.
-
-    Each edge whose parent edge has a sibling yields one move: the subtree
-    below it is regrafted onto that sibling (aunt) edge. Rooted trees orient
-    from the root marker; unrooted trees orient from the internal node next
-    to the smallest leaf, whose trifurcation contributes two aunts per edge
-    below it. The list may repeat isomorphic results; callers deduplicate.
-    """
-    labels, adj = tree.labels, tree.neighbors
-    if tree.rooted:
-        top = tree.rho_index()
-    else:
-        if len(labels) < 4:
-            return []
-        small = min(
-            (i for i, lab in enumerate(labels) if lab is not None), key=labels.__getitem__
-        )
-        top = adj[small][0]
-    par = _orient(adj, top)
-    out = []
-    for x in range(len(labels)):
-        if x == top:
-            continue
-        p = par[x]
-        g = par[p]
-        if g < 0:
-            continue
-        gp = par[g]
-        for sibling in adj[g]:
-            if sibling != p and sibling != gp:
-                out.append(apply_spr(tree, (x, p), (g, sibling)))
-    return out
+    return _collect(tree, apply_spr, (_aunt_moves if move == "nni" else _spr_moves)(tree))
 
 
 def reference_forest_keys(tree, move):

@@ -41,7 +41,11 @@ def graph_neighbourhoods(move, trees):
     canonical neighbours}."""
     graph, labeling = BUILDERS[move][0](trees)
     canon = labeling.canonical
-    return {canon[v]: {canon[u] for u in graph.neighbors(v)} for v in range(graph.n_vertices)}
+    near = {c: set() for c in canon}
+    for j, i in graph.edges():
+        near[canon[j]].add(canon[i])
+        near[canon[i]].add(canon[j])
+    return near
 
 
 @pytest.mark.parametrize(

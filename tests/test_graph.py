@@ -13,8 +13,10 @@ from treescape.graph import (
 from treescape.oracle import (
     apply_spr,
     apply_tbr,
+    decode_tree,
     enumerate_all_trees,
-    nni_moves,
+    enumerate_neighbors,
+    pairwise_graph,
     parents,
     random_tree,
     reference_forest_keys,
@@ -29,14 +31,14 @@ class TestAdjacencyGraph:
     def test_edge_to_one_earlier_vertex(self):
         g = AdjacencyGraph(3)
         assert g.add_vertex([1]) == 3
-        assert g.neighbors(1) == [3]
+        assert g.edges() == [(1, 3)]
         assert g.edge_count == 1
 
     def test_sorted_without_sorting(self):
         g = AdjacencyGraph(1)
         for i in range(1, 6):
             g.add_vertex([0] if i in (1, 2, 5) else [])
-        assert g.neighbors(0) == [1, 2, 5]
+        assert next(g.buckets()) == [1, 2, 5]
         assert g.edges() == [(0, 1), (0, 2), (0, 5)]
 
     def test_later_vertex_is_an_error(self):
@@ -57,28 +59,18 @@ class TestAdjacencyGraph:
         with pytest.raises(GraphInvariantError):
             g.add_vertex([4])  # out of range
 
-    def test_neighbors_symmetric_and_validate(self):
+    def test_each_edge_listed_once(self):
         g = AdjacencyGraph(1)
         g.add_vertex([0])
         g.add_vertex([0])
         g.add_vertex([2])
-        for u in range(4):
-            for v in g.neighbors(u):
-                assert u in g.neighbors(v)
+        assert g.edges() == [(0, 1), (0, 2), (2, 3)]
+        assert list(g.buckets()) == [[1, 2], [], [3], []]
 
     def test_add_vertex(self):
         g = AdjacencyGraph()
         assert g.add_vertex() == 0 and g.add_vertex([0]) == 1
-        assert g.n_vertices == 2 and g.neighbors(0) == [1]
-
-    def test_equality(self):
-        a, b, c = AdjacencyGraph(1), AdjacencyGraph(1), AdjacencyGraph(1)
-        a.add_vertex([0])
-        b.add_vertex()
-        assert a != b
-        c.add_vertex([0])
-        assert a == c
-        assert a != AdjacencyGraph(4)
+        assert g.n_vertices == 2 and g.edges() == [(0, 1)]
 
 
 class TestAddVertex:
@@ -217,15 +209,14 @@ class TestConstruction:
         g, _ = construct_spr_graph(trees)
         assert g.edges() == [(0, 1), (0, 2), (1, 2)]
 
-    def test_complete_worlds_validate(self):
-        for g, _ in (
-            construct_spr_graph(enumerate_all_trees(4, rooted=True)),
-            construct_nni_graph(enumerate_all_trees(4, rooted=False)),
-            construct_tbr_graph(enumerate_all_trees(5, rooted=False)),
+    def test_complete_worlds_match_the_pairwise_oracle(self):
+        for build, move, trees in (
+            (construct_spr_graph, "rspr", enumerate_all_trees(4, rooted=True)),
+            (construct_nni_graph, "nni", enumerate_all_trees(4, rooted=False)),
+            (construct_tbr_graph, "tbr", enumerate_all_trees(5, rooted=False)),
         ):
-            for u in range(g.n_vertices):
-                for v in g.neighbors(u):
-                    assert u in g.neighbors(v)
+            g, labeling = build(trees)
+            assert (g.edges(), labeling.canonical) == pairwise_graph(trees, move)
 
     def test_complete_worlds_have_ascending_buckets(self):
         for g, _ in (
@@ -255,9 +246,10 @@ def one_move(tree, rng, *, bisect=False):
 
 
 def reference_key_graph(trees, move):
-    """The pairs of distinct trees that share any oracle.reference_forest_keys
-    key, over the distinct trees in first-appearance order: the graph the
-    single-pass builders must give, at any n."""
+    """The pairs (j, i), j < i, of distinct trees that share any
+    oracle.reference_forest_keys key, over the distinct trees in
+    first-appearance order, in ascending order: the edges the single-pass
+    builders must give, at any n. Returns (edges, canonicals)."""
     canonical = []
     keys = []
     for tree in trees:
@@ -265,10 +257,8 @@ def reference_key_graph(trees, move):
         if text not in canonical:
             canonical.append(text)
             keys.append(set(reference_forest_keys(tree, move)))
-    graph = AdjacencyGraph()
-    for i, own in enumerate(keys):
-        graph.add_vertex([j for j in range(i) if keys[j] & own])
-    return graph, canonical
+    pairs = sorted((j, i) for i, own in enumerate(keys) for j in range(i) if keys[j] & own)
+    return pairs, canonical
 
 
 @pytest.mark.parametrize(
@@ -290,25 +280,30 @@ def test_builders_match_reference_keys(move, build):
         graph, labeling = build(trees)
         want, canonical = reference_key_graph(trees, move)
         assert labeling.canonical == canonical
-        assert graph == want
+        assert graph.edges() == want
         assert graph.edge_count > 0 and labeling.duplicates()
 
 
-def test_nni_count_rule_matches_nni_moves():
+def test_nni_walk_matches_oracle_neighbourhoods():
     rng = random.Random(89)
     for rooted in (True, False):
         tree = random_tree(rng.randint(32, 64), rooted=rooted, rng=rng)
         walk = [tree]
         for _ in range(40):
-            tree = rng.choice(walk) if rng.random() < 0.2 else rng.choice(nni_moves(tree))
+            if rng.random() < 0.2:
+                tree = rng.choice(walk)
+            else:  # sorted: a set of bytes iterates in PYTHONHASHSEED's order
+                tree = decode_tree(rng.choice(sorted(enumerate_neighbors(tree, "nni"))))
             walk.append(tree)
         graph, labeling = construct_nni_graph(walk)
         index = {c: v for v, c in enumerate(labeling.canonical)}
-        want = AdjacencyGraph()
-        for i, k in enumerate(labeling.first_input):
-            found = {index.get(sdlnewick_tree(t)) for t in nni_moves(walk[k])}
-            want.add_vertex(sorted(j for j in found - {None} if j < i))
-        assert graph == want
+        want = sorted(
+            (index[c], i)
+            for i, k in enumerate(labeling.first_input)
+            for c in enumerate_neighbors(walk[k], "nni")
+            if index.get(c, i) < i
+        )
+        assert graph.edges() == want
         assert graph.edge_count >= graph.n_vertices - 1
         assert construct_spr_graph(walk)[0].edge_count > graph.edge_count
 
@@ -343,7 +338,9 @@ def test_construction_takes_one_tree_at_a_time(construct, rooted):
 
     graph, labeling = construct(trees())
     assert len(refs) == len(order)
-    want_graph, want_labeling = construct(order)
-    assert graph == want_graph
-    assert labeling.vertex_of_input == want_labeling.vertex_of_input
-    assert labeling.canonical == want_labeling.canonical
+    move = {construct_nni_graph: "nni", construct_tbr_graph: "tbr"}.get(
+        construct, "rspr" if rooted else "uspr"
+    )
+    want_edges, canonical = pairwise_graph(order, move)
+    assert graph.edges() == want_edges and labeling.canonical == canonical
+    assert labeling.vertex_of_input == [canonical.index(sdlnewick_tree(t)) for t in order]

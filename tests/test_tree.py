@@ -179,6 +179,18 @@ class TestTree:
             validate_tree(Tree([1, 1], [[1], [0]], False))  # duplicate labels
         with pytest.raises(ValueError):
             validate_tree(Tree([1, 2], [[1], [0]], True))  # rooted without rho
+        # every degree right and connected, but a cycle: a pendant leaf on
+        # each corner of a triangle, and K4 with no leaves
+        triangle = Tree(
+            [None, None, None, 1, 2, 3], [[1, 2, 3], [0, 2, 4], [0, 1, 5], [0], [1], [2]], False
+        )
+        k4 = Tree([None] * 4, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], False)
+        for cyclic in (triangle, k4):
+            with pytest.raises(ValueError, match="not a tree"):
+                validate_tree(cyclic)
+        for label in (-3, 2**64, "7", 2.5, True):
+            with pytest.raises(ValueError, match="neither the root marker"):
+                validate_tree(Tree([2, 3, label, None], [[3], [3], [3], [0, 1, 2]], False))
         ok = parse_newick("(1,2,(3,4));", rooted=False)
         validate_tree(ok)
 
