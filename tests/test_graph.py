@@ -211,6 +211,25 @@ class TestConstruction:
                 assert bucket == sorted(set(bucket)) and all(j < i < n for i in bucket)
 
 
+@pytest.mark.parametrize(
+    "build, n, rooted, degree",
+    [
+        (construct_nni_graph, 5, True, 6),  # 2(n - 2)
+        (construct_nni_graph, 6, False, 6),  # 2(n - 3)
+        (construct_spr_graph, 6, False, 30),  # 2(n - 3)(2n - 7)
+    ],
+    ids=["rnni", "unni", "uspr"],
+)
+def test_complete_worlds_are_regular(build, n, rooted, degree):
+    # every vertex of a whole space has the closed-form neighbourhood size
+    g, _ = build(enumerate_all_trees(n, rooted=rooted))
+    seen = [0] * g.n_vertices
+    for j, i in g.edges():
+        seen[j] += 1
+        seen[i] += 1
+    assert set(seen) == {degree}
+
+
 def one_move(tree, rng, *, bisect=False):
     """A random tree one prune-regraft (or bisection-reconnection) move
     from tree; the identity move is possible."""

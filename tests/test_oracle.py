@@ -195,6 +195,41 @@ class TestNniMoves:
         assert enumerate_neighbors(parse_newick("(1,2,3);", rooted=False), "nni") == set()
         assert enumerate_neighbors(parse_newick("(1,2);", rooted=False), "nni") == set()
 
+    @pytest.mark.parametrize("n, rooted", [(5, True), (6, False)])
+    def test_neighbours_differ_in_one_split(self, n, rooted):
+        # the split definition: two binary trees are one interchange apart
+        # when exactly one split of each is missing from the other
+        world = {sdlnewick_tree(t): (t, splits(t)) for t in enumerate_all_trees(n, rooted=rooted)}
+        for t, own in world.values():
+            want = {s for s, (_, other) in world.items() if len(own - other) == 1}
+            assert enumerate_neighbors(t, "nni") == want
+
+    def test_neighbours_are_one_prune_regraft_away(self):
+        rng = random.Random(23)
+        for n in range(4, 10):
+            for rooted in (True, False):
+                t = random_tree(n, rooted=rooted, rng=rng)
+                near = enumerate_neighbors(t, "nni")
+                assert near and near <= enumerate_neighbors(t, "rspr" if rooted else "uspr")
+
+
+def splits(tree):
+    """The nontrivial splits of a tree, each as the side away from its
+    smallest label (the root marker of a rooted tree)."""
+    labels, adj = tree.labels, tree.neighbors
+    out = []
+
+    def below(x, parent):
+        side = {labels[x]} - {None}
+        for y in adj[x]:
+            if y != parent:
+                side |= below(y, x)
+        out.append(frozenset(side))
+        return side
+
+    leaves = below(labels.index(min(lab for lab in labels if lab is not None)), -1)
+    return {s for s in out if 1 < len(s) < len(leaves) - 1}
+
 
 def reference_digest():
     """sha256 over the reference's outputs and errors on a fixed corpus."""
