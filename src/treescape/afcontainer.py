@@ -186,9 +186,6 @@ class AFContainer:
     def __len__(self):
         return len(self._trees)
 
-    def __repr__(self):
-        return f"<AFContainer {self.mode.value} m={len(self._trees)}>"
-
     def insert(self, tree):
         """Index a tree; returns (id, shared).
 

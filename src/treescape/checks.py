@@ -23,12 +23,13 @@ def verify(args, numbered, construct_numbered):
     all-pairs comparison gives."""
     if args.max_m < 0:
         raise TreescapeError(f"--max-m needs a tree count of at least 0, got {args.max_m}")
-    # a list, not a stream: the trees are counted before --max-m is checked
-    parsed = list(numbered)
-    if len(parsed) > args.max_m:
-        return fail(
-            5, f"{len(parsed)} trees exceed --max-m {args.max_m} for the quadratic check"
-        )
+    # a list, not a stream: reading stops at the first tree past --max-m,
+    # so a fault on a later line cannot decide the exit code
+    parsed = []
+    for pair in numbered:
+        if len(parsed) == args.max_m:
+            return fail(5, f"more than --max-m {args.max_m} trees for the quadratic check")
+        parsed.append(pair)
     graph, labeling, _ = construct_numbered(args, parsed)
     trees = [tree for _, tree in parsed]
     move = "nni" if args.mode == "nni" else args.container_mode.value

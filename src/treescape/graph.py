@@ -60,9 +60,6 @@ class AdjacencyGraph:
         """All edges as (smaller, larger) pairs in lexicographic order."""
         return [(j, i) for j, bucket in enumerate(self._adj) for i in bucket]
 
-    def __repr__(self):
-        return f"<AdjacencyGraph n={self.n_vertices} edges={self.edge_count}>"
-
 
 class VertexLabeling:
     """How input positions map onto graph vertices.

@@ -47,15 +47,6 @@ class Tree:
     def __len__(self):
         return len(self.labels)
 
-    def __repr__(self):
-        kind = "rooted" if self.rooted else "unrooted"
-        return f"<Tree {kind} n={self.n_leaves}>"
-
-    @property
-    def n_leaves(self):
-        """Number of integer-labelled leaves (the root marker not counted)."""
-        return sum(1 for lab in self.labels if lab is not None and lab != RHO)
-
     def leaf_labels(self):
         return {lab for lab in self.labels if lab is not None and lab != RHO}
 

@@ -328,7 +328,7 @@ class TestSnapshot:
     def test_one_leaf_line_is_refused(self, tmp_path, monkeypatch):
         # the reference decoder reads "1;" as a lone leaf, but the input
         # parser refuses a single leaf and a build never writes one
-        assert decode_tree(b"1;").n_leaves == 1
+        assert decode_tree(b"1;").leaf_labels() == {1}
         monkeypatch.chdir(tmp_path)
         snapshot_file(tmp_path / "c.snap", Mode.USPR, [b"1;"])
         with pytest.raises(SnapshotError, match=r"^c\.snap:2: not a canonical uspr tree$"):

@@ -172,24 +172,14 @@ def test_build_loads_neither_reference_modules_nor_dataclasses(tmp_path, append)
     assert fresh_interpreter(code) == "False False False False False False"
 
 
-def test_package_names_resolve_lazily():
+def test_package_binds_no_names():
     code = (
         "import sys\n"
         "import treescape\n"
         "print(sorted(m for m in sys.modules if m.startswith('treescape.')))\n"
     )
     assert fresh_interpreter(code) == "[]"
-    for name in treescape.__all__:
-        value = getattr(treescape, name)
-        if name != "__version__":
-            assert value is getattr(sys.modules[value.__module__], name)
-            assert value.__module__ != "treescape.oracle"
-    from treescape import AFContainer
-
-    assert AFContainer.__module__ == "treescape.afcontainer"
-    # the reference names resolve only from their home modules
-    assert treescape.oracle.apply_spr.__module__ == "treescape.oracle"
-    for name in ("apply_spr", "decode_tree", "no_such_name"):
+    for name in ("AFContainer", "apply_spr", "no_such_name"):
         with pytest.raises(AttributeError):
             getattr(treescape, name)
 
@@ -902,9 +892,13 @@ def test_snapshot_fits_each_build_kind_of_its_mode(tmp_path, capsys, saved, appe
 
 
 class TestVerify:
-    def test_ok(self, tmp_path, capsys):
+    # a --max-m above sys.maxsize caps nothing
+    @pytest.mark.parametrize(
+        "max_m", [[], ["--max-m", "99999999999999999999"]], ids=["default", "huge"]
+    )
+    def test_ok(self, tmp_path, capsys, max_m):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
-        assert run("verify", inp, "--mode", "spr", "--rooted") == 0
+        assert run("verify", inp, "--mode", "spr", "--rooted", *max_m) == 0
         assert "verify ok: m=3 edges=3" in capsys.readouterr().out
 
     def test_all_modes(self, tmp_path):
@@ -922,10 +916,16 @@ class TestVerify:
             f"error: {inp}:2: all trees must share one leaf label set\n"
         )
 
-    def test_max_m_refusal(self, tmp_path, capsys):
-        inp = write(tmp_path, "t.nwk", TRIANGLE)
+    # reading stops at the third tree, so a parse error on the fourth line
+    # cannot come first
+    @pytest.mark.parametrize("text", [TRIANGLE, TRIANGLE + "((1,2),(3,4);\n"],
+                             ids=["three-trees", "faulty-fourth-line"])
+    def test_max_m_refusal(self, tmp_path, capsys, text):
+        inp = write(tmp_path, "t.nwk", text)
         assert run("verify", inp, "--mode", "spr", "--rooted", "--max-m", "2") == 5
-        assert "--max-m" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: more than --max-m 2 trees for the quadratic check\n"
+        )
 
     @pytest.mark.parametrize("text", ["", "((1,2),(3,4);\n"], ids=["empty", "faulty-tree"])
     def test_negative_max_m_is_refused_before_any_tree_is_read(self, tmp_path, capsys, text):

@@ -158,12 +158,6 @@ class TestEnumerateNeighbors:
             t = random_tree(n, rooted=False, rng=rng)
             assert len(enumerate_neighbors(t, "uspr")) == 2 * (n - 3) * (2 * n - 7)
 
-    def test_nni_size_formula(self):
-        rng = random.Random(9)
-        for n in range(4, 8):
-            t = random_tree(n, rooted=False, rng=rng)
-            assert len(enumerate_neighbors(t, "nni")) == 2 * (n - 3)
-
 
 class TestPairwiseGraph:
     def test_single_tree_no_edges(self):

@@ -47,7 +47,6 @@ class TestParse:
     def test_rooted_example(self):
         t = parse_newick("((1,(2,3)),(4,5));", rooted=True)
         assert t.rooted
-        assert t.n_leaves == 5
         assert t.leaf_labels() == {1, 2, 3, 4, 5}
         assert len(t) == 10  # 5 leaves, 4 internals, rho
         assert len(tree_edges(t)) == 9
@@ -83,7 +82,7 @@ class TestParse:
         t = parse_newick("(1,2);", rooted=False)
         assert len(tree_edges(t)) == 1
         r = parse_newick("(1,2);", rooted=True)
-        assert r.rooted and r.n_leaves == 2
+        assert r.rooted and r.leaf_labels() == {1, 2}
 
     def test_whitespace(self):
         t = parse_newick(" ( 1 , 2 , ( 3 , 4 ) ) ; ", rooted=False)
