@@ -627,6 +627,33 @@ class TestSnapshotFlow:
         assert sidecar[4].startswith("3\t1\t")
         assert len(list(read_snapshot(snap, "spr", True))) == 4
 
+    def test_duplicates_of_the_snapshot_and_of_a_line_warn_in_input_order(
+        self, tmp_path, capsys
+    ):
+        inp = write(tmp_path, "t.nwk", TRIANGLE)
+        snap = tmp_path / "c.snap"
+        run("build", inp, "--mode", "spr", "--rooted", "--out", str(tmp_path / "g1.tsv"),
+            "--snapshot", str(snap))
+        more = write(
+            tmp_path,
+            "more.nwk",
+            "((1,2),((4,5),3));\n(((5,4),1),(3,2));\n# comment\n(((4,5),3),(2,1));\n"
+            "(1,((2,(5,4)),3));\n",
+        )
+        out = tmp_path / "g2.tsv"
+        capsys.readouterr()
+        assert run("build", more, "--mode", "spr", "--rooted", "--out", str(out),
+                   "--append", str(snap)) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {more}:2: duplicate of the snapshot\n"
+            f"warning: {more}:4: duplicate of line 1\n"
+            f"warning: {more}:5: duplicate of the snapshot\n"
+        )
+        sidecar = (tmp_path / "g2.vertices.tsv").read_text().splitlines()
+        assert [line.split("\t")[:2] for line in sidecar[1:]] == [
+            ["0", "0"], ["1", "0"], ["2", "0"], ["3", "1"]
+        ]
+
     def test_append_edges_cover_old_and_new(self, tmp_path, capsys):
         inp = write(tmp_path, "t.nwk", TRIANGLE)
         snap = tmp_path / "c.snap"
