@@ -140,11 +140,10 @@ def _vertices_path(out_path):
     return os.path.splitext(out_path)[0] + ".vertices.tsv"
 
 
-def _write_vertices(fh, linenos, labeling):
+def _write_vertices(fh, first_lines, canonical):
     fh.write("# vertex\tline\tcanonical\n")
-    for v, first in enumerate(labeling.first_input):
-        canonical = labeling.canonical[v].decode("ascii")
-        fh.write(f"{v}\t{linenos[first]}\t{canonical}\n")
+    for v, (line, text) in enumerate(zip(first_lines, canonical)):
+        fh.write(f"{v}\t{line}\t{text.decode('ascii')}\n")
 
 
 def _construct_numbered(args, numbered):
@@ -205,11 +204,14 @@ def _cmd_build(args):
     graph, labeling, linenos = _construct_numbered(args, numbered)
     if not any(linenos):
         _warn(f"{args.input}: no trees")
-    for k in labeling.duplicates():
-        if linenos[k]:
-            first = linenos[labeling.first_input[labeling.vertex_of_input[k]]]
-            where = f"line {first}" if first else "the snapshot"
-            _warn(f"{args.input}:{linenos[k]}: duplicate of {where}")
+    # vertex ids count up in input order, so a new vertex is len(first_lines)
+    first_lines = []
+    for lineno, v in zip(linenos, labeling.vertex_of_input):
+        if v == len(first_lines):
+            first_lines.append(lineno)
+        elif lineno:
+            where = f"line {first_lines[v]}" if first_lines[v] else "the snapshot"
+            _warn(f"{args.input}:{lineno}: duplicate of {where}")
 
     # every file is written to its temporary file before any is replaced;
     # then the graph, the vertex file and the snapshot are replaced in that
@@ -223,7 +225,7 @@ def _cmd_build(args):
             _write_tsv(out, args.mode, graph)
         else:
             _write_dot(out, graph, labeling)
-        _write_vertices(vertices, linenos, labeling)
+        _write_vertices(vertices, first_lines, labeling.canonical)
         if snapshot:
             write_snapshot(snapshot, args.container_mode, labeling.canonical)
     print(f"built {args.mode} graph: m={graph.n_vertices} edges={graph.edge_count}")

@@ -64,21 +64,16 @@ class AdjacencyGraph:
 class VertexLabeling:
     """How input positions map onto graph vertices.
 
-    vertex_of_input[k] is the vertex of the k-th input tree, first_input[v]
-    is the position of the first input tree landing on vertex v, and
-    canonical[v] is that tree's canonical byte string.
+    vertex_of_input[k] is the vertex of the k-th input tree, and canonical[v]
+    is the canonical byte string of vertex v. Vertices are numbered in order
+    of first appearance.
     """
 
-    __slots__ = ("vertex_of_input", "first_input", "canonical")
+    __slots__ = ("vertex_of_input", "canonical")
 
-    def __init__(self, vertex_of_input, first_input, canonical):
+    def __init__(self, vertex_of_input, canonical):
         self.vertex_of_input = vertex_of_input
-        self.first_input = first_input
         self.canonical = canonical
-
-    def duplicates(self):
-        """Input positions that repeat an earlier tree."""
-        return [k for k, v in enumerate(self.vertex_of_input) if self.first_input[v] != k]
 
 
 def construct(move, trees):
@@ -87,7 +82,6 @@ def construct(move, trees):
     mode (Mode.of); the key generators refuse the other rootedness."""
     graph = AdjacencyGraph()
     vertex_of_input = []
-    first_input = []
     for k, tree in enumerate(trees):
         if k == 0:
             labels = tree.leaf_labels()
@@ -97,11 +91,9 @@ def construct(move, trees):
         vid, shared = container.insert(tree)
         vertex_of_input.append(vid)
         if vid == graph.n_vertices:
-            first_input.append(k)
             graph.add_vertex(shared)
     labeling = VertexLabeling(
         vertex_of_input=vertex_of_input,
-        first_input=first_input,
         # no container without trees, and then no vertices to read
         canonical=[container.sdlnewick_of(v) for v in range(graph.n_vertices)],
     )

@@ -315,26 +315,21 @@ def _subdivide(labels, adj, a, b):
     return w
 
 
-def _splice_degree2(labels, adj, v, removed):
-    """Suppress v if it is unlabelled with exactly two neighbors."""
+def _splice_degree2(labels, adj, v):
+    """Suppress v if it is unlabelled with exactly two neighbors; a
+    suppressed node keeps no neighbors."""
     if labels[v] is None and len(adj[v]) == 2:
         a, b = adj[v]
         adj[a][adj[a].index(v)] = b
         adj[b][adj[b].index(v)] = a
         adj[v] = []
-        removed[v] = True
 
 
-def _compact(labels, adj, removed):
-    """Drop removed nodes and renumber the rest, preserving index order."""
-    remap = {}
-    new_labels = []
-    for i, lab in enumerate(labels):
-        if not removed[i]:
-            remap[i] = len(new_labels)
-            new_labels.append(lab)
-    new_adj = [[remap[w] for w in adj[i]] for i in range(len(labels)) if not removed[i]]
-    return new_labels, new_adj
+def _renumber(labels, adj, nodes):
+    """(labels, adjacency) of the nodes listed, renumbered in list order;
+    no listed node may neighbour one left out."""
+    index = {v: i for i, v in enumerate(nodes)}
+    return [labels[v] for v in nodes], [[index[w] for w in adj[v]] for v in nodes]
 
 
 def _cut_key(tree, a, b, kept):
@@ -346,18 +341,14 @@ def _cut_key(tree, a, b, kept):
     labels = tree.labels
     adj = [list(nbrs) for nbrs in tree.neighbors]
     _unlink(adj, a, b)
-    removed = [False] * len(labels)
     parts = []
     for end in (a, b):
         start = end
         if end != kept and labels[end] is None:
             start = adj[end][0]
-            _splice_degree2(labels, adj, end, removed)
+            _splice_degree2(labels, adj, end)
         # the side's nodes in walk order, so that kept is its node 0
-        nodes = [node for node, _ in _walk(adj, start)]
-        index = {v: i for i, v in enumerate(nodes)}
-        side_labels = [labels[v] for v in nodes]
-        side_adj = [[index[w] for w in adj[v]] for v in nodes]
+        side_labels, side_adj = _renumber(labels, adj, [node for node, _ in _walk(adj, start)])
         if end == kept:
             parts.append(_component_part(side_labels, side_adj, 0, pruned=True))
         else:
@@ -392,10 +383,9 @@ def apply_spr(tree, prune, regraft):
     adj = [list(nbrs) for nbrs in tree.neighbors]
     _unlink(adj, u, v)
     _link(adj, _subdivide(labels, adj, x, y), u)
-    removed = [False] * len(labels)
-    _splice_degree2(labels, adj, v, removed)
-    new_labels, new_adj = _compact(labels, adj, removed)
-    return Tree(new_labels, new_adj, tree.rooted)
+    _splice_degree2(labels, adj, v)
+    # every node but a suppressed one has a neighbour
+    return Tree(*_renumber(labels, adj, [i for i, nbrs in enumerate(adj) if nbrs]), tree.rooted)
 
 
 def apply_tbr(tree, bisect, reattach_u=None, reattach_v=None):
@@ -432,11 +422,9 @@ def apply_tbr(tree, bisect, reattach_u=None, reattach_v=None):
     up = u if reattach_u is None else _subdivide(labels, adj, *reattach_u)
     vp = v if reattach_v is None else _subdivide(labels, adj, *reattach_v)
     _link(adj, up, vp)
-    removed = [False] * len(labels)
-    _splice_degree2(labels, adj, u, removed)
-    _splice_degree2(labels, adj, v, removed)
-    new_labels, new_adj = _compact(labels, adj, removed)
-    return Tree(new_labels, new_adj, False)
+    _splice_degree2(labels, adj, u)
+    _splice_degree2(labels, adj, v)
+    return Tree(*_renumber(labels, adj, [i for i, nbrs in enumerate(adj) if nbrs]), False)
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +435,13 @@ MOVES = ("rspr", "uspr", "nni", "tbr")
 
 
 def _oriented_prunes(tree):
-    """Prune pairs (moving endpoint, fixed endpoint) for each edge."""
+    """Prune pairs (moving end, fixed end) of each edge (a, b) of
+    edges(tree), in order: the child end moves in a rooted tree, and in an
+    unrooted one each end in turn, (a, b) and then (b, a)."""
     if tree.rooted:
         par = parents(tree)
         return [(a, b) if par[a] == b else (b, a) for a, b in edges(tree)]
-    prunes = []
-    for a, b in edges(tree):
-        prunes.append((a, b))
-        prunes.append((b, a))
-    return prunes
+    return [prune for a, b in edges(tree) for prune in ((a, b), (b, a))]
 
 
 def _spr_moves(tree):
@@ -532,27 +518,20 @@ def enumerate_neighbors(tree, move):
 
 
 def reference_forest_keys(tree, move):
-    """Forest keys by cutting each edge (a, b) of edges(tree), in order,
-    out of a copy of the tree and encoding both sides.
+    """Forest keys by cutting an edge out of a copy of the tree and encoding
+    both sides, one key per cut.
 
-    move is "rspr" (cut-off side rooted), "uspr" (two keys per edge: a's
-    side rooted at a, then b's at b) or "tbr" (both cut endpoints
-    suppressed).
+    move is "rspr" or "uspr", one key per prune (u, v) of _oriented_prunes
+    with u's side pruned at u, or "tbr", one key per edge of edges(tree)
+    with both cut ends suppressed.
     """
     if move not in ("rspr", "uspr", "tbr"):
         raise ValueError(f"unknown move {move!r}")
     if tree.rooted != (move == "rspr"):
         raise ModeError(f"{move} keys need {'an unrooted' if tree.rooted else 'a rooted'} tree")
-    par = parents(tree) if tree.rooted else None
-    keys = []
-    for a, b in edges(tree):
-        if move == "rspr":
-            keys.append(_cut_key(tree, a, b, a if par[a] == b else b))
-        elif move == "uspr":
-            keys += (_cut_key(tree, a, b, a), _cut_key(tree, a, b, b))
-        else:
-            keys.append(_cut_key(tree, a, b, None))
-    return keys
+    if move == "tbr":
+        return [_cut_key(tree, a, b, None) for a, b in edges(tree)]
+    return [_cut_key(tree, u, v, u) for u, v in _oriented_prunes(tree)]
 
 
 def pairwise_graph(trees, move):

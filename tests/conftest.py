@@ -4,6 +4,8 @@ import sys
 import tempfile
 import time
 
+from treescape.tree import Tree
+
 _acceptance_lines = []
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -26,6 +28,28 @@ for name, module in sorted(sys.modules.items()):
     elif name not in bare:
         print("other", name)
 """
+
+
+def shuffled_presentation(tree, rng):
+    """Same tree, new node numbering and neighbor order."""
+    n = len(tree)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    labels = [None] * n
+    adj = [None] * n
+    for old, new in enumerate(perm):
+        labels[new] = tree.labels[old]
+        nbrs = [perm[x] for x in tree.neighbors[old]]
+        rng.shuffle(nbrs)
+        adj[new] = nbrs
+    return Tree(labels, adj, tree.rooted)
+
+
+def write(tmp_path, name, text):
+    """Write text to the file name in tmp_path; returns its path as a str."""
+    p = tmp_path / name
+    p.write_text(text)
+    return str(p)
 
 
 def report_criterion(num, name, ok, detail=""):

@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 
-from conftest import SRC, report_criterion
+from conftest import SRC, report_criterion, shuffled_presentation
 
 from treescape import cli
 from treescape.afcontainer import AFContainer, Mode
@@ -23,21 +23,6 @@ from treescape.oracle import (
     sdlnewick_tree,
     to_newick,
 )
-from treescape.tree import Tree
-
-
-def shuffled_presentation(tree, rng):
-    n = len(tree)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    labels = [None] * n
-    adj = [None] * n
-    for old, new in enumerate(perm):
-        labels[new] = tree.labels[old]
-        nbrs = [perm[x] for x in tree.neighbors[old]]
-        rng.shuffle(nbrs)
-        adj[new] = nbrs
-    return Tree(labels, adj, tree.rooted)
 
 
 def test_criterion_1_oracle_equivalence(tmp_path, capsys):

@@ -7,28 +7,14 @@ import subprocess
 import sys
 
 import pytest
+from conftest import shuffled_presentation
 from hypothesis import given, settings, strategies as st
 
 import treescape
 from treescape.errors import CanonicalError
 from treescape.oracle import edges as tree_edges
 from treescape.oracle import decode_tree, random_tree, reference_forest_keys, sdlnewick_tree
-from treescape.tree import Tree, parse_newick
-
-
-def shuffled_presentation(tree, rng):
-    """Same tree, new node numbering and neighbor order."""
-    n = len(tree)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    labels = [None] * n
-    adj = [None] * n
-    for old, new in enumerate(perm):
-        labels[new] = tree.labels[old]
-        nbrs = [perm[x] for x in tree.neighbors[old]]
-        rng.shuffle(nbrs)
-        adj[new] = nbrs
-    return Tree(labels, adj, tree.rooted)
+from treescape.tree import parse_newick
 
 
 class TestPinnedStrings:

@@ -12,6 +12,7 @@ import types
 import weakref
 
 import pytest
+from conftest import write
 
 import treescape
 from treescape import afcontainer, checks, cli, errors, forestgen, oracle
@@ -19,12 +20,6 @@ from treescape.afcontainer import read_snapshot
 from treescape.graph import AdjacencyGraph
 
 TRIANGLE = "(((4,5),1),(2,3));\n((((4,5),2),3),1);\n(1,(2,((4,5),3)));\n"
-
-
-def write(tmp_path, name, text):
-    p = tmp_path / name
-    p.write_text(text)
-    return str(p)
 
 
 def run(*argv):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import write
 
 from treescape import cli
 from treescape.tree import integer
@@ -67,12 +68,6 @@ USAGE_ERROR_IDS = [
     "extra-input", "bench-has-no-input", "no-value-at-end", "no-value-before-option",
     "value-for-a-flag",
 ]
-
-
-def write(tmp_path, name, text):
-    p = tmp_path / name
-    p.write_text(text)
-    return str(p)
 
 
 def outputs(directory):

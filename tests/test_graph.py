@@ -97,7 +97,7 @@ class TestConstruction:
     def test_single_tree(self):
         g, lab = construct_spr_graph([parse_newick("((1,2),(3,4));", rooted=True)])
         assert g.n_vertices == 1 and g.edge_count == 0
-        assert lab.vertex_of_input == [0] and lab.first_input == [0]
+        assert lab.vertex_of_input == [0]
 
     def test_empty_input(self):
         g, lab = construct_spr_graph([])
@@ -150,9 +150,7 @@ class TestConstruction:
         g, lab = construct_spr_graph([t0, t1, t0b, t1])
         assert g.n_vertices == 2
         assert lab.vertex_of_input == [0, 1, 0, 1]
-        assert lab.first_input == [0, 1]
-        assert lab.duplicates() == [2, 3]
-        assert len(lab.canonical) == 2
+        assert lab.canonical == [sdlnewick_tree(t0), sdlnewick_tree(t1)]
 
     def test_nni_edges_subset_of_spr(self):
         rng = random.Random(61)
@@ -282,7 +280,7 @@ def test_builders_match_reference_keys(move, build):
         want, canonical = reference_key_graph(trees, move)
         assert labeling.canonical == canonical
         assert graph.edges() == want
-        assert graph.edge_count > 0 and labeling.duplicates()
+        assert graph.edge_count > 0 and graph.n_vertices < len(labeling.vertex_of_input)
 
 
 def test_nni_walk_matches_oracle_neighbourhoods():
@@ -300,8 +298,8 @@ def test_nni_walk_matches_oracle_neighbourhoods():
         index = {c: v for v, c in enumerate(labeling.canonical)}
         want = sorted(
             (index[c], i)
-            for i, k in enumerate(labeling.first_input)
-            for c in enumerate_neighbors(walk[k], "nni")
+            for i in range(graph.n_vertices)
+            for c in enumerate_neighbors(walk[labeling.vertex_of_input.index(i)], "nni")
             if index.get(c, i) < i
         )
         assert graph.edges() == want

@@ -5,7 +5,7 @@ import pytest
 
 from treescape.errors import MoveError, NewickError
 from treescape.oracle import (
-    _compact,
+    _renumber,
     _splice_degree2,
     apply_spr,
     apply_tbr,
@@ -72,9 +72,8 @@ class TestParse:
             rooted = parse_newick(text, rooted=True)
             labels, adj = rooted.labels[:-1], [list(nbrs) for nbrs in rooted.neighbors[:-1]]
             adj[0].remove(len(labels))
-            removed = [False] * len(labels)
-            _splice_degree2(labels, adj, 0, removed)
-            labels, adj = _compact(labels, adj, removed)
+            _splice_degree2(labels, adj, 0)
+            labels, adj = _renumber(labels, adj, [i for i, nbrs in enumerate(adj) if nbrs])
             unrooted = parse_newick(text, rooted=False)
             assert (unrooted.labels, unrooted.neighbors) == (labels, adj)
 
